@@ -9,7 +9,7 @@
 //! same decision it planned.
 
 use super::plan::{Plan, PlannedOp};
-use super::ImageCache;
+use super::{add_members, ImageCache, Resident};
 use crate::events::CacheEvent;
 use crate::image::{Image, ImageId};
 use crate::spec::Spec;
@@ -113,13 +113,13 @@ impl ImageCache {
 
         match plan.op {
             PlannedOp::Hit { image } => {
-                let touched = self.images.get_mut(&image.0).map(|img| {
-                    img.last_used = now;
-                    img.use_count += 1;
-                    img.bytes
+                let touched = self.images.get_mut(&image.0).map(|r| {
+                    r.image.last_used = now;
+                    r.image.use_count += 1;
+                    r.image.bytes
                 });
                 if let Some(image_bytes) = touched {
-                    self.evictor.on_touch(&self.images[&image.0]);
+                    self.evictor.on_touch(&self.images[&image.0].image);
                     self.ledger.count_hit();
                     self.ledger.serve(requested_bytes, image_bytes);
                     self.emit(CacheEvent::Hit {
@@ -150,16 +150,10 @@ impl ImageCache {
     pub(super) fn do_insert(&mut self, spec: &Spec, requested_bytes: u64, now: u64) -> Outcome {
         let id = ImageId(self.next_id);
         self.next_id += 1;
-        self.refcounts
-            .add_spec(spec, self.sizes.as_ref(), &mut self.ledger);
-        let image = Image::new(id, spec.clone(), requested_bytes, now);
-        self.ledger.admit(requested_bytes);
         self.ledger.write(requested_bytes);
         self.ledger.count_insert();
         self.ledger.serve(requested_bytes, requested_bytes);
-        self.candidate_index.on_insert(id.0, spec);
-        self.evictor.on_insert(&image);
-        self.images.insert(id.0, image);
+        self.admit_image(Image::new(id, spec.clone(), requested_bytes, now));
         self.emit(CacheEvent::Insert {
             image: id,
             bytes: requested_bytes,
@@ -184,10 +178,14 @@ impl ImageCache {
     ) -> Option<Outcome> {
         let split_threshold = self.config.split_threshold;
         let sizes = Arc::clone(&self.sizes);
-        let img = self.images.get_mut(&id.0)?;
+        let Resident {
+            image: img,
+            members,
+        } = self.images.get_mut(&id.0)?;
 
         // Account the packages newly introduced by the request.
         let added = spec.difference(&img.spec);
+        add_members(members, &added);
         let old_bytes = img.bytes;
         let new_spec = img.spec.union(spec);
         let new_bytes = sizes.spec_bytes(&new_spec);
@@ -202,7 +200,7 @@ impl ImageCache {
         if wants_split {
             self.pending_split = Some(id);
         }
-        self.evictor.on_touch(&self.images[&id.0]);
+        self.evictor.on_touch(&self.images[&id.0].image);
         self.candidate_index.on_merge(id.0, spec);
         self.refcounts
             .add_spec(&added, self.sizes.as_ref(), &mut self.ledger);

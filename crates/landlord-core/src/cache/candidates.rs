@@ -31,9 +31,9 @@ pub trait CandidateIndex: Send {
     /// Candidate image ids for `spec`, or `None` meaning "consider
     /// every cached image" (no index maintained).
     fn candidates(&self, spec: &Spec) -> Option<Vec<u64>>;
-    /// Verify the index against the authoritative image map; panics on
-    /// inconsistency.
-    fn check(&self, images: &FxHashMap<u64, Image>);
+    /// Verify the index against the resident images (each exactly
+    /// once); panics on inconsistency.
+    fn check(&self, images: &[&Image]);
 }
 
 /// No index at all: every cached image is a candidate.
@@ -49,7 +49,7 @@ impl CandidateIndex for ExactScan {
     fn candidates(&self, _spec: &Spec) -> Option<Vec<u64>> {
         None
     }
-    fn check(&self, _images: &FxHashMap<u64, Image>) {}
+    fn check(&self, _images: &[&Image]) {}
 }
 
 /// MinHash signatures in a banded LSH table.
@@ -105,14 +105,14 @@ impl CandidateIndex for MinHashLshIndex {
         Some(self.lsh.candidates(&sig))
     }
 
-    fn check(&self, images: &FxHashMap<u64, Image>) {
+    fn check(&self, images: &[&Image]) {
         assert_eq!(self.lsh.len(), images.len(), "lsh key count out of sync");
         assert_eq!(
             self.signatures.len(),
             images.len(),
             "signature count out of sync"
         );
-        for img in images.values() {
+        for img in images {
             assert!(
                 self.lsh.contains(img.id.0),
                 "image {} missing from lsh",

@@ -113,9 +113,9 @@ pub trait Evictor: Send {
     /// planning eviction chains transactionally (the persistent store
     /// plans on a clone and feeds the live evictor only acked events).
     fn clone_box(&self) -> Box<dyn Evictor>;
-    /// Verify internal consistency against the authoritative image
-    /// map; panics on inconsistency.
-    fn check(&self, images: &FxHashMap<u64, Image>);
+    /// Verify internal consistency against the resident images (each
+    /// exactly once); panics on inconsistency.
+    fn check(&self, images: &[&Image]);
 }
 
 /// How one policy ranks an image. Victims are *minimal* in `(Key, id)`
@@ -210,10 +210,10 @@ impl<P: VictimKey> Evictor for IndexedEvictor<P> {
         Box::new(self.clone())
     }
 
-    fn check(&self, images: &FxHashMap<u64, Image>) {
+    fn check(&self, images: &[&Image]) {
         assert_eq!(self.order.len(), images.len(), "evictor order size");
         assert_eq!(self.keys.len(), images.len(), "evictor key-map size");
-        for img in images.values() {
+        for img in images {
             let stored = self.keys.get(&img.id.0);
             assert!(stored.is_some(), "image {} missing from evictor", img.id);
             let Some(stored) = stored else { continue };
@@ -234,7 +234,7 @@ impl<P: VictimKey> Evictor for IndexedEvictor<P> {
         if self.keyer.keys_are_current() {
             // The ordered index must agree with a brute-force scan.
             let brute = images
-                .values()
+                .iter()
                 .map(|img| (self.keyer.key(img), img.id))
                 .min()
                 .map(|(_, id)| id);
@@ -590,11 +590,11 @@ impl Evictor for S3FifoEvictor {
         Box::new(self.clone())
     }
 
-    fn check(&self, images: &FxHashMap<u64, Image>) {
+    fn check(&self, images: &[&Image]) {
         assert_eq!(self.meta.len(), images.len(), "s3-fifo meta size");
         let mut small_bytes = 0u64;
         let mut main_bytes = 0u64;
-        for img in images.values() {
+        for img in images {
             let m = self.meta.get(&img.id.0);
             assert!(m.is_some(), "image {} missing from s3-fifo meta", img.id);
             let Some(m) = m else { continue };
@@ -898,10 +898,10 @@ impl Evictor for LhdSampleEvictor {
         Box::new(self.clone())
     }
 
-    fn check(&self, images: &FxHashMap<u64, Image>) {
+    fn check(&self, images: &[&Image]) {
         assert_eq!(self.meta.len(), images.len(), "lhd meta size");
         assert_eq!(self.ids.len(), images.len(), "lhd sampling-vector size");
-        for img in images.values() {
+        for img in images {
             let m = self.meta.get(&img.id.0);
             assert!(m.is_some(), "image {} missing from lhd meta", img.id);
             let Some(m) = m else { continue };

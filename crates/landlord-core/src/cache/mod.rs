@@ -67,6 +67,7 @@ pub use ledger::{Ledger, PackageRefs};
 pub use plan::{plan_over, plan_over_with_peek, Plan, PlannedOp};
 pub use sharded::{shard_limit_bytes, ShardedImageCache};
 
+use crate::bitset::BitSet;
 use crate::conflict::{ConflictPolicy, NoConflicts};
 use crate::events::{CacheEvent, EventSink};
 use crate::image::{Image, ImageId};
@@ -84,7 +85,7 @@ pub struct ImageCache {
     config: CacheConfig,
     sizes: Arc<dyn SizeModel>,
     conflicts: Arc<dyn ConflictPolicy>,
-    images: FxHashMap<u64, Image>,
+    images: FxHashMap<u64, Resident>,
     clock: u64,
     next_id: u64,
     ledger: Ledger,
@@ -109,6 +110,36 @@ pub struct ImageCache {
     /// request so the merge's own outcome keeps pointing at a live
     /// image.
     pending_split: Option<ImageId>,
+}
+
+/// One entry of the image map: the image plus a packed bitmap of its
+/// spec's package ids, sized to its largest id. The sorted `Spec` stays
+/// the canonical set (serialization, iteration, union); the bitmap
+/// answers the planner's subset and overlap queries in one word
+/// operation per request word. [`ImageCache::check_invariants`] holds
+/// the two equal.
+struct Resident {
+    image: Image,
+    members: BitSet,
+}
+
+impl Resident {
+    fn new(image: Image) -> Self {
+        let mut members = BitSet::new(0);
+        add_members(&mut members, &image.spec);
+        Resident { image, members }
+    }
+}
+
+/// Set the bits of `spec`'s package ids in `members`, first growing it
+/// to `spec`'s largest id.
+fn add_members(members: &mut BitSet, spec: &Spec) {
+    if let Some(last) = spec.ids().last() {
+        members.grow(last.index() + 1);
+    }
+    for id in spec {
+        members.insert(id.index());
+    }
 }
 
 impl ImageCache {
@@ -171,15 +202,22 @@ impl ImageCache {
         cache.ledger = Ledger::from_state(stats, container_eff);
         cache.ledger.reset_current();
         for img in images {
-            cache
-                .refcounts
-                .add_spec(&img.spec, cache.sizes.as_ref(), &mut cache.ledger);
-            cache.ledger.admit(img.bytes);
-            cache.candidate_index.on_insert(img.id.0, &img.spec);
-            cache.evictor.on_insert(&img);
-            cache.images.insert(img.id.0, img);
+            cache.admit_image(img);
         }
         cache
+    }
+
+    /// Make `image` resident: reference its packages, count its bytes,
+    /// register it with the evictor and the candidate index, and store
+    /// it with its bitmap. The one admission path of insert, split
+    /// pieces and checkpoint restore.
+    fn admit_image(&mut self, image: Image) {
+        self.refcounts
+            .add_spec(&image.spec, self.sizes.as_ref(), &mut self.ledger);
+        self.ledger.admit(image.bytes);
+        self.candidate_index.on_insert(image.id.0, &image.spec);
+        self.evictor.on_insert(&image);
+        self.images.insert(image.id.0, Resident::new(image));
     }
 
     /// Current logical clock (for checkpointing).
@@ -272,12 +310,12 @@ impl ImageCache {
 
     /// Look up an image by id.
     pub fn get(&self, id: ImageId) -> Option<&Image> {
-        self.images.get(&id.0)
+        self.images.get(&id.0).map(|r| &r.image)
     }
 
     /// Iterate over cached images in unspecified order.
     pub fn images(&self) -> impl Iterator<Item = &Image> {
-        self.images.values()
+        self.images.values().map(|r| &r.image)
     }
 
     /// The next eviction victim under the configured policy (with no
@@ -330,7 +368,7 @@ impl ImageCache {
     /// Remove an image from all structures without deciding *why* —
     /// shared by eviction (counted as a delete) and splitting (not).
     fn detach(&mut self, id: ImageId) -> Option<Image> {
-        let img = self.images.remove(&id.0)?;
+        let img = self.images.remove(&id.0)?.image;
         self.refcounts
             .release_spec(&img.spec, self.sizes.as_ref(), &mut self.ledger);
         self.ledger.drop_image(img.bytes);
@@ -344,8 +382,8 @@ impl ImageCache {
 
     /// Remove one image and release its package references.
     pub(super) fn evict(&mut self, id: ImageId) {
-        if let Some(img) = self.images.get(&id.0) {
-            self.evictor.note_eviction(img);
+        if let Some(r) = self.images.get(&id.0) {
+            self.evictor.note_eviction(&r.image);
         }
         let Some(img) = self.detach(id) else { return };
         self.ledger.count_delete();
@@ -365,7 +403,7 @@ impl ImageCache {
     /// image ids; empty when the image is unknown or has a single
     /// constituent (nothing to split).
     pub fn split_image(&mut self, id: ImageId) -> Vec<ImageId> {
-        match self.images.get(&id.0) {
+        match self.get(id) {
             Some(img) if img.constituents.len() > 1 => {}
             _ => return Vec::new(),
         }
@@ -378,15 +416,9 @@ impl ImageCache {
         for constituent in &img.constituents {
             let piece_id = ImageId(self.next_id);
             self.next_id += 1;
-            self.refcounts
-                .add_spec(constituent, self.sizes.as_ref(), &mut self.ledger);
             let bytes = self.sizes.spec_bytes(constituent);
-            self.ledger.admit(bytes);
             self.ledger.write(bytes);
-            let piece = Image::new(piece_id, constituent.clone(), bytes, now);
-            self.candidate_index.on_insert(piece_id.0, constituent);
-            self.evictor.on_insert(&piece);
-            self.images.insert(piece_id.0, piece);
+            self.admit_image(Image::new(piece_id, constituent.clone(), bytes, now));
             pieces.push(piece_id);
         }
         self.ledger.count_split();
@@ -433,7 +465,33 @@ impl ImageCache {
         let stats = self.ledger.stats();
         let mut total = 0u64;
         let mut refcounts: FxHashMap<PackageId, u32> = FxHashMap::default();
-        for img in self.images.values() {
+        for Resident {
+            image: img,
+            members,
+        } in self.images.values()
+        {
+            // The bitmap holds exactly the spec's members, sized to its
+            // largest id: a missed update at insert, merge, split or
+            // restore shows here.
+            assert!(
+                members
+                    .iter_ones()
+                    .eq(img.spec.iter().map(PackageId::index)),
+                "image {} bitmap out of sync with spec",
+                img.id
+            );
+            assert_eq!(
+                members.count_ones(),
+                img.spec.len(),
+                "image {} bitmap popcount",
+                img.id
+            );
+            assert_eq!(
+                members.len(),
+                img.spec.ids().last().map_or(0, |p| p.index() + 1),
+                "image {} bitmap not sized to its largest id",
+                img.id
+            );
             assert_eq!(
                 img.bytes,
                 self.sizes.spec_bytes(&img.spec),
@@ -486,7 +544,7 @@ impl ImageCache {
         // and nothing is cached that was never used. Together these
         // guarantee the LRU victim index's (last_used, id) order is a
         // faithful recency order.
-        for img in self.images.values() {
+        for img in self.images() {
             assert!(
                 img.last_used <= self.clock,
                 "image {} touched at {} but clock is {}",
@@ -505,17 +563,17 @@ impl ImageCache {
         // Seam agreement: the ordered victim index and the candidate
         // index both mirror the image map exactly; each verifies itself
         // against a brute-force recomputation where possible.
-        self.evictor.check(&self.images);
-        self.candidate_index.check(&self.images);
+        let resident: Vec<&Image> = self.images().collect();
+        self.evictor.check(&resident);
+        self.candidate_index.check(&resident);
 
         // Superset-lookup agreement: every image's own spec must hit,
-        // and the answer must match a brute-force subset scan (guards
-        // any future indexed find_satisfying implementation).
-        for img in self.images.values() {
+        // and the bitmap scan's answer must match a brute-force scan
+        // with the sorted-slice subset test.
+        for img in self.images() {
             let hit = self.find_satisfying(&img.spec).map(|h| h.id);
             let brute = self
-                .images
-                .values()
+                .images()
                 .filter(|c| img.spec.len() <= c.spec.len() && img.spec.is_subset(&c.spec))
                 .min_by_key(|c| (c.bytes, c.id))
                 .map(|c| c.id);

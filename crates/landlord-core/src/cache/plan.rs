@@ -6,14 +6,34 @@
 //! decisions made here (Algorithm 1's hit / merge / insert choice,
 //! including every tie-break) are consumed verbatim by
 //! [`super::ImageCache::apply`]; the apply side never re-derives them.
+//!
+//! # Cost
+//!
+//! [`ImageCache::plan`] packs the request once into sparse bitmap
+//! words (`O(|s|)`), then tests it against each resident image's
+//! bitmap. With `w` the number of request words (at most `|s|`, and at
+//! most `max id / 64`):
+//!
+//! - hit scan: `O(images · w)`, each image's subset test stopping at
+//!   the first request word it does not cover;
+//! - candidate scan: `O(candidates · w)` for the intersection
+//!   popcount, plus the common packages' sizes under the byte metric.
+//!
+//! Neither depends on the images' sizes. [`plan_over`] keeps the
+//! sorted-slice merges, `O(|s| + |image|)` per image, and is the
+//! reference the engine's planner is tested against.
 
-use super::ImageCache;
+use super::{ImageCache, Resident};
+use crate::bitset::SparseBits;
 use crate::conflict::ConflictPolicy;
 use crate::image::{Image, ImageId};
-use crate::jaccard::{jaccard_distance, size_lower_bound, weighted_jaccard_distance};
+use crate::jaccard::{
+    distance_from_bytes, distance_from_counts, jaccard_distance, size_lower_bound,
+    weighted_jaccard_distance,
+};
 use crate::policy::{DistanceMetric, MergeOrder};
 use crate::sizes::SizeModel;
-use crate::spec::Spec;
+use crate::spec::{PackageId, Spec};
 
 /// What [`ImageCache::request`] would decide for a spec. Computed by
 /// [`ImageCache::plan`] on a settled cache; consumed by
@@ -52,9 +72,16 @@ impl ImageCache {
     /// Would this spec hit without mutating anything? Returns the
     /// smallest satisfying image.
     pub fn find_satisfying(&self, spec: &Spec) -> Option<&Image> {
+        self.find_satisfying_packed(spec, &spec.sparse_bits())
+    }
+
+    /// [`ImageCache::find_satisfying`] for a spec already packed into
+    /// `words` (`spec.sparse_bits()`).
+    fn find_satisfying_packed(&self, spec: &Spec, words: &SparseBits) -> Option<&Image> {
         self.images
             .values()
-            .filter(|img| spec.len() <= img.spec.len() && spec.is_subset(&img.spec))
+            .filter(|r| spec.len() <= r.image.spec.len() && r.members.covers(words))
+            .map(|r| &r.image)
             .min_by_key(|img| (img.bytes, img.id))
     }
 
@@ -81,11 +108,14 @@ impl ImageCache {
     pub fn plan_with_peek(&self, spec: &Spec, superset_possible: bool) -> Plan {
         // Atomic recording only: planning stays `&self`-pure.
         let _span = self.obs.as_ref().map(|o| o.plan_span());
+        // Packed once; the hit scan and the candidate scan share it.
+        let words = spec.sparse_bits();
+        let requested_bytes = self.sizes.spec_bytes(spec);
         let hit = if superset_possible {
-            self.find_satisfying(spec)
+            self.find_satisfying_packed(spec, &words)
         } else {
             debug_assert!(
-                self.find_satisfying(spec).is_none(),
+                self.find_satisfying_packed(spec, &words).is_none(),
                 "peek claimed no superset but a satisfying image exists"
             );
             None
@@ -93,7 +123,7 @@ impl ImageCache {
         let op = if let Some(img) = hit {
             PlannedOp::Hit { image: img.id }
         } else if self.config.alpha > 0.0 {
-            match self.pick_merge_candidate(spec) {
+            match self.pick_merge_candidate(spec, &words, requested_bytes) {
                 Some((image, distance)) => PlannedOp::Merge { image, distance },
                 None => PlannedOp::Insert,
             }
@@ -102,33 +132,36 @@ impl ImageCache {
         };
         Plan {
             op,
-            requested_bytes: self.sizes.spec_bytes(spec),
+            requested_bytes,
         }
     }
 
     /// Enumerate merge candidates (via the candidate index), compute
     /// exact distances, filter by α, order per policy, and return the
-    /// first non-conflicting one.
-    pub(super) fn pick_merge_candidate(&self, spec: &Spec) -> Option<(ImageId, f64)> {
+    /// first non-conflicting one. `words` is `spec.sparse_bits()` and
+    /// `requested_bytes` is `spec`'s size in bytes.
+    fn pick_merge_candidate(
+        &self,
+        spec: &Spec,
+        words: &SparseBits,
+        requested_bytes: u64,
+    ) -> Option<(ImageId, f64)> {
         let alpha = self.config.alpha;
         let mut scored: Vec<(ImageId, f64)> = Vec::new();
 
         let metric = self.config.metric;
         let sizes = &self.sizes;
-        let consider = |img: &Image, scored: &mut Vec<(ImageId, f64)>| {
-            let d = match metric {
-                DistanceMetric::PackageCount => {
-                    // Cheap size-ratio bound prunes most far candidates
-                    // without touching the member lists.
-                    if size_lower_bound(spec.len(), img.spec.len()) >= alpha {
-                        return;
-                    }
-                    jaccard_distance(spec, &img.spec)
-                }
-                DistanceMetric::Bytes => weighted_jaccard_distance(spec, &img.spec, sizes.as_ref()),
-            };
+        let consider = |r: &Resident, scored: &mut Vec<(ImageId, f64)>| {
+            // Cheap size-ratio bound prunes most far candidates without
+            // touching the bitmap.
+            if metric == DistanceMetric::PackageCount
+                && size_lower_bound(spec.len(), r.image.spec.len()) >= alpha
+            {
+                return;
+            }
+            let d = r.distance(metric, spec.len(), words, requested_bytes, sizes.as_ref());
             if d < alpha {
-                scored.push((img.id, d));
+                scored.push((r.image.id, d));
             }
         };
 
@@ -136,16 +169,16 @@ impl ImageCache {
         match self.candidate_index.candidates(spec) {
             Some(keys) => {
                 for key in keys {
-                    if let Some(img) = self.images.get(&key) {
+                    if let Some(r) = self.images.get(&key) {
                         examined += 1;
-                        consider(img, &mut scored);
+                        consider(r, &mut scored);
                     }
                 }
             }
             None => {
-                for img in self.images.values() {
+                for r in self.images.values() {
                     examined += 1;
-                    consider(img, &mut scored);
+                    consider(r, &mut scored);
                 }
             }
         }
@@ -158,17 +191,53 @@ impl ImageCache {
                 scored.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
             }
             MergeOrder::ArrivalOrder => scored.sort_by_key(|&(id, _)| id),
-            MergeOrder::LargestFirst => {
-                scored.sort_by_key(|&(id, _)| (std::cmp::Reverse(self.images[&id.0].bytes), id))
-            }
+            MergeOrder::LargestFirst => scored
+                .sort_by_key(|&(id, _)| (std::cmp::Reverse(self.images[&id.0].image.bytes), id)),
             MergeOrder::SmallestFirst => {
-                scored.sort_by_key(|&(id, _)| (self.images[&id.0].bytes, id))
+                scored.sort_by_key(|&(id, _)| (self.images[&id.0].image.bytes, id))
             }
         }
 
-        scored
-            .into_iter()
-            .find(|&(id, _)| !self.conflicts.conflicts(spec, &self.images[&id.0].spec))
+        scored.into_iter().find(|&(id, _)| {
+            !self
+                .conflicts
+                .conflicts(spec, &self.images[&id.0].image.spec)
+        })
+    }
+}
+
+impl Resident {
+    /// The distance under `metric` from a request of `spec_len`
+    /// packages and `requested_bytes` bytes, packed as `words`, to this
+    /// image, with the intersection counted on the bitmap. Equal to the
+    /// bit to [`jaccard_distance`] / [`weighted_jaccard_distance`] of
+    /// the two specs: the intersection is exact, and the formula is the
+    /// same function.
+    pub(super) fn distance(
+        &self,
+        metric: DistanceMetric,
+        spec_len: usize,
+        words: &SparseBits,
+        requested_bytes: u64,
+        sizes: &dyn SizeModel,
+    ) -> f64 {
+        let img = &self.image;
+        match metric {
+            DistanceMetric::PackageCount => {
+                let inter = self.members.intersection_count(words);
+                distance_from_counts(spec_len, img.spec.len(), inter)
+            }
+            DistanceMetric::Bytes => {
+                // `img.bytes` is the image spec's size in bytes
+                // (checked by `check_invariants`).
+                let inter_bytes: u64 = self
+                    .members
+                    .intersection_ones(words)
+                    .map(|bit| sizes.package_size(PackageId::from_index(bit)))
+                    .sum();
+                distance_from_bytes(requested_bytes, img.bytes, inter_bytes)
+            }
+        }
     }
 }
 
@@ -178,7 +247,9 @@ impl ImageCache {
 /// for stores that keep their own image records (e.g. the CLI's
 /// crash-safe `PersistentCache`).
 ///
-/// Always scans every entry (exact-scan semantics).
+/// Always scans every entry (exact-scan semantics), with the
+/// sorted-slice set kernels: this is the reference the engine's
+/// bitmap planner must agree with, decision for decision.
 #[allow(clippy::too_many_arguments)]
 pub fn plan_over(
     entries: &[(u64, &Spec, u64)],

@@ -1,15 +1,27 @@
 use super::*;
 use crate::conflict::NoConflicts;
+use crate::jaccard::{jaccard_distance, weighted_jaccard_distance};
 use crate::policy::{CandidateStrategy, DistanceMetric, EvictionPolicy, MergeOrder};
-use crate::sizes::TableSizes;
+use crate::sizes::{SizeModel, TableSizes};
 use proptest::prelude::*;
 
-const UNIVERSE: u32 = 60;
+/// Request package ids come from three clusters of 20, each straddling
+/// a 64-bit word boundary: 54..74, 118..138 and 182..202. Specs thus
+/// span up to four bitmap words, and the planner's bitmap kernels meet
+/// multi-word sets and ids on both sides of every boundary, while the
+/// 60 ids keep the overlap (hits and merges) of a small universe.
+const CLUSTER: u32 = 20;
+
+/// One past the largest request id; the size tables cover `0..UNIVERSE`.
+const UNIVERSE: u32 = 3 * 64 + 10;
+
+fn arb_id() -> impl Strategy<Value = PackageId> {
+    (0..3 * CLUSTER).prop_map(|i| PackageId((i / CLUSTER + 1) * 64 - 10 + i % CLUSTER))
+}
 
 fn arb_stream() -> impl Strategy<Value = Vec<Spec>> {
     proptest::collection::vec(
-        proptest::collection::vec(0..UNIVERSE, 1..12)
-            .prop_map(|v| Spec::from_ids(v.into_iter().map(PackageId))),
+        proptest::collection::vec(arb_id(), 1..12).prop_map(Spec::from_ids),
         1..60,
     )
 }
@@ -62,6 +74,22 @@ fn arb_config() -> impl Strategy<Value = CacheConfig> {
 
 fn size_table() -> Vec<u64> {
     (0..UNIVERSE as u64).map(|i| 1 + i % 7).collect()
+}
+
+/// Specs for the kernel property: ids up to 300 (five words), with the
+/// word-boundary ids 63, 64, 127 and 128 drawn often, and empty specs.
+fn arb_kernel_spec() -> impl Strategy<Value = Spec> {
+    proptest::collection::vec(
+        prop_oneof![
+            Just(63u32),
+            Just(64u32),
+            Just(127u32),
+            Just(128u32),
+            0u32..300,
+        ],
+        0..40,
+    )
+    .prop_map(|v| Spec::from_ids(v.into_iter().map(PackageId)))
 }
 
 proptest! {
@@ -146,6 +174,76 @@ proptest! {
             cache.request(s);
         }
         cache.check_invariants();
+    }
+
+    /// The bitmap kernels the planner uses agree with the sorted-slice
+    /// ones: subset test, intersection size, and both distances to the
+    /// bit. Request ids above the image's last word are covered by the
+    /// draws (an image's bitmap ends at its own largest id).
+    #[test]
+    fn bitmap_kernels_match_sorted_kernels(
+        image in arb_kernel_spec(),
+        request in arb_kernel_spec(),
+    ) {
+        let sizes = TableSizes::new((0..300u64).map(|i| 1 + i % 7).collect());
+        let resident = Resident::new(Image::new(ImageId(0), image.clone(), sizes.spec_bytes(&image), 1));
+        let words = request.sparse_bits();
+        prop_assert_eq!(resident.members.covers(&words), request.is_subset(&image));
+        prop_assert_eq!(
+            resident.members.intersection_count(&words),
+            request.intersection_len(&image)
+        );
+        let requested_bytes = sizes.spec_bytes(&request);
+        let count = resident.distance(
+            DistanceMetric::PackageCount, request.len(), &words, requested_bytes, &sizes,
+        );
+        prop_assert_eq!(count.to_bits(), jaccard_distance(&request, &image).to_bits());
+        let bytes = resident.distance(
+            DistanceMetric::Bytes, request.len(), &words, requested_bytes, &sizes,
+        );
+        prop_assert_eq!(
+            bytes.to_bits(),
+            weighted_jaccard_distance(&request, &image, &sizes).to_bits()
+        );
+    }
+
+    /// A cache restored from its snapshot (serialized and read back)
+    /// plans exactly like the live cache: `from_parts` rebuilds every
+    /// bitmap, so each request of the stream gets the same plan from
+    /// both, and keeps getting it while both serve the rest of the
+    /// stream. LRU eviction, whose order restore rebuilds exactly,
+    /// keeps the two caches in step.
+    #[test]
+    fn restored_cache_plans_like_live_cache(
+        cfg in arb_config(),
+        stream in arb_stream(),
+        cut in 0usize..60,
+    ) {
+        let cfg = CacheConfig { eviction: EvictionPolicy::Lru, ..cfg };
+        let sizes: Arc<dyn SizeModel> = Arc::new(TableSizes::new(size_table()));
+        let mut live = ImageCache::new(cfg, Arc::clone(&sizes));
+        let cut = cut.min(stream.len());
+        for s in &stream[..cut] {
+            live.request(s);
+        }
+        let json = serde_json::to_string(&live.snapshot()).expect("snapshot serializes");
+        let snapshot = serde_json::from_str(&json).expect("snapshot reads back");
+        let mut restored = ImageCache::restore(snapshot, sizes, Arc::new(NoConflicts))
+            .expect("snapshot restores");
+        live.settle();
+        restored.settle();
+        for s in &stream {
+            prop_assert_eq!(restored.plan(s), live.plan(s));
+        }
+        for s in &stream[cut..] {
+            live.settle();
+            restored.settle();
+            prop_assert_eq!(restored.plan(s), live.plan(s));
+            prop_assert_eq!(restored.request(s), live.request(s));
+        }
+        prop_assert_eq!(restored.stats(), live.stats());
+        live.check_invariants();
+        restored.check_invariants();
     }
 
     #[test]
@@ -303,7 +401,7 @@ proptest! {
                     }
                     _ => {}
                 }
-                e.check(&images);
+                e.check(&images.values().collect::<Vec<_>>());
                 prop_assert_eq!(e.len(), images.len());
             }
         }

@@ -19,8 +19,15 @@ use crate::spec::Spec;
 ///
 /// By convention `d_j(∅, ∅) = 0` (two empty specs are identical).
 pub fn jaccard_distance(a: &Spec, b: &Spec) -> f64 {
-    let inter = a.intersection_len(b);
-    let union = a.len() + b.len() - inter;
+    distance_from_counts(a.len(), b.len(), a.intersection_len(b))
+}
+
+/// The Jaccard distance of two sets from their sizes and the size of
+/// their intersection. Every distance the cache compares goes through
+/// this one formula, whichever kernel counted the intersection, so the
+/// sorted-merge and bitmap paths agree to the bit.
+pub(crate) fn distance_from_counts(len_a: usize, len_b: usize, inter: usize) -> f64 {
+    let union = len_a + len_b - inter;
     if union == 0 {
         return 0.0;
     }
@@ -46,8 +53,13 @@ pub fn weighted_jaccard_distance(a: &Spec, b: &Spec, sizes: &dyn crate::sizes::S
         .iter()
         .map(|p| sizes.package_size(p))
         .sum();
-    let a_bytes = sizes.spec_bytes(a);
-    let b_bytes = sizes.spec_bytes(b);
+    distance_from_bytes(sizes.spec_bytes(a), sizes.spec_bytes(b), inter_bytes)
+}
+
+/// The byte-weighted Jaccard distance from the two sets' bytes and the
+/// bytes of their intersection; the weighted counterpart of
+/// [`distance_from_counts`].
+pub(crate) fn distance_from_bytes(a_bytes: u64, b_bytes: u64, inter_bytes: u64) -> f64 {
     let union_bytes = a_bytes + b_bytes - inter_bytes;
     if union_bytes == 0 {
         return 0.0;

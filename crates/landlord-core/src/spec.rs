@@ -7,10 +7,20 @@
 //! flexibility LANDLORD exploits.
 //!
 //! [`Spec`] stores the member packages as a sorted, deduplicated boxed
-//! slice. All set algebra therefore runs as linear merges over sorted
-//! slices: `is_subset`, `union`, and `intersection_len` are `O(|A| + |B|)`
-//! with no hashing or allocation beyond the output.
+//! slice: the canonical form, used for serialization, iteration, and
+//! building new sets. Its own set algebra runs as linear merges over
+//! sorted slices: `is_subset`, `union`, and `intersection_len` are
+//! `O(|A| + |B|)` with no hashing or allocation beyond the output.
+//!
+//! The cache's planner does not use those merges on its hot path. It
+//! keeps a packed [`crate::bitset::BitSet`] of each resident image's
+//! members and packs each request once with `Spec::sparse_bits`;
+//! a subset test or an intersection count then costs one word
+//! operation per request word, independent of the image's size. The
+//! merges remain the reference those bitmap kernels are tested
+//! against, and the path of [`crate::cache::plan_over`].
 
+use crate::bitset::SparseBits;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -30,6 +40,18 @@ impl PackageId {
     #[inline]
     pub fn index(self) -> usize {
         self.0 as usize
+    }
+
+    /// The id whose [`PackageId::index`] is `index`. Only for indices
+    /// that came from a `PackageId`, such as the bits of a spec's
+    /// bitmap.
+    #[inline]
+    pub(crate) fn from_index(index: usize) -> Self {
+        debug_assert!(
+            u32::try_from(index).is_ok(),
+            "index {index} is no package id"
+        );
+        PackageId(index as u32)
     }
 }
 
@@ -133,6 +155,12 @@ impl Spec {
             return false;
         }
         true
+    }
+
+    /// The members packed into bitmap words, ascending: the form the
+    /// planner probes every resident image's bitmap with.
+    pub(crate) fn sparse_bits(&self) -> SparseBits {
+        SparseBits::from_sorted(self.members.iter().map(|p| p.index()))
     }
 
     /// `|self ∩ other|` via a linear merge of the sorted member slices.
@@ -251,8 +279,9 @@ impl fmt::Display for Spec {
 
 /// `|a ∩ b|` for two sorted, deduplicated slices.
 pub(crate) fn intersection_len_sorted(a: &[PackageId], b: &[PackageId]) -> usize {
-    // Galloping would win for very lopsided sizes; the cache compares
-    // specs of similar magnitude, so the linear merge is the right tool.
+    // Galloping would win for very lopsided sizes. The engine's planner
+    // counts overlaps on bitmaps instead (see `crate::bitset`); this
+    // merge serves `plan_over` and the reference checks.
     let mut n = 0;
     let (mut i, mut j) = (0, 0);
     while i < a.len() && j < b.len() {
