@@ -584,7 +584,8 @@ pub fn simulate(args: &Args) -> CmdResult {
     Ok(())
 }
 
-/// Schema tag of [`BenchReport`]; bump when fields change meaning.
+/// Schema tag of the `BENCH_core.json` report that [`bench_report`]
+/// writes; bump when fields change meaning.
 pub const BENCH_SCHEMA: &str = "landlord-bench/v1";
 
 /// Phase timing summary inside `BENCH_core.json`. Ticks come from the

@@ -7,7 +7,7 @@
 //! `Option` check per site.
 //!
 //! All metrics recorded here are driven by the registry's
-//! [`Clock`](landlord_obs::Clock): under a
+//! [`Clock`]: under a
 //! [`LogicalClock`](landlord_obs::LogicalClock) the whole registry is
 //! deterministic (counters and histogram bucket counts are exact
 //! functions of the request stream), which is what the CLI's

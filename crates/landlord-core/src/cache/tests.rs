@@ -95,6 +95,37 @@ fn merged_image_satisfies_both_constituents() {
     c.check_invariants();
 }
 
+fn same_storage(a: &Spec, b: &Spec) -> bool {
+    std::ptr::eq(a.ids().as_ptr(), b.ids().as_ptr())
+}
+
+#[test]
+fn inserted_image_shares_the_request_spec() {
+    let mut c = cache(0.8, 100);
+    let request = spec(&[1, 2, 3]);
+    let id = c.request(&request).image();
+    let img = c.get(id).expect("inserted image is resident");
+    assert!(same_storage(&img.spec, &request));
+    assert!(same_storage(&img.constituents[0], &request));
+    c.check_invariants();
+}
+
+#[test]
+fn merged_constituent_shares_the_request_spec() {
+    let mut c = cache(0.8, 100);
+    c.request(&spec(&[1, 2, 3]));
+    let request = spec(&[1, 2, 4]);
+    let out = c.request(&request);
+    assert!(matches!(out, Outcome::Merged { .. }), "{out:?}");
+    let img = c.get(out.image()).expect("merged image is resident");
+    let newest = img.constituents.last().expect("a constituent");
+    assert_eq!(newest, &request);
+    assert!(same_storage(newest, &request));
+    // The merged spec itself is a new union, not the request's slice.
+    assert!(!same_storage(&img.spec, &request));
+    c.check_invariants();
+}
+
 #[test]
 fn alpha_zero_never_merges() {
     let mut c = cache(0.0, 1000);

@@ -9,8 +9,10 @@
 //! Bloom and Cuckoo Filters*, 2020) sized at ~9.84 bits per key with a
 //! fixed ≈0.39% false-positive rate regardless of how many keys it
 //! holds. It is static — built once from a key set, never mutated — a
-//! shape that matches how the persistent cache uses it: rebuilt from
-//! each checkpoint on open and after every applied plan batch.
+//! shape that matches how the persistent cache uses it: built from the
+//! recovered state on open and rebuilt only at each checkpoint
+//! (`PersistentCache::checkpoint`), with an exact overlay set covering
+//! the ids admitted in between.
 //!
 //! Construction is the standard 3-wise peeling over three disjoint
 //! blocks, retried with successive deterministic seeds until the

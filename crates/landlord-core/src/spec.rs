@@ -6,11 +6,20 @@
 //! merged (union) and split without starting over, which is exactly the
 //! flexibility LANDLORD exploits.
 //!
-//! [`Spec`] stores the member packages as a sorted, deduplicated boxed
-//! slice: the canonical form, used for serialization, iteration, and
-//! building new sets. Its own set algebra runs as linear merges over
-//! sorted slices: `is_subset`, `union`, and `intersection_len` are
-//! `O(|A| + |B|)` with no hashing or allocation beyond the output.
+//! [`Spec`] stores the member packages as a sorted, deduplicated slice
+//! behind an `Arc`: the canonical form, used for serialization,
+//! iteration, and building new sets. The slice is immutable and shared,
+//! so cloning a spec costs O(1) — a reference-count bump — and each
+//! distinct package set is stored once however many stream repeats,
+//! image constituents, resident images and in-flight entries hold it.
+//! This is the paper's own point about images, applied to the engine's
+//! memory: store identical content once. The constructors establish the
+//! sorted/unique invariant, and decoding enforces it: the deserializer
+//! rejects unsorted or duplicate ids with a `DeError`.
+//!
+//! Its own set algebra runs as linear merges over sorted slices:
+//! `is_subset`, `union`, and `intersection_len` are `O(|A| + |B|)` with
+//! no hashing or allocation beyond the output.
 //!
 //! The cache's planner does not use those merges on its hot path. It
 //! keeps a packed [`crate::bitset::BitSet`] of each resident image's
@@ -21,8 +30,9 @@
 //! against, and the path of [`crate::cache::plan_over`].
 
 use crate::bitset::SparseBits;
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 use std::fmt;
+use std::sync::Arc;
 
 /// A package identity: a dense index into some package universe.
 ///
@@ -67,18 +77,22 @@ impl fmt::Display for PackageId {
 /// packages *plus* their transitive dependency closure — closure
 /// expansion happens in `landlord-repo`) or the capability set of a
 /// built container image.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
-#[serde(transparent)]
+///
+/// The members live in a shared immutable slice: `clone()` costs O(1)
+/// and the clone points at the same ids (`ids().as_ptr()` is equal).
+/// The ids are sorted ascending with no duplicates; decoding rejects
+/// an array that is not. It serializes as a plain JSON array of ids.
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct Spec {
     // Invariant: sorted ascending, no duplicates.
-    members: Box<[PackageId]>,
+    members: Arc<[PackageId]>,
 }
 
 impl Spec {
     /// The empty specification.
     pub fn empty() -> Self {
         Spec {
-            members: Box::new([]),
+            members: Arc::new([]),
         }
     }
 
@@ -87,9 +101,7 @@ impl Spec {
         let mut v: Vec<PackageId> = ids.into_iter().collect();
         v.sort_unstable();
         v.dedup();
-        Spec {
-            members: v.into_boxed_slice(),
-        }
+        Spec { members: v.into() }
     }
 
     /// Build a spec from a vector that is already sorted and deduplicated.
@@ -102,9 +114,7 @@ impl Spec {
             v.windows(2).all(|w| w[0] < w[1]),
             "spec must be sorted+unique"
         );
-        Spec {
-            members: v.into_boxed_slice(),
-        }
+        Spec { members: v.into() }
     }
 
     /// Number of member packages.
@@ -200,7 +210,7 @@ impl Spec {
         out.extend_from_slice(&a[i..]);
         out.extend_from_slice(&b[j..]);
         Spec {
-            members: out.into_boxed_slice(),
+            members: out.into(),
         }
     }
 
@@ -221,7 +231,7 @@ impl Spec {
             }
         }
         Spec {
-            members: out.into_boxed_slice(),
+            members: out.into(),
         }
     }
 
@@ -242,8 +252,30 @@ impl Spec {
             }
         }
         Spec {
-            members: out.into_boxed_slice(),
+            members: out.into(),
         }
+    }
+}
+
+impl Serialize for Spec {
+    fn to_value(&self) -> Value {
+        self.members.to_value()
+    }
+}
+
+impl Deserialize for Spec {
+    /// Decodes a JSON array of ids, rejecting any that is not strictly
+    /// ascending: an unsorted or duplicated spec would break every
+    /// merge and bitmap kernel that relies on the invariant.
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let members = Arc::<[PackageId]>::from_value(v)?;
+        if let Some(w) = members.windows(2).find(|w| w[0] >= w[1]) {
+            return Err(DeError(format!(
+                "spec ids must be sorted ascending and unique, got {} before {}",
+                w[0].0, w[1].0
+            )));
+        }
+        Ok(Spec { members })
     }
 }
 
@@ -390,6 +422,27 @@ mod tests {
         let json = serde_json::to_string(&s).unwrap();
         let back: Spec = serde_json::from_str(&json).unwrap();
         assert_eq!(s, back);
+    }
+
+    #[test]
+    fn decode_rejects_unsorted_or_duplicate_ids() {
+        let err = serde_json::from_str::<Spec>("[130,1,2]").expect_err("unsorted");
+        assert!(err.to_string().contains("130 before 1"), "{err}");
+        assert!(serde_json::from_str::<Spec>("[1,1]").is_err());
+        let ok: Spec = serde_json::from_str("[1,2,130]").expect("sorted");
+        assert_eq!(ok, spec(&[1, 2, 130]));
+        assert_eq!(
+            serde_json::from_str::<Spec>("[]").expect("empty"),
+            Spec::empty()
+        );
+    }
+
+    #[test]
+    fn clone_shares_the_member_slice() {
+        let s = spec(&[4, 8, 15, 16, 23, 42]);
+        let c = s.clone();
+        assert!(std::ptr::eq(s.ids().as_ptr(), c.ids().as_ptr()));
+        assert_eq!(c, s);
     }
 
     #[test]

@@ -110,6 +110,21 @@ mod tests {
     }
 
     #[test]
+    fn unsorted_spec_is_a_load_error() {
+        let path =
+            std::env::temp_dir().join(format!("landlord-trace-u-{}.json", std::process::id()));
+        std::fs::write(
+            &path,
+            r#"{"version":1,"description":"hand-edited","workload_seed":0,"requests":[[1,2],[130,1,2]]}"#,
+        )
+        .unwrap();
+        let err = Trace::load(&path).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("sorted"), "{err}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn empty_trace() {
         let t = Trace::new("empty", 0, Vec::new());
         assert!(t.is_empty());

@@ -128,6 +128,15 @@ pub fn generate_stream(repo: &Repository, config: &WorkloadConfig) -> Vec<Spec> 
     stream
 }
 
+/// How many distinct id allocations a stream holds: one per unique
+/// spec when repeats share storage, one per request when they copy.
+#[cfg(test)]
+fn distinct_allocations(stream: &[Spec]) -> usize {
+    let ptrs: std::collections::HashSet<*const landlord_core::spec::PackageId> =
+        stream.iter().map(|s| s.ids().as_ptr()).collect();
+    ptrs.len()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -208,6 +217,14 @@ mod tests {
         assert_eq!(generate_stream(&r, &cfg), generate_stream(&r, &cfg));
         let other = WorkloadConfig { seed: 5, ..cfg };
         assert_ne!(generate_stream(&r, &cfg), generate_stream(&r, &other));
+    }
+
+    #[test]
+    fn stream_repeats_share_storage() {
+        let r = repo();
+        let cfg = config(WorkloadScheme::DependencyClosure);
+        let stream = generate_stream(&r, &cfg);
+        assert_eq!(distinct_allocations(&stream), cfg.unique_jobs);
     }
 
     #[test]
@@ -459,6 +476,15 @@ mod zipf_tests {
         for u in &uniques {
             assert_eq!(stream.iter().filter(|s| *s == u).count(), 4);
         }
+    }
+
+    #[test]
+    fn zipf_repeats_share_storage() {
+        let r = repo();
+        let cfg = config();
+        let stream = generate_zipf_stream(&r, &cfg, 1.2);
+        assert!(stream.len() > cfg.unique_jobs);
+        assert_eq!(distinct_allocations(&stream), cfg.unique_jobs);
     }
 
     #[test]

@@ -99,7 +99,7 @@ pub fn is_kill_error(e: &io::Error) -> bool {
     e.to_string().contains(KILL_MSG)
 }
 
-/// The crash seam. Cheap to check when the plan is [`Plan::Never`];
+/// The crash seam. Cheap to check when built by [`KillSwitch::never`];
 /// shared behind an `Arc` by every component whose durability steps
 /// belong to the same simulated process.
 pub struct KillSwitch {
