@@ -50,9 +50,9 @@ pub mod names {
     pub const SHARD_PEEK_SKIP: &str = "sharded.peek_skip";
     /// Counter: sharded requests whose peek could not rule out a hit.
     pub const SHARD_PEEK_POSSIBLE: &str = "sharded.peek_possible";
-    /// Counter: package-summary rebuilds forced by an eviction (stale
-    /// bits cleared eagerly rather than waiting for the periodic
-    /// rebuild).
+    /// Counter: package-summary rebuilds forced by evictions, once per
+    /// shard lock hold that evicted (stale bits cleared eagerly at the
+    /// end of the hold rather than waiting for the periodic rebuild).
     pub const SHARD_BLOOM_STALE_REBUILDS: &str = "sharded.bloom_stale_rebuilds";
     /// Counter: requests served from another request's in-flight build
     /// via single-flight coalescing instead of planning independently.

@@ -30,9 +30,13 @@
 //!   path layers an [`XorFilter`] (rebuilt from the live images at each
 //!   summary rebuild, with an exact overlay for ids noted since) that
 //!   keeps a fixed ≈0.39% false-positive rate at millions of packages.
+//!   Bits cannot be cleared one package at a time, so once per lock
+//!   hold that evicted, the summary is rebuilt from the live images
+//!   before the lock is released.
 //! * **Batching** — [`ShardedImageCache::request_many`] groups a batch
 //!   by owning shard and takes each shard lock once per batch instead
-//!   of once per request, preserving per-shard arrival order.
+//!   of once per request, preserving per-shard arrival order; the
+//!   summary upkeep also runs once per shard per batch.
 //! * **Metric folding** — counters stay shard-local and are folded on
 //!   read with [`CacheStats::merge`] /
 //!   [`crate::metrics::ContainerEfficiency::merge`], which are exact
@@ -66,11 +70,12 @@ use std::sync::{Arc, OnceLock};
 const SUMMARY_WORDS: usize = 4;
 
 /// Requests between periodic summary rebuilds. The summary cannot
-/// *clear* liveness incrementally (bits are shared), so any request
-/// that evicts forces an immediate rebuild (see
+/// *clear* liveness incrementally (bits are shared), so any lock hold
+/// that evicted forces an immediate rebuild at its end (see
 /// [`PackageSummary::rebuild_after_evictions`]); this periodic rebuild
-/// remains as a backstop that also refreshes the precise layer's
-/// static filter before its `fresh` overlay grows.
+/// remains as a backstop for holds that did not evict, and also
+/// refreshes the precise layer's static filter before its `fresh`
+/// overlay grows.
 const SUMMARY_REBUILD_EVERY: u64 = 128;
 
 /// Salt distinguishing the routing hash family from the MinHash/LSH
@@ -106,7 +111,8 @@ struct PackageSummary {
     bits: [AtomicU64; SUMMARY_WORDS],
     /// Requests noted since the last rebuild.
     notes: AtomicU64,
-    /// Rebuilds forced by evictions (stale bits cleared eagerly).
+    /// Lock holds whose evictions forced a rebuild (stale bits cleared
+    /// eagerly, once per hold that evicted).
     stale_rebuilds: AtomicU64,
     /// Built at the first rebuild; `None` until then (peeks fall back
     /// to bloom-only, which is exact for young shards anyway).
@@ -211,11 +217,12 @@ impl PackageSummary {
         }
     }
 
-    /// Rebuild immediately because the request just served evicted
-    /// images: their packages' bits (and precise-layer entries) would
-    /// otherwise linger as false "possible" answers until the periodic
-    /// rebuild — long-running shards accumulated stale bits until the
-    /// peek stopped pruning at all. Must run under the shard lock.
+    /// Rebuild immediately because the lock hold now ending evicted
+    /// images (once per hold, however many of its requests evicted):
+    /// their packages' bits (and precise-layer entries) would otherwise
+    /// linger as false "possible" answers until the periodic rebuild —
+    /// long-running shards accumulated stale bits until the peek
+    /// stopped pruning at all. Must run under the shard lock.
     fn rebuild_after_evictions(&self, cache: &ImageCache) {
         self.stale_rebuilds.fetch_add(1, Ordering::Relaxed); // sync: monotonic stat counter, folded on read
         self.rebuild_from(cache);
@@ -384,15 +391,16 @@ impl ShardedImageCache {
 
     /// Serve one request under the owning shard's lock: settle, consult
     /// the (now authoritative) summary, plan with the peek, apply, and
-    /// note the spec's packages as live. If the apply evicted anything,
-    /// the summary is rebuilt on the spot so the evicted packages' bits
-    /// go cold immediately instead of lingering as false positives.
+    /// note the spec's packages as live. Returns the outcome and whether
+    /// the apply evicted anything; the summary upkeep that eviction
+    /// calls for is left to the end of the lock hold (see
+    /// [`ShardedImageCache::hold`]).
     fn serve_locked(
         shard: &Shard,
         cache: &mut ImageCache,
         spec: &Spec,
         obs: Option<&ShardObs>,
-    ) -> Outcome {
+    ) -> (Outcome, bool) {
         let deletes_before = cache.stats().deletes;
         cache.settle();
         let superset_possible = shard.summary.may_contain_superset_precise(spec);
@@ -406,20 +414,23 @@ impl ShardedImageCache {
         let plan = cache.plan_with_peek(spec, superset_possible);
         let outcome = cache.apply(spec, &plan);
         shard.summary.note_spec(spec);
-        if cache.stats().deletes > deletes_before {
-            shard.summary.rebuild_after_evictions(cache);
-            if let Some(o) = obs {
-                o.stale_rebuilds.inc();
-            }
-        }
-        outcome
+        (outcome, cache.stats().deletes > deletes_before)
     }
 
-    /// Lock `shard` (recording wait/hold times when metrics are
-    /// attached), serve one request, and run the periodic summary
-    /// rebuild. Shared by [`ShardedImageCache::request`] and the leader
-    /// path of [`ShardedImageCache::request_single_flight`].
-    fn serve_on_shard(&self, shard: &Shard, spec: &Spec) -> Outcome {
+    /// One hold of `shard`'s lock: lock it (recording wait/hold times
+    /// when metrics are attached), let `requests` run any number of
+    /// requests through [`ShardedImageCache::serve_locked`], then do the
+    /// summary upkeep once before the lock is released — an immediate
+    /// rebuild if any request in the hold evicted, otherwise the
+    /// periodic one. Between a hold's requests the summary may keep
+    /// evicted packages' bits; a stale bit only turns a peek "skip" into
+    /// "possible" (one extra exact hit scan), never into a false miss,
+    /// so every decision is the same as with a rebuild per request.
+    fn hold<R>(
+        &self,
+        shard: &Shard,
+        requests: impl FnOnce(&mut dyn FnMut(&Spec) -> Outcome) -> R,
+    ) -> R {
         let obs = self.inner.obs.get();
         let wait_start = obs.map(|o| o.clock.now_ticks());
         let mut cache = shard.cache.lock();
@@ -430,19 +441,31 @@ impl ShardedImageCache {
             }
             now
         });
-        let outcome = Self::serve_locked(shard, &mut cache, spec, obs);
-        shard.summary.maybe_rebuild(&cache);
+        let mut evicted = false;
+        let result = requests(&mut |spec: &Spec| {
+            let (outcome, spec_evicted) = Self::serve_locked(shard, &mut cache, spec, obs);
+            evicted |= spec_evicted;
+            outcome
+        });
+        if evicted {
+            shard.summary.rebuild_after_evictions(&cache);
+            if let Some(o) = obs {
+                o.stale_rebuilds.inc();
+            }
+        } else {
+            shard.summary.maybe_rebuild(&cache);
+        }
         if let (Some(o), Some(start)) = (obs, hold_start) {
             o.lock_hold
                 .record(o.clock.now_ticks().saturating_sub(start));
         }
-        outcome
+        result
     }
 
     /// Process one job request (Algorithm 1) on the owning shard.
     pub fn request(&self, spec: &Spec) -> Outcome {
         let shard = &self.inner.shards[self.route(spec)];
-        self.serve_on_shard(shard, spec)
+        self.hold(shard, |serve| serve(spec))
     }
 
     /// Process one request with single-flight coalescing: if another
@@ -474,7 +497,7 @@ impl ShardedImageCache {
                     // bailed); retry — usually as the new leader.
                 }
                 Ticket::Leader(guard) => {
-                    let outcome = self.serve_on_shard(shard, spec);
+                    let outcome = self.hold(shard, |serve| serve(spec));
                     guard.complete(outcome);
                     return (outcome, false);
                 }
@@ -494,7 +517,8 @@ impl ShardedImageCache {
             .fold(0u64, u64::saturating_add)
     }
 
-    /// Total summary rebuilds forced by evictions, folded across
+    /// Total summary rebuilds forced by evictions — one per lock hold
+    /// that evicted, not one per evicting request — folded across
     /// shards.
     pub fn bloom_stale_rebuilds(&self) -> u64 {
         self.inner
@@ -510,7 +534,9 @@ impl ShardedImageCache {
     /// Requests are grouped by owning shard and served in submission
     /// order within each shard — the order every counter depends on —
     /// so the outcomes (returned in input order) are identical to
-    /// calling [`ShardedImageCache::request`] per spec.
+    /// calling [`ShardedImageCache::request`] per spec. Each shard the
+    /// batch touches costs one lock hold and one summary upkeep, however
+    /// many of its requests evict.
     pub fn request_many(&self, specs: &[Spec]) -> Vec<Outcome> {
         let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); self.shard_count()];
         for (i, spec) in specs.iter().enumerate() {
@@ -521,25 +547,11 @@ impl ShardedImageCache {
             if owned.is_empty() {
                 continue;
             }
-            let shard = &self.inner.shards[shard_index];
-            let obs = self.inner.obs.get();
-            let wait_start = obs.map(|o| o.clock.now_ticks());
-            let mut cache = shard.cache.lock();
-            let hold_start = obs.map(|o| {
-                let now = o.clock.now_ticks();
-                if let Some(start) = wait_start {
-                    o.lock_wait.record(now.saturating_sub(start));
+            self.hold(&self.inner.shards[shard_index], |serve| {
+                for &i in owned {
+                    outcomes[i] = Some(serve(&specs[i]));
                 }
-                now
             });
-            for &i in owned {
-                outcomes[i] = Some(Self::serve_locked(shard, &mut cache, &specs[i], obs));
-            }
-            shard.summary.maybe_rebuild(&cache);
-            if let (Some(o), Some(start)) = (obs, hold_start) {
-                o.lock_hold
-                    .record(o.clock.now_ticks().saturating_sub(start));
-            }
         }
         outcomes.into_iter().flatten().collect()
     }
@@ -741,8 +753,10 @@ mod tests {
 
     #[test]
     fn request_many_matches_one_by_one() {
-        let batched = sharded(4, 0.7, 600);
-        let sequential = sharded(4, 0.7, 600);
+        // A budget small enough that batches evict, so stale summary
+        // bits within a hold are actually exercised.
+        let batched = sharded(4, 0.7, 120);
+        let sequential = sharded(4, 0.7, 120);
         let jobs = stream(400);
         let mut expected = Vec::new();
         for s in &jobs {
@@ -750,18 +764,48 @@ mod tests {
         }
         for chunk in jobs.chunks(37) {
             let got = batched.request_many(chunk);
+            batched.check_invariants();
             assert_eq!(got.len(), chunk.len());
             for outcome in got {
                 assert_eq!(outcome, expected.remove(0));
             }
         }
-        assert_eq!(batched.stats(), sequential.stats());
-        assert_eq!(
-            batched.container_eff().samples(),
-            sequential.container_eff().samples()
+        assert!(
+            batched.stats().deletes > 0,
+            "test premise: batches must evict"
         );
+        assert_eq!(batched.stats(), sequential.stats());
+        let (got, want) = (batched.container_eff(), sequential.container_eff());
+        assert_eq!(got.samples(), want.samples());
+        assert_eq!(got.clamped_samples(), want.clamped_samples());
+        assert_eq!(got.mean_pct().to_bits(), want.mean_pct().to_bits());
         batched.check_invariants();
         sequential.check_invariants();
+    }
+
+    /// `bloom_stale_rebuilds` counts lock holds, not requests: one batch
+    /// whose requests evict several times rebuilds once, while the same
+    /// requests one by one rebuild after each evicting request.
+    #[test]
+    fn stale_rebuilds_count_holds_not_requests() {
+        // One shard holding exactly one 3-package image, alpha 0 so
+        // disjoint specs never merge: every request after the first
+        // evicts its predecessor.
+        let jobs: Vec<Spec> = (0..5u32)
+            .map(|i| spec(&[i * 10, i * 10 + 1, i * 10 + 2]))
+            .collect();
+        let batched = sharded(1, 0.0, 3);
+        batched.request_many(&jobs);
+        batched.check_invariants();
+        assert_eq!(batched.stats().deletes, 4, "test premise: four evictions");
+        assert_eq!(batched.bloom_stale_rebuilds(), 1);
+
+        let sequential = sharded(1, 0.0, 3);
+        for s in &jobs {
+            sequential.request(s);
+        }
+        assert_eq!(sequential.stats(), batched.stats());
+        assert_eq!(sequential.bloom_stale_rebuilds(), 4);
     }
 
     #[test]
@@ -930,6 +974,32 @@ mod tests {
             summary.may_contain_superset_precise(&second),
             "the live image must stay visible after the rebuild"
         );
+        assert_eq!(cache.bloom_stale_rebuilds(), 1);
+    }
+
+    /// The batch form of `evicting_the_only_superset_image_cools_the_peek`:
+    /// one `request_many` call that evicts the only image holding some
+    /// packages must leave them peeking as absent, i.e. the summary is
+    /// rebuilt when the hold ends.
+    #[test]
+    fn batch_evicting_the_only_superset_image_cools_the_peek() {
+        let cache = sharded(1, 0.0, 3);
+        let first = spec(&[1, 2, 3]);
+        let second = spec(&[50, 51, 52]); // disjoint: inserting it evicts `first`
+        cache.request_many(&[first.clone(), second.clone()]);
+        cache.check_invariants();
+        assert_eq!(
+            cache.stats().deletes,
+            1,
+            "test premise: the batch must evict the first image"
+        );
+        assert!(
+            !cache.peek_any_superset(&first),
+            "evicted spec still peeks as possible after the batch"
+        );
+        let summary = &cache.inner.shards[0].summary;
+        assert!(!summary.may_contain_superset_precise(&first));
+        assert!(summary.may_contain_superset_precise(&second));
         assert_eq!(cache.bloom_stale_rebuilds(), 1);
     }
 

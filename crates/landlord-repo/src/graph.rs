@@ -6,7 +6,7 @@
 //! hot operation of every simulated request — is a tight BFS over dense
 //! `u32` ids with a reusable bit set for the visited check.
 
-use crate::bitset::BitSet;
+use landlord_core::bitset::BitSet;
 use landlord_core::spec::{PackageId, Spec};
 use serde::{Deserialize, Serialize};
 

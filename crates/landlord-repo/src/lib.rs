@@ -39,7 +39,6 @@
 //! assert!(spec.len() > 1, "closures include transitive dependencies");
 //! ```
 
-pub mod bitset;
 pub mod catalog;
 pub mod evolution;
 pub mod generator;

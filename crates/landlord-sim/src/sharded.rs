@@ -20,7 +20,9 @@ use landlord_core::spec::Spec;
 use std::sync::Arc;
 
 /// Requests per [`ShardedImageCache::request_many`] batch. Small enough
-/// to keep shard locks short, large enough to amortize them.
+/// to keep shard locks short, large enough to amortize them. A batch is
+/// also the unit of summary upkeep: each shard rebuilds its package
+/// summary at most once per batch, however many requests evicted.
 const BATCH: usize = 64;
 
 /// Replay `stream` against a fresh [`ShardedImageCache`] with `shards`
