@@ -84,19 +84,12 @@ USAGE:
                       [--fault-rate F] [--fault-seed S] [--retries N]
                       [--backoff-base T] [--backoff-cap T]
                       [--shards N] [--threads M]
-  landlord bench-report [--out FILE] [--seed S] [--jobs N] [--repeats R]
-                      [--shards N] [--threads M]
-                      [--touch-images N] [--touch-ops N]
-  landlord bench-persist [--out FILE] [--images N,N,...] [--rewrite-ops N]
-                      [--append-ops N] [--replay-records N]
   landlord serve      [--scale full|smoke] [--seed S] [--jobs N] [--repeats R]
                       [--zipf E] [--arrival A] [--mean-ticks T]
                       [--alpha A] [--cache-x M] [--shards N] [--threads M]
                       [--coalesce on|off] [--backpressure B] [--queue-cap N]
                       [--bytes-per-tick B] [--report-json FILE]
                       [--metrics-json FILE]
-  landlord bench-serve [--out FILE] [--seed S] [--jobs N] [--repeats R]
-                      [--zipf E] [--shards N] [--wall-threads N,N,...]
   landlord trace      --out FILE [--scale full|smoke] [--seed S]
   landlord experiment <id|all> [--scale full|smoke] [--seed S]
                       [--threads T] [--csv-dir DIR] [--plot-dir DIR]
@@ -127,17 +120,6 @@ policy only, without --shards/--threads.
 --shards N partitions the cache into N independent shards and --threads M
 replays the trace with M deterministic shard-affine workers (landlord
 policy only, incompatible with --fault-rate).
-bench-report runs a pinned smoke workload under a wall-clock registry
-and writes BENCH_core.json (landlord-bench/v1): ops/sec, plan/apply
-p50/p99 nanoseconds, a fold-exactness check that a concurrent
-sharded replay folds to byte-identical deterministic metrics, and a
-per-policy touch-path comparison (--touch-images, --touch-ops) of
-the evictors' hit cost — O(log n) ordered indexes vs O(1) queues
-and sampling.
-bench-persist writes BENCH_persist.json (landlord-persist-bench/v1):
-per-operation persistence cost of the pre-WAL full-state rewrite vs
-the WAL append, and checkpoint-load + log-replay open time, at each
-synthetic cache population in --images.
 serve runs the long-running server mode in deterministic virtual time:
 an open-loop seeded load generator (--arrival poisson|uniform,
 --mean-ticks gap) fires Zipf-skewed specs (--zipf exponent) at the
@@ -146,11 +128,6 @@ coalesce onto one build (--coalesce on|off), and a bounded admission
 queue (--queue-cap) applies backpressure (--backpressure
 block|reject). At a fixed seed the folded counters and the coalesce
 ledger are byte-identical across runs and thread counts.
-bench-serve writes BENCH_serve.json (landlord-serve-bench/v1): the
-virtual-time determinism self-check (two same-seed runs byte-compared,
-thread invariance), the coalesce rate under Zipf load, and wall-clock
-single-flight throughput at each --wall-threads count: requests/sec
-and latency p50/p99 nanoseconds through the real SingleFlight path.
 verify exits 0 when the cache directory was already clean, 1 when
 crash damage was found and repaired, and 2 when the directory is
 unrecoverable (or problems remain without --repair).
@@ -171,6 +148,23 @@ fn token_flag<T>(
             parse(v).ok_or_else(|| format!("unknown --{key} {v:?} (valid: {tokens})").into())
         }
     }
+}
+
+/// Parse an optional float flag that must be finite and lie in
+/// `[0, max]` (`max` may be infinite), erroring with the flag, the
+/// value and the bound. Out-of-range values never reach a library
+/// assert or a saturating byte-count cast.
+fn float_flag(args: &Args, key: &str, default: f64, max: f64) -> Result<f64, Box<dyn Error>> {
+    let v = args.get_parsed(key, default, "a number")?;
+    if v.is_finite() && (0.0..=max).contains(&v) {
+        return Ok(v);
+    }
+    let bound = if max.is_finite() {
+        format!("in [0,{max}]")
+    } else {
+        "finite and non-negative".to_string()
+    };
+    Err(format!("--{key} {v} must be {bound}").into())
 }
 
 fn parse_scale(args: &Args) -> Result<Scale, Box<dyn Error>> {
@@ -255,6 +249,8 @@ pub fn stats(args: &Args) -> CmdResult {
 /// `landlord submit`
 pub fn submit(args: &Args) -> CmdResult {
     let cache_dir = args.require("cache-dir")?;
+    let alpha = float_flag(args, "alpha", 0.8, 1.0)?;
+    let limit_gb = float_flag(args, "limit-gb", 1000.0, f64::INFINITY)?;
     let repo = match args.get("repo") {
         Some(path) => persist::load_json(Path::new(path))?,
         None => {
@@ -262,8 +258,6 @@ pub fn submit(args: &Args) -> CmdResult {
             Repository::generate(&RepoConfig::small_for_tests(seed))
         }
     };
-    let alpha = args.get_parsed("alpha", 0.8f64, "a float in [0,1]")?;
-    let limit_gb = args.get_parsed("limit-gb", 1000.0f64, "a size in GB")?;
     let select = args.get_parsed("select", 3usize, "a selection size")?;
     let job_seed = args.get_parsed("job-seed", 7u64, "an integer seed")?;
     let checkpoint_every = args.get_parsed(
@@ -325,14 +319,14 @@ pub fn submit(args: &Args) -> CmdResult {
 pub fn simulate(args: &Args) -> CmdResult {
     let scale = parse_scale(args)?;
     let seed = args.get_parsed("seed", 1u64, "an integer seed")?;
+    let alpha = float_flag(args, "alpha", 0.75, 1.0)?;
+    let cache_x = float_flag(args, "cache-x", 2.0, f64::INFINITY)?;
     let ctx = ExperimentContext {
         scale,
         seed,
         threads: 1,
     };
     let repo = ctx.repo();
-    let alpha = args.get_parsed("alpha", 0.75f64, "a float in [0,1]")?;
-    let cache_x = args.get_parsed("cache-x", 2.0f64, "a repo-size multiple")?;
     let mut w = ctx.standard_workload();
     w.unique_jobs = args.get_parsed("jobs", w.unique_jobs, "a job count")?;
     w.repeats = args.get_parsed("repeats", w.repeats, "a repeat count")?;
@@ -375,10 +369,7 @@ pub fn simulate(args: &Args) -> CmdResult {
 
     // The failure model: --fault-rate > 0 switches to the faulty
     // simulator, where merge/insert builds can fail and retry.
-    let fault_rate = args.get_parsed("fault-rate", 0.0f64, "a probability in [0,1]")?;
-    if !(0.0..=1.0).contains(&fault_rate) {
-        return Err(format!("--fault-rate {fault_rate} must be in [0,1]").into());
-    }
+    let fault_rate = float_flag(args, "fault-rate", 0.0, 1.0)?;
     let fault_seed = args.get_parsed("fault-seed", seed ^ 0xfa, "an integer seed")?;
     let retries = args.get_parsed("retries", 0u32, "a retry count")?;
     let backoff_base = args.get_parsed("backoff-base", 4u64, "a tick count")?;
@@ -584,310 +575,8 @@ pub fn simulate(args: &Args) -> CmdResult {
     Ok(())
 }
 
-/// Schema tag of the `BENCH_core.json` report that [`bench_report`]
-/// writes; bump when fields change meaning.
-pub const BENCH_SCHEMA: &str = "landlord-bench/v1";
-
-/// Phase timing summary inside `BENCH_core.json`. Ticks come from the
-/// wall-clock registry (nanoseconds); p50/p99 are the log2-bucket
-/// upper bounds the deterministic quantile estimator reports.
-#[derive(Debug, serde::Serialize)]
-struct BenchPhase {
-    count: u64,
-    sum_ns: u64,
-    p50_ns_upper: u64,
-    p99_ns_upper: u64,
-}
-
-impl BenchPhase {
-    fn from_snapshot(h: &landlord_obs::HistogramSnapshot) -> Self {
-        BenchPhase {
-            count: h.count,
-            sum_ns: h.sum,
-            p50_ns_upper: h.p50,
-            p99_ns_upper: h.p99,
-        }
-    }
-}
-
-/// Touch-path microbenchmark row inside `BENCH_core.json`: the cost
-/// of a cache hit's `Evictor::on_touch` on a pre-built index, per
-/// eviction policy. The ordered-index policies pay an O(log n)
-/// BTreeSet re-insert per touch; the queue-rotating (S3-FIFO) and
-/// sampled (LHD) policies pay O(1).
-#[derive(Debug, serde::Serialize)]
-struct BenchTouch {
-    policy: String,
-    images: u64,
-    touches: u64,
-    ns_per_touch: u64,
-}
-
-/// The perf-trajectory record `landlord bench-report` writes. Wall
-/// time lives only here — the `--metrics-json` snapshot stays a pure
-/// function of the request stream.
-#[derive(Debug, serde::Serialize)]
-struct BenchReport {
-    schema: String,
-    seed: u64,
-    requests: u64,
-    elapsed_ns: u64,
-    ops_per_sec: f64,
-    plan: BenchPhase,
-    apply: BenchPhase,
-    hits: u64,
-    merges: u64,
-    inserts: u64,
-    evictions: u64,
-    container_eff_milli_pct: u64,
-    fold_exact: bool,
-    touch: Vec<BenchTouch>,
-}
-
-/// Time `touches` evictor touch events against a population of
-/// `images` images, for every eviction policy.
-fn bench_touch_paths(images: u64, touches: u64) -> Vec<BenchTouch> {
-    use landlord_core::cache::{make_evictor, CacheConfig};
-    use landlord_core::image::{Image, ImageId};
-    use landlord_core::policy::EvictionPolicy;
-    use landlord_core::spec::{PackageId, Spec};
-
-    EvictionPolicy::ALL
-        .iter()
-        .map(|&policy| {
-            let config = CacheConfig {
-                eviction: policy,
-                limit_bytes: images.saturating_mul(8192),
-                eviction_seed: 1,
-                ..Default::default()
-            };
-            let mut evictor = make_evictor(&config);
-            let mut pop: Vec<Image> = (0..images)
-                .map(|id| {
-                    Image::new(
-                        ImageId(id),
-                        Spec::from_ids([PackageId((id % 9660) as u32)]),
-                        1024 + id % 4096,
-                        id,
-                    )
-                })
-                .collect();
-            for img in &pop {
-                evictor.on_insert(img);
-            }
-            let mut clock = images;
-            let start = std::time::Instant::now();
-            for i in 0..touches {
-                // A fixed-stride walk touches the whole population
-                // without an RNG in the timed loop.
-                let pick = (i.wrapping_mul(0x9e37_79b9_7f4a_7c15) % images.max(1)) as usize;
-                let img = &mut pop[pick];
-                clock += 1;
-                img.last_used = clock;
-                img.use_count += 1;
-                evictor.on_touch(img);
-            }
-            let ns = start.elapsed().as_nanos();
-            BenchTouch {
-                policy: policy.token().to_string(),
-                images,
-                touches,
-                ns_per_touch: (ns / u128::from(touches.max(1))) as u64,
-            }
-        })
-        .collect()
-}
-
-/// `landlord bench-report`: time a pinned smoke workload through the
-/// landlord policy under a wall-clock registry, check metric
-/// fold-exactness under a concurrent sharded replay, and write
-/// `BENCH_core.json`.
-pub fn bench_report(args: &Args) -> CmdResult {
-    use landlord_core::cache::CacheConfig;
-    use std::sync::Arc;
-
-    let out = args.get_or("out", "BENCH_core.json");
-    let seed = args.get_parsed("seed", 1u64, "an integer seed")?;
-    let ctx = ExperimentContext {
-        scale: Scale::Smoke,
-        seed,
-        threads: 1,
-    };
-    let repo = ctx.repo();
-    let mut w = ctx.standard_workload();
-    w.unique_jobs = args.get_parsed("jobs", w.unique_jobs, "a job count")?;
-    w.repeats = args.get_parsed("repeats", w.repeats, "a repeat count")?;
-    let stream = workload::generate_stream(&repo, &w);
-    let sizes: Arc<dyn landlord_core::sizes::SizeModel> = Arc::new(repo.size_table());
-    let cache = CacheConfig {
-        alpha: 0.75,
-        limit_bytes: (repo.total_bytes() as f64 * 2.0) as u64,
-        ..Default::default()
-    };
-
-    // Timed pass: wall-clock registry, span histograms in nanoseconds.
-    let obs = simulator::SimObs::wall_clock();
-    let mut policy = landlord_core::cache::ImageCache::new(cache, Arc::clone(&sizes));
-    let start = std::time::Instant::now();
-    let result = simulator::simulate_policy_observed(&mut policy, &stream, 0, Some(&obs));
-    let elapsed_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    let snap = obs.registry.snapshot();
-
-    // Fold-exactness pass: the same stream through a sharded cache,
-    // concurrently and single-threaded, each into a fresh
-    // deterministic registry. Exact folding means the two snapshots
-    // are byte-identical regardless of thread interleaving.
-    let shards = args.get_parsed("shards", 4usize, "a shard count")?;
-    let threads = args.get_parsed("threads", 4usize, "a worker thread count")?;
-    let fold_snapshot = |threads: usize| {
-        let o = simulator::SimObs::deterministic();
-        landlord_sim::sharded::simulate_stream_sharded_observed(
-            &stream,
-            cache,
-            Arc::clone(&sizes),
-            shards,
-            threads,
-            Some(&o.registry),
-        );
-        o.registry.snapshot().to_json_pretty()
-    };
-    let fold_exact = fold_snapshot(threads) == fold_snapshot(1);
-
-    // Touch-path comparison across every eviction policy, at a
-    // population where O(log n) and O(1) visibly separate.
-    let touch_images = args.get_parsed("touch-images", 10_000u64, "an image count")?;
-    let touch_ops = args.get_parsed("touch-ops", 200_000u64, "a touch count")?;
-    let touch = bench_touch_paths(touch_images, touch_ops);
-
-    let empty = landlord_obs::HistogramSnapshot::empty();
-    let s = result.final_stats;
-    let report = BenchReport {
-        schema: BENCH_SCHEMA.to_string(),
-        seed,
-        requests: s.requests,
-        elapsed_ns,
-        ops_per_sec: s.requests as f64 / (elapsed_ns.max(1) as f64 / 1e9),
-        plan: BenchPhase::from_snapshot(snap.histograms.get("core.plan_ticks").unwrap_or(&empty)),
-        apply: BenchPhase::from_snapshot(snap.histograms.get("core.apply_ticks").unwrap_or(&empty)),
-        hits: s.hits,
-        merges: s.merges,
-        inserts: s.inserts,
-        evictions: s.deletes,
-        container_eff_milli_pct: simulator::milli_pct(result.container_eff_pct),
-        fold_exact,
-        touch,
-    };
-    let json = format!("{}\n", serde_json::to_string_pretty(&report)?);
-    if out == "-" {
-        print!("{json}");
-    } else {
-        std::fs::write(out, &json)?;
-        eprintln!("[bench] {out}");
-    }
-    if !fold_exact {
-        return Err(
-            "metric fold-exactness check failed: concurrent sharded replay \
-                    diverged from single-threaded"
-                .into(),
-        );
-    }
-    Ok(())
-}
-
-/// Schema tag of `BENCH_persist.json`; bump when fields change meaning.
-pub const PERSIST_BENCH_SCHEMA: &str = "landlord-persist-bench/v1";
-
-/// One population point inside `BENCH_persist.json`.
-#[derive(Debug, serde::Serialize)]
-struct PersistBenchSample {
-    images: u64,
-    rewrite_ns_per_op: u64,
-    wal_append_ns_per_op: u64,
-    speedup: f64,
-    open_replay_ns: u64,
-    replayed_records: u64,
-}
-
-/// The record `landlord bench-persist` writes.
-#[derive(Debug, serde::Serialize)]
-struct PersistBenchReport {
-    schema: String,
-    rewrite_ops: u64,
-    append_ops: u64,
-    replay_records: u64,
-    samples: Vec<PersistBenchSample>,
-}
-
-/// `landlord bench-persist`: measure the persistence cost of the old
-/// rewrite-the-world `state.json` model against the WAL append model
-/// on synthetic indexes (default 10k and 100k images), plus the
-/// checkpoint-load-and-replay open path, and write `BENCH_persist.json`
-/// ([`PERSIST_BENCH_SCHEMA`]).
-pub fn bench_persist(args: &Args) -> CmdResult {
-    let out = args.get_or("out", "BENCH_persist.json");
-    let images_list = args.get_or("images", "10000,100000");
-    let rewrite_ops = args.get_parsed("rewrite-ops", 4u64, "an op count")?;
-    let append_ops = args.get_parsed("append-ops", 256u64, "an op count")?;
-    let replay_records = args.get_parsed("replay-records", 256u64, "a record count")?;
-    if rewrite_ops == 0 || append_ops == 0 {
-        return Err("--rewrite-ops and --append-ops must be at least 1".into());
-    }
-
-    let mut samples = Vec::new();
-    for tok in images_list.split(',') {
-        let images: u64 = tok
-            .trim()
-            .parse()
-            .map_err(|_| format!("--images entry {tok:?}: expected an image count"))?;
-        if images == 0 {
-            return Err("--images entries must be at least 1".into());
-        }
-        let dir = std::env::temp_dir().join(format!(
-            "landlord-bench-persist-{}-{images}",
-            std::process::id()
-        ));
-        let _fresh = std::fs::remove_dir_all(&dir);
-        let s = crate::persistent::bench::measure(
-            &dir,
-            images,
-            rewrite_ops,
-            append_ops,
-            replay_records,
-        )?;
-        let _cleaned = std::fs::remove_dir_all(&dir);
-        eprintln!(
-            "[bench-persist] {images} images: rewrite {} ns/op, wal append {} ns/op ({:.1}x), open+replay {} ns",
-            s.rewrite_ns_per_op, s.wal_append_ns_per_op, s.speedup, s.open_replay_ns
-        );
-        samples.push(PersistBenchSample {
-            images: s.images,
-            rewrite_ns_per_op: s.rewrite_ns_per_op,
-            wal_append_ns_per_op: s.wal_append_ns_per_op,
-            speedup: s.speedup,
-            open_replay_ns: s.open_replay_ns,
-            replayed_records: s.replayed_records,
-        });
-    }
-
-    let report = PersistBenchReport {
-        schema: PERSIST_BENCH_SCHEMA.to_string(),
-        rewrite_ops,
-        append_ops,
-        replay_records,
-        samples,
-    };
-    let json = format!("{}\n", serde_json::to_string_pretty(&report)?);
-    if out == "-" {
-        print!("{json}");
-    } else {
-        std::fs::write(out, &json)?;
-        eprintln!("[bench-persist] {out}");
-    }
-    Ok(())
-}
-
-/// Everything `serve` and `bench-serve` need to drive a run: the
-/// generated request schedule, the cache configuration, and the size
+/// Everything `serve` needs to drive a run: the generated request
+/// schedule, the cache configuration, and the size
 /// model the shards consult.
 type ServeSetup = (
     Vec<landlord_sim::ServeRequest>,
@@ -895,18 +584,17 @@ type ServeSetup = (
     std::sync::Arc<dyn landlord_core::sizes::SizeModel>,
 );
 
-/// Build the serve-mode workload shared by `serve` and `bench-serve`.
+/// Build the serve-mode workload.
 fn serve_setup(args: &Args, ctx: &ExperimentContext) -> Result<ServeSetup, Box<dyn Error>> {
     use landlord_sim::serve::{generate_requests, ArrivalModel, ServeConfig};
 
+    let alpha = float_flag(args, "alpha", 0.75, 1.0)?;
+    let cache_x = float_flag(args, "cache-x", 2.0, f64::INFINITY)?;
+    let zipf = float_flag(args, "zipf", 1.2, f64::INFINITY)?;
     let repo = ctx.repo();
     let mut w = ctx.standard_workload();
     w.unique_jobs = args.get_parsed("jobs", w.unique_jobs, "a job count")?;
     w.repeats = args.get_parsed("repeats", w.repeats, "a repeat count")?;
-    let zipf = args.get_parsed("zipf", 1.2f64, "a non-negative exponent")?;
-    if zipf < 0.0 {
-        return Err(format!("--zipf {zipf} must be non-negative").into());
-    }
     let serve_config = ServeConfig {
         workload: w,
         zipf_exponent: zipf,
@@ -919,8 +607,6 @@ fn serve_setup(args: &Args, ctx: &ExperimentContext) -> Result<ServeSetup, Box<d
         )?,
         mean_interarrival_ticks: args.get_parsed("mean-ticks", 4u64, "a tick count")?,
     };
-    let alpha = args.get_parsed("alpha", 0.75f64, "a float in [0,1]")?;
-    let cache_x = args.get_parsed("cache-x", 2.0f64, "a repo-size multiple")?;
     let cache = landlord_core::cache::CacheConfig {
         alpha,
         limit_bytes: (repo.total_bytes() as f64 * cache_x) as u64,
@@ -931,7 +617,7 @@ fn serve_setup(args: &Args, ctx: &ExperimentContext) -> Result<ServeSetup, Box<d
     Ok((generate_requests(&repo, &serve_config), cache, sizes))
 }
 
-/// Parse the serve-loop options shared by `serve` and `bench-serve`.
+/// Parse the serve-loop options.
 fn serve_options(args: &Args) -> Result<landlord_sim::ServeOptions, Box<dyn Error>> {
     use landlord_sim::serve::Backpressure;
 
@@ -1055,187 +741,6 @@ pub fn serve(args: &Args) -> CmdResult {
         fmt_pct(rep.container_eff_milli_pct as f64 / 1000.0),
     ]);
     print!("{}", t.render());
-    Ok(())
-}
-
-/// Schema tag of `BENCH_serve.json`; bump when fields change meaning.
-pub const SERVE_BENCH_SCHEMA: &str = "landlord-serve-bench/v1";
-
-/// One wall-clock throughput row inside `BENCH_serve.json`: `threads`
-/// OS threads hammering [`landlord_core::cache::ShardedImageCache::
-/// request_single_flight`] with the full request stream.
-#[derive(Debug, serde::Serialize)]
-struct ServeBenchWall {
-    threads: usize,
-    requests: u64,
-    elapsed_ns: u64,
-    requests_per_sec: f64,
-    p50_ns_upper: u64,
-    p99_ns_upper: u64,
-    coalesce_hits: u64,
-}
-
-/// The record `landlord bench-serve` writes. The deterministic section
-/// is a pure function of the seed; only the `wall` rows carry time.
-#[derive(Debug, serde::Serialize)]
-struct ServeBenchReport {
-    schema: String,
-    seed: u64,
-    arrivals: u64,
-    /// Two same-seed virtual-time runs produced byte-identical reports.
-    deterministic: bool,
-    /// 1/2/4/8 virtual worker threads produced byte-identical reports.
-    thread_invariant: bool,
-    coalesce_rate_milli_pct: u64,
-    coalesce_ledger_digest: u64,
-    latency_p50_ticks: u64,
-    latency_p99_ticks: u64,
-    rejected: u64,
-    wall: Vec<ServeBenchWall>,
-}
-
-/// Time one wall-clock single-flight pass: `threads` workers pull
-/// stream indices from a shared counter and call
-/// `request_single_flight` on one shared cache.
-fn bench_serve_wall_pass(
-    requests: &[landlord_sim::ServeRequest],
-    cache_config: landlord_core::cache::CacheConfig,
-    sizes: std::sync::Arc<dyn landlord_core::sizes::SizeModel>,
-    shards: usize,
-    threads: usize,
-) -> ServeBenchWall {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    let cache = landlord_core::cache::ShardedImageCache::new(shards, cache_config, sizes);
-    let hist = landlord_obs::Histogram::new();
-    let next = AtomicUsize::new(0);
-    let start = std::time::Instant::now();
-    std::thread::scope(|scope| {
-        for _ in 0..threads.max(1) {
-            let cache = cache.clone();
-            let next = &next;
-            let hist = &hist;
-            scope.spawn(move || loop {
-                // sync: work-stealing index; any interleaving is fine,
-                // each index is claimed exactly once.
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= requests.len() {
-                    break;
-                }
-                let t0 = std::time::Instant::now();
-                let _ = cache.request_single_flight(&requests[i].spec);
-                hist.record(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
-            });
-        }
-    });
-    let elapsed_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    let snap = hist.snapshot();
-    ServeBenchWall {
-        threads: threads.max(1),
-        requests: requests.len() as u64,
-        elapsed_ns,
-        requests_per_sec: requests.len() as f64 / (elapsed_ns.max(1) as f64 / 1e9),
-        p50_ns_upper: snap.p50,
-        p99_ns_upper: snap.p99,
-        coalesce_hits: cache.coalesce_hits(),
-    }
-}
-
-/// `landlord bench-serve`: self-check the serve determinism contract
-/// (byte-identical same-seed runs, thread invariance), measure the
-/// coalesce rate under Zipf load, time wall-clock single-flight
-/// throughput at each `--wall-threads` count, and write
-/// `BENCH_serve.json` ([`SERVE_BENCH_SCHEMA`]).
-pub fn bench_serve(args: &Args) -> CmdResult {
-    use std::sync::Arc;
-
-    let out = args.get_or("out", "BENCH_serve.json");
-    let seed = args.get_parsed("seed", 1u64, "an integer seed")?;
-    let ctx = ExperimentContext {
-        scale: Scale::Smoke,
-        seed,
-        threads: 1,
-    };
-    let (requests, cache, sizes) = serve_setup(args, &ctx)?;
-    let options = serve_options(args)?;
-    let shards = args.get_parsed("shards", 8usize, "a shard count")?;
-    if shards == 0 {
-        return Err("--shards must be at least 1".into());
-    }
-
-    // Determinism self-check: two same-seed runs must serialize to the
-    // same bytes, and the virtual thread count must not matter.
-    let run = |threads: usize| {
-        landlord_sim::serve_stream(
-            &requests,
-            cache,
-            Arc::clone(&sizes),
-            shards,
-            threads,
-            options,
-            None,
-        )
-    };
-    let baseline = run(4);
-    let baseline_json = serde_json::to_string(&baseline.report)?;
-    let deterministic = serde_json::to_string(&run(4).report)? == baseline_json;
-    let thread_invariant = [1usize, 2, 8]
-        .iter()
-        .all(|&threads| run(threads).report == baseline.report);
-
-    let rep = &baseline.report;
-    let coalesce_rate_milli_pct =
-        simulator::milli_pct(100.0 * rep.coalesce_hits as f64 / rep.arrivals.max(1) as f64);
-
-    // Wall-clock throughput through the real SingleFlight path.
-    let wall_threads = args.get_or("wall-threads", "1,4,8,16");
-    let mut wall = Vec::new();
-    for tok in wall_threads.split(',') {
-        let threads: usize = tok
-            .trim()
-            .parse()
-            .map_err(|_| format!("--wall-threads entry {tok:?}: expected a thread count"))?;
-        if threads == 0 {
-            return Err("--wall-threads entries must be at least 1".into());
-        }
-        let row = bench_serve_wall_pass(&requests, cache, Arc::clone(&sizes), shards, threads);
-        eprintln!(
-            "[bench-serve] {threads} threads: {:.0} req/s, p99 {} ns, {} coalesced",
-            row.requests_per_sec, row.p99_ns_upper, row.coalesce_hits
-        );
-        wall.push(row);
-    }
-
-    let report = ServeBenchReport {
-        schema: SERVE_BENCH_SCHEMA.to_string(),
-        seed,
-        arrivals: rep.arrivals,
-        deterministic,
-        thread_invariant,
-        coalesce_rate_milli_pct,
-        coalesce_ledger_digest: rep.coalesce_ledger_digest,
-        latency_p50_ticks: rep.latency_ticks.p50,
-        latency_p99_ticks: rep.latency_ticks.p99,
-        rejected: rep.rejected,
-        wall,
-    };
-    let json = format!("{}\n", serde_json::to_string_pretty(&report)?);
-    if out == "-" {
-        print!("{json}");
-    } else {
-        std::fs::write(out, &json)?;
-        eprintln!("[bench-serve] {out}");
-    }
-    if !deterministic || !thread_invariant {
-        return Err(format!(
-            "serve determinism self-check failed: deterministic={deterministic} \
-             thread_invariant={thread_invariant}"
-        )
-        .into());
-    }
-    if options.coalesce && coalesce_rate_milli_pct == 0 {
-        return Err("serve bench measured a zero coalesce rate under Zipf load".into());
-    }
     Ok(())
 }
 
@@ -1527,10 +1032,7 @@ pub fn dispatch(cmd: &str, args: &Args) -> CmdResult {
         "stats" => stats(args),
         "submit" => submit(args),
         "simulate" => simulate(args),
-        "bench-report" => bench_report(args),
-        "bench-persist" => bench_persist(args),
         "serve" => serve(args),
-        "bench-serve" => bench_serve(args),
         "experiment" => experiment(args),
         "trace" => trace(args),
         "spec-from" => spec_from(args),
@@ -1730,90 +1232,6 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(err.to_string().contains("--policy landlord"));
-    }
-
-    #[test]
-    fn bench_report_writes_schema_tagged_json() {
-        let dir = std::env::temp_dir().join(format!(
-            "landlord-cli-bench-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        let out = dir.join("BENCH_core.json");
-        bench_report(&args(&[
-            "--out",
-            out.to_str().unwrap(),
-            "--jobs",
-            "20",
-            "--repeats",
-            "2",
-            "--touch-images",
-            "200",
-            "--touch-ops",
-            "2000",
-        ]))
-        .unwrap();
-        let text = std::fs::read_to_string(&out).unwrap();
-        assert!(text.contains(BENCH_SCHEMA));
-        assert!(text.contains("\"fold_exact\": true"));
-        assert!(text.contains("ops_per_sec"));
-        let parsed: serde::Value = serde_json::from_str(&text).unwrap();
-        assert!(parsed.get("plan").is_some() && parsed.get("apply").is_some());
-        // One touch-path row per eviction policy, including the
-        // stateful ones.
-        let serde::Value::Seq(touch) = parsed.get("touch").unwrap() else {
-            panic!("touch section must be an array");
-        };
-        assert_eq!(
-            touch.len(),
-            landlord_core::policy::EvictionPolicy::ALL.len()
-        );
-        assert!(text.contains("s3-fifo") && text.contains("lhd-sample"));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn bench_persist_writes_schema_tagged_json() {
-        let dir = std::env::temp_dir().join(format!(
-            "landlord-cli-benchp-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        let out = dir.join("BENCH_persist.json");
-        // Small populations keep the smoke test fast; the committed
-        // report uses the default 10k/100k.
-        bench_persist(&args(&[
-            "--out",
-            out.to_str().unwrap(),
-            "--images",
-            "100,1000",
-            "--rewrite-ops",
-            "2",
-            "--append-ops",
-            "32",
-            "--replay-records",
-            "32",
-        ]))
-        .unwrap();
-        let text = std::fs::read_to_string(&out).unwrap();
-        assert!(text.contains(PERSIST_BENCH_SCHEMA));
-        let parsed: serde::Value = serde_json::from_str(&text).unwrap();
-        let serde::Value::Seq(samples) = parsed.get("samples").unwrap() else {
-            panic!("samples must be an array");
-        };
-        assert_eq!(samples.len(), 2);
-        for s in samples {
-            let field = |key: &str| match s.get(key) {
-                Some(serde::Value::U64(n)) => *n,
-                other => panic!("{key} must be a u64, got {other:?}"),
-            };
-            assert!(field("rewrite_ns_per_op") > 0);
-            assert!(field("wal_append_ns_per_op") > 0);
-            assert_eq!(field("replayed_records"), 32);
-        }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -2331,44 +1749,54 @@ mod tests {
         std::fs::remove_file(&out).ok();
     }
 
+    /// Run `cmd` with `--flag value` appended to `base` and assert it
+    /// fails with exit code 1 and an error naming the flag: an
+    /// out-of-range float never panics in a library assert or
+    /// saturates into a 0-byte budget.
+    fn assert_float_refused(cmd: fn(&Args) -> CmdResult, base: &[&str], flag: &str, value: &str) {
+        let flag_arg = format!("--{flag}");
+        let mut toks = base.to_vec();
+        toks.extend([flag_arg.as_str(), value]);
+        let result = cmd(&args(&toks));
+        assert_eq!(exit_code(&result), 1, "{flag_arg} {value}: {result:?}");
+        let msg = result.unwrap_err().to_string();
+        assert!(msg.contains(&flag_arg), "{msg:?} must name {flag_arg}");
+    }
+
     #[test]
-    fn bench_serve_writes_schema_tagged_json_with_coalescing() {
+    fn submit_refuses_out_of_range_alpha_and_limit() {
         let dir = std::env::temp_dir().join(format!(
-            "landlord-cli-benchs-{}-{:?}",
+            "landlord-cli-badfloat-{}-{:?}",
             std::process::id(),
             std::thread::current().id()
         ));
-        std::fs::create_dir_all(&dir).unwrap();
-        let out = dir.join("BENCH_serve.json");
-        bench_serve(&args(&[
-            "--out",
-            out.to_str().unwrap(),
-            "--jobs",
-            "20",
-            "--repeats",
-            "2",
-            "--wall-threads",
-            "1,2",
-        ]))
-        .unwrap();
-        let text = std::fs::read_to_string(&out).unwrap();
-        assert!(text.contains(SERVE_BENCH_SCHEMA));
-        assert!(text.contains("\"deterministic\": true"));
-        assert!(text.contains("\"thread_invariant\": true"));
-        let parsed: serde::Value = serde_json::from_str(&text).unwrap();
-        let rate = match parsed.get("coalesce_rate_milli_pct") {
-            Some(serde::Value::U64(n)) => *n,
-            other => panic!("coalesce_rate_milli_pct must be a u64, got {other:?}"),
-        };
-        assert!(rate > 0, "Zipf load must coalesce");
-        let serde::Value::Seq(wall) = parsed.get("wall").unwrap() else {
-            panic!("wall section must be an array");
-        };
-        assert_eq!(wall.len(), 2);
-        for row in wall {
-            assert!(row.get("requests_per_sec").is_some());
-        }
         std::fs::remove_dir_all(&dir).ok();
+        let base = ["--cache-dir", dir.to_str().unwrap(), "--seed", "5"];
+        for (flag, value) in [
+            ("alpha", "1.5"),
+            ("alpha", "NaN"),
+            ("limit-gb", "-5"),
+            ("limit-gb", "inf"),
+        ] {
+            assert_float_refused(submit, &base, flag, value);
+        }
+        assert!(!dir.exists(), "a refused submit must not create the cache");
+    }
+
+    #[test]
+    fn simulate_refuses_out_of_range_alpha_and_cache_x() {
+        let base = ["--scale", "smoke", "--jobs", "4", "--repeats", "1"];
+        for (flag, value) in [("alpha", "2"), ("alpha", "nan"), ("cache-x", "-1")] {
+            assert_float_refused(simulate, &base, flag, value);
+        }
+    }
+
+    #[test]
+    fn serve_refuses_out_of_range_alpha_and_cache_x() {
+        let base = ["--scale", "smoke", "--jobs", "4", "--repeats", "1"];
+        for (flag, value) in [("alpha", "3"), ("alpha", "nan"), ("cache-x", "-1")] {
+            assert_float_refused(serve, &base, flag, value);
+        }
     }
 
     #[test]

@@ -239,28 +239,27 @@ fn invalid_state(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
-/// Parse a state file, verifying the checksum header when present.
-/// Plain `{…` JSON (states written before checksumming) still parses.
+/// Parse a state file, verifying its checksum header. A file without
+/// the `LLSTATE1` header is refused: nothing vouches for its payload.
 fn parse_state(bytes: &[u8]) -> io::Result<State> {
-    if let Some(rest) = bytes.strip_prefix(STATE_MAGIC) {
-        let nl = rest
-            .iter()
-            .position(|&b| b == b'\n')
-            .ok_or_else(|| invalid_state("state header is missing its newline"))?;
-        let hex = std::str::from_utf8(&rest[..nl])
-            .map_err(|_| invalid_state("state checksum is not UTF-8"))?;
-        let expected = ContentHash::from_hex(hex.trim())
-            .ok_or_else(|| invalid_state("state checksum is not a valid hash"))?;
-        let payload = &rest[nl + 1..];
-        if ContentHash::of(payload) != expected {
-            return Err(invalid_state(
-                "state checksum mismatch: torn or corrupted write",
-            ));
-        }
-        serde_json::from_slice(payload).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
-    } else {
-        serde_json::from_slice(bytes).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+    let rest = bytes
+        .strip_prefix(STATE_MAGIC)
+        .ok_or_else(|| invalid_state("state file has no LLSTATE1 checksum header"))?;
+    let nl = rest
+        .iter()
+        .position(|&b| b == b'\n')
+        .ok_or_else(|| invalid_state("state header is missing its newline"))?;
+    let hex = std::str::from_utf8(&rest[..nl])
+        .map_err(|_| invalid_state("state checksum is not UTF-8"))?;
+    let expected = ContentHash::from_hex(hex.trim())
+        .ok_or_else(|| invalid_state("state checksum is not a valid hash"))?;
+    let payload = &rest[nl + 1..];
+    if ContentHash::of(payload) != expected {
+        return Err(invalid_state(
+            "state checksum mismatch: torn or corrupted write",
+        ));
     }
+    serde_json::from_slice(payload).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }
 
 /// Fsync a directory so a just-renamed entry survives power loss.
@@ -1231,135 +1230,6 @@ impl PersistentCache {
     }
 }
 
-/// Synthetic-state measurement support for `landlord bench-persist`.
-/// Not part of the public API.
-#[doc(hidden)]
-pub mod bench {
-    use super::*;
-    use landlord_core::spec::PackageId;
-    use std::time::Instant;
-
-    /// One measured comparison at a given cache population.
-    #[derive(Debug, Clone, Copy)]
-    pub struct PersistSample {
-        /// Images in the synthetic index.
-        pub images: u64,
-        /// Full-rewrite (pre-WAL) persistence cost per operation.
-        pub rewrite_ns_per_op: u64,
-        /// WAL append persistence cost per operation.
-        pub wal_append_ns_per_op: u64,
-        /// rewrite ÷ append.
-        pub speedup: f64,
-        /// Checkpoint-load plus log-suffix-replay time on open.
-        pub open_replay_ns: u64,
-        /// Records replayed during the measured open.
-        pub replayed_records: u64,
-    }
-
-    fn synthetic_state(images: u64) -> State {
-        let mut state = State {
-            next_id: images,
-            clock: images,
-            ..State::default()
-        };
-        for id in 0..images {
-            let base = (id as u32).wrapping_mul(4);
-            state.images.push(StoredImage {
-                id,
-                spec: Spec::from_ids([base, base + 1, base + 2, base + 3].map(PackageId)),
-                logical_bytes: 4096,
-                physical_bytes: 4096,
-                last_used: id,
-                use_count: 1,
-            });
-        }
-        state
-    }
-
-    /// Measure, in `dir` (created, left populated for inspection):
-    /// the old rewrite-the-world save, the WAL append, and the
-    /// checkpoint-plus-replay open path, on a synthetic index of
-    /// `images` images with `replay_records` log records pending.
-    pub fn measure(
-        dir: &Path,
-        images: u64,
-        rewrite_ops: u64,
-        append_ops: u64,
-        replay_records: u64,
-    ) -> io::Result<PersistSample> {
-        std::fs::create_dir_all(dir)?;
-        let kill = KillSwitch::never();
-        let mut state = synthetic_state(images);
-
-        // Old persistence model: every operation rewrites the index.
-        let start = Instant::now();
-        for i in 0..rewrite_ops {
-            // Touch something so the serializer cannot be elided.
-            state.clock = images + i;
-            write_state_file(dir, &state, &kill)?;
-        }
-        let rewrite_ns_per_op =
-            (start.elapsed().as_nanos() / u128::from(rewrite_ops.max(1))) as u64;
-
-        // New persistence model: every operation appends one record.
-        let wal_path = dir.join("bench-wal.log");
-        let mut wal = Wal::open(&wal_path, Arc::new(KillSwitch::never()))?.wal;
-        let start = Instant::now();
-        for i in 0..append_ops {
-            let entry = WalEntry {
-                clock: images + i,
-                next_id: images,
-                op: WalOp::Touch {
-                    id: i % images.max(1),
-                },
-            };
-            let payload = serde_json::to_vec(&entry)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-            wal.append(&payload)?;
-        }
-        let wal_append_ns_per_op =
-            (start.elapsed().as_nanos() / u128::from(append_ops.max(1))) as u64;
-
-        // Open path: parse the checkpoint, scan the log, replay the
-        // suffix. Measured on a log trimmed to `replay_records`.
-        wal.truncate_for_compaction()?;
-        for i in 0..replay_records {
-            let entry = WalEntry {
-                clock: images + i,
-                next_id: images,
-                op: WalOp::Touch {
-                    id: i % images.max(1),
-                },
-            };
-            let payload = serde_json::to_vec(&entry)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-            wal.append(&payload)?;
-        }
-        drop(wal);
-        let start = Instant::now();
-        let mut loaded = parse_state(&std::fs::read(dir.join("state.json"))?)?;
-        let opened = Wal::open(&wal_path, Arc::new(KillSwitch::never()))?;
-        let mut replayed = 0u64;
-        for record in &opened.records {
-            let entry: WalEntry = serde_json::from_slice(&record.payload)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-            replay_entry(&mut loaded, &entry)?;
-            replayed += 1;
-        }
-        let open_replay_ns = start.elapsed().as_nanos() as u64;
-        assert_eq!(loaded.images.len() as u64, images);
-
-        Ok(PersistSample {
-            images,
-            rewrite_ns_per_op,
-            wal_append_ns_per_op,
-            speedup: rewrite_ns_per_op as f64 / wal_append_ns_per_op.max(1) as f64,
-            open_replay_ns,
-            replayed_records: replayed,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1625,15 +1495,114 @@ mod tests {
     }
 
     #[test]
-    fn legacy_plain_json_state_still_opens() {
-        let (dir, _r) = populated("cklegacy");
+    fn headerless_state_is_refused_and_verify_exits_2() {
+        let (dir, _r) = populated("ckheaderless");
         let raw = std::fs::read(dir.join("state.json")).unwrap();
         let nl = raw.iter().position(|&b| b == b'\n').unwrap();
-        // Strip the header: exactly what a pre-checksum cache wrote.
+        // Strip the header: a plain-JSON state that still parses, but
+        // that no checksum vouches for.
         std::fs::write(dir.join("state.json"), &raw[nl + 1..]).unwrap();
-        let cache = open_default(&dir).unwrap();
-        assert_eq!(cache.images().len(), 2);
-        cache.check_invariants().unwrap();
+        let err = open_default(&dir)
+            .err()
+            .expect("a header-less state must not open");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains("LLSTATE1"), "{err}");
+        let args =
+            crate::args::Args::parse(["--cache-dir", dir.to_str().unwrap()].map(String::from))
+                .unwrap();
+        let verdict = crate::commands::verify(&args);
+        assert_eq!(crate::commands::exit_code(&verdict), 2, "{verdict:?}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The WAL's reason to exist, held as a floor: at 100,000 images,
+    /// appending one log record must cost at least 10x less than
+    /// rewriting the whole state file, and the checkpoint plus the
+    /// replayed log suffix must still load every image. Debug builds
+    /// time the serializer, not the I/O model, so this runs only in
+    /// release.
+    #[test]
+    #[ignore = "release-only timing floor: cargo test --release -p landlord-cli --lib \
+                wal_append_beats_full_rewrite -- --ignored"]
+    fn wal_append_beats_full_rewrite_at_100k_images() {
+        const IMAGES: u64 = 100_000;
+        const REWRITE_OPS: u64 = 4;
+        const APPEND_OPS: u64 = 256;
+        const REPLAY_RECORDS: u64 = 256;
+        let dir = temp_dir("walfloor");
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut state = State {
+            next_id: IMAGES,
+            clock: IMAGES,
+            ..State::default()
+        };
+        for id in 0..IMAGES {
+            let base = (id as u32).wrapping_mul(4);
+            state.images.push(StoredImage {
+                id,
+                spec: Spec::from_ids([base, base + 1, base + 2, base + 3].map(PackageId)),
+                logical_bytes: 4096,
+                physical_bytes: 4096,
+                last_used: id,
+                use_count: 1,
+            });
+        }
+        let touch = |i: u64| {
+            let entry = WalEntry {
+                clock: IMAGES + i,
+                next_id: IMAGES,
+                op: WalOp::Touch { id: i % IMAGES },
+            };
+            serde_json::to_vec(&entry).unwrap()
+        };
+
+        // Pre-WAL model: every operation rewrites the index.
+        let kill = KillSwitch::never();
+        let start = std::time::Instant::now();
+        for i in 0..REWRITE_OPS {
+            // Touch something so the serializer cannot be elided.
+            state.clock = IMAGES + i;
+            write_state_file(&dir, &state, &kill).unwrap();
+        }
+        let rewrite_ns = start.elapsed().as_nanos() / u128::from(REWRITE_OPS);
+
+        // WAL model: every operation appends one record.
+        let wal_path = dir.join("floor-wal.log");
+        let mut wal = Wal::open(&wal_path, Arc::new(KillSwitch::never()))
+            .unwrap()
+            .wal;
+        let start = std::time::Instant::now();
+        for i in 0..APPEND_OPS {
+            wal.append(&touch(i)).unwrap();
+        }
+        let append_ns = start.elapsed().as_nanos() / u128::from(APPEND_OPS);
+        let speedup = rewrite_ns as f64 / append_ns.max(1) as f64;
+        eprintln!(
+            "{IMAGES} images: rewrite {rewrite_ns} ns/op, wal append {append_ns} ns/op ({speedup:.1}x)"
+        );
+
+        // Open path: the checkpoint plus a replayed log suffix.
+        wal.truncate_for_compaction().unwrap();
+        for i in 0..REPLAY_RECORDS {
+            wal.append(&touch(i)).unwrap();
+        }
+        drop(wal);
+        let mut loaded = parse_state(&std::fs::read(dir.join("state.json")).unwrap()).unwrap();
+        let opened = Wal::open(&wal_path, Arc::new(KillSwitch::never())).unwrap();
+        assert_eq!(opened.records.len() as u64, REPLAY_RECORDS);
+        for record in &opened.records {
+            let entry: WalEntry = serde_json::from_slice(&record.payload).unwrap();
+            replay_entry(&mut loaded, &entry).unwrap();
+        }
+        assert_eq!(
+            loaded.images.len() as u64,
+            IMAGES,
+            "replay must load every image"
+        );
+        assert!(
+            speedup >= 10.0,
+            "WAL append must beat a full state rewrite by >= 10x at {IMAGES} images, got {speedup:.1}x"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

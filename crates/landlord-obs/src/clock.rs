@@ -7,11 +7,12 @@
 //! * [`LogicalClock`] — a simulated tick counter advanced by the
 //!   driver. Spans measured against it are exactly reproducible, so
 //!   metrics snapshots taken from a seeded simulation are byte-stable.
-//! * [`MonotonicClock`] — real elapsed nanoseconds, for `bench-report`
-//!   style wall timing. This type is the *only* sanctioned home of
-//!   `std::time::Instant` in metrics code; the `no-raw-clock` audit
-//!   rule bans raw `Instant`/`SystemTime` across landlord-core, -sim,
-//!   -store and -obs, with this file as the one sanctioned exception.
+//! * [`MonotonicClock`] — real elapsed nanoseconds, for the
+//!   benchmark's (`perfbench/`) wall timing. This type is the *only*
+//!   sanctioned home of `std::time::Instant` in metrics code; the
+//!   `no-raw-clock` audit rule bans raw `Instant`/`SystemTime` across
+//!   landlord-core, -sim, -store, -obs and the CLI, with this file as
+//!   the one sanctioned exception.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -56,8 +57,8 @@ impl Clock for LogicalClock {
 
 /// Wall-clock time as nanoseconds since the clock was created.
 ///
-/// Not deterministic; use only for benchmark artifacts
-/// (`BENCH_core.json`), never for golden snapshots.
+/// Not deterministic; use only for benchmark timing (`perfbench/`),
+/// never for golden snapshots.
 #[derive(Debug)]
 pub struct MonotonicClock {
     origin: Instant,

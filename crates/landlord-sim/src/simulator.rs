@@ -14,7 +14,7 @@ use landlord_core::conflict::ConflictPolicy;
 use landlord_core::policy::CachePolicy;
 use landlord_core::sizes::SizeModel;
 use landlord_core::spec::Spec;
-use landlord_obs::{LogicalClock, MetricsRegistry, MonotonicClock};
+use landlord_obs::{LogicalClock, MetricsRegistry};
 use landlord_repo::Repository;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -72,15 +72,14 @@ pub fn simulate_policy(
 }
 
 /// The observability harness for one simulation run: a registry the
-/// policy records into, plus (for the deterministic flavour) the
-/// logical clock the driver advances once per request so span
-/// histograms measure *requests*, not wall time.
+/// policy records into, plus the logical clock the driver advances
+/// once per request so span histograms measure *requests*, not wall
+/// time.
 pub struct SimObs {
     /// The registry to attach to the policy and export afterwards.
     pub registry: Arc<MetricsRegistry>,
-    /// The logical clock driving the registry, when deterministic;
-    /// `None` for wall-clock registries (the clock advances itself).
-    pub tick: Option<Arc<LogicalClock>>,
+    /// The logical clock driving the registry.
+    pub tick: Arc<LogicalClock>,
 }
 
 impl SimObs {
@@ -93,23 +92,14 @@ impl SimObs {
         let clock = Arc::new(LogicalClock::new());
         SimObs {
             registry: Arc::new(MetricsRegistry::new(Arc::clone(&clock) as _)),
-            tick: Some(clock),
-        }
-    }
-
-    /// A registry on a monotonic wall clock (nanosecond ticks), for
-    /// real timing (`bench-report`). Not deterministic by design.
-    pub fn wall_clock() -> Self {
-        SimObs {
-            registry: Arc::new(MetricsRegistry::new(Arc::new(MonotonicClock::new()))),
-            tick: None,
+            tick: clock,
         }
     }
 }
 
 /// [`simulate_policy`] with optional observability: attaches the
-/// registry to the policy up front and, for deterministic harnesses,
-/// advances the logical clock once per request.
+/// registry to the policy up front and advances its logical clock once
+/// per request.
 pub fn simulate_policy_observed(
     policy: &mut dyn CachePolicy,
     stream: &[Spec],
@@ -121,8 +111,8 @@ pub fn simulate_policy_observed(
     }
     let mut series = Vec::new();
     for (i, spec) in stream.iter().enumerate() {
-        if let Some(tick) = obs.and_then(|o| o.tick.as_deref()) {
-            tick.tick();
+        if let Some(o) = obs {
+            o.tick.tick();
         }
         policy.request(spec);
         let done = i + 1 == stream.len();
