@@ -1,20 +1,18 @@
-//! Contention benchmark: coarse-mutex [`SharedImageCache`] vs the
-//! sharded frontend ([`ShardedImageCache`]) under multi-submitter load.
+//! Contention benchmark: one coarse lock (a 1-shard
+//! [`ShardedImageCache`], one request per lock hold) vs the 8-shard
+//! frontend with batched submits, under multi-submitter load.
 //!
 //! Both variants replay the same prepared stream of distinct 4-package
 //! specs (the `victim_selection_10k` workload shape: alpha 0, unlimited
 //! budget, so every request inserts and the ledger keeps growing). The
 //! coarse cache serializes everything behind one mutex *and* scans one
 //! ever-growing ledger; the sharded cache partitions both the lock and
-//! the ledger, so each request scans ~1/N of the images and the bloom
-//! peek skips the superset scan entirely for cold specs. On a
-//! single-core host the win is algorithmic (shorter scans, skipped
-//! probes), not parallelism; with real cores the lock split stacks on
-//! top.
+//! the ledger, so each request scans ~1/N of the images. On a
+//! single-core host the win is algorithmic (shorter scans), not
+//! parallelism; with real cores the lock split stacks on top.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use landlord_core::cache::{CacheConfig, ShardedImageCache};
-use landlord_core::shared::SharedImageCache;
 use landlord_core::sizes::UniformSizes;
 use landlord_core::spec::{PackageId, Spec};
 use std::sync::Arc;
@@ -37,9 +35,10 @@ fn config() -> CacheConfig {
 }
 
 /// Split the stream round-robin into `threads` slices and replay each
-/// slice from its own thread against the coarse shared cache.
+/// slice from its own thread against one shard, one request per lock
+/// hold.
 fn run_coarse(jobs: &[Spec], threads: usize) -> u64 {
-    let cache = SharedImageCache::new(config(), Arc::new(UniformSizes::new(1_000_000)));
+    let cache = ShardedImageCache::new(1, config(), Arc::new(UniformSizes::new(1_000_000)));
     std::thread::scope(|scope| {
         for worker in 0..threads {
             let cache = cache.clone();
@@ -50,7 +49,7 @@ fn run_coarse(jobs: &[Spec], threads: usize) -> u64 {
             });
         }
     });
-    cache.with_cache(|c| c.stats().requests)
+    cache.stats().requests
 }
 
 /// Same split, but against the sharded frontend with batched submits.
@@ -77,7 +76,7 @@ fn contention(c: &mut Criterion) {
     group.throughput(Throughput::Elements(u64::from(STREAM_LEN)));
     for threads in [1usize, 2, 4, 8] {
         group.bench_with_input(
-            BenchmarkId::new("coarse_mutex", threads),
+            BenchmarkId::new("sharded_1", threads),
             &threads,
             |bench, &threads| {
                 bench.iter(|| {

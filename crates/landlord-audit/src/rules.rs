@@ -28,7 +28,7 @@ pub const RULES: &[(&str, &str)] = &[
     ),
     (
         "guard-across-closure",
-        "a parking_lot guard must not be passed into a closure outside SharedImageCache::with_cache",
+        "a parking_lot guard must not be passed into a closure: a lock call and a closure literal never share a statement, in any function",
     ),
     (
         "test-invariants",
@@ -285,26 +285,23 @@ pub fn check_file(file: &str, kind: FileKind, model: &SourceModel) -> Vec<Findin
 
         // R5: guard-across-closure — non-test code, any crate.
         if lints_code && !info.in_test && (code.contains(".lock(") || code.contains(".try_lock(")) {
-            let sanctioned = info.fn_name.as_deref() == Some("with_cache");
-            if !sanctioned {
-                // Inspect the whole statement (up to 8 continuation
-                // lines) for a closure literal.
-                let mut stmt = String::new();
-                for look in model.lines.iter().skip(idx).take(8) {
-                    stmt.push_str(&look.code);
-                    stmt.push('\n');
-                    if look.code.trim_end().ends_with(';') || look.code.trim_end().ends_with('{') {
-                        break;
-                    }
+            // Inspect the whole statement (up to 8 continuation lines)
+            // for a closure literal.
+            let mut stmt = String::new();
+            for look in model.lines.iter().skip(idx).take(8) {
+                stmt.push_str(&look.code);
+                stmt.push('\n');
+                if look.code.trim_end().ends_with(';') || look.code.trim_end().ends_with('{') {
+                    break;
                 }
-                if contains_closure(&stmt) {
-                    emit(
-                        idx,
-                        "guard-across-closure",
-                        "lock guard and closure share a statement outside `with_cache`: route through SharedImageCache::with_cache".to_string(),
-                        &mut findings,
-                    );
-                }
+            }
+            if contains_closure(&stmt) {
+                emit(
+                    idx,
+                    "guard-across-closure",
+                    "lock guard and closure share a statement: bind the guard in its own statement first".to_string(),
+                    &mut findings,
+                );
             }
         }
 
@@ -445,7 +442,7 @@ pub fn check_file(file: &str, kind: FileKind, model: &SourceModel) -> Vec<Findin
             .map(|l| l.code.as_str())
             .collect::<Vec<_>>()
             .join("\n");
-        let touches_cache = ["ImageCache", "SharedImageCache", "cache(", "cache."]
+        let touches_cache = ["ImageCache", "cache(", "cache."]
             .iter()
             .any(|n| body.contains(n));
         let mutates = [

@@ -13,7 +13,7 @@
 
 use landlord_core::cache::{CacheStats, Ledger, PackageRefs};
 use landlord_core::metrics::ContainerEfficiency;
-use landlord_core::policy::{BuildPlan, CachePolicy, Served, ServedOp};
+use landlord_core::policy::{BuildPlan, CachePolicy, PlannedBuild, Served, ServedOp};
 use landlord_core::sizes::SizeModel;
 use landlord_core::spec::{PackageId, Spec};
 use landlord_store::dedup::DedupReport;
@@ -113,13 +113,14 @@ impl CachePolicy for DedupStore {
         }
     }
 
-    fn plan_build(&self, spec: &Spec) -> BuildPlan {
+    fn plan_build(&self, spec: &Spec) -> PlannedBuild {
         if self.images.contains_key(spec) {
-            BuildPlan::Hit
+            BuildPlan::Hit.into()
         } else {
             BuildPlan::Insert {
                 bytes: self.sizes.spec_bytes(spec),
             }
+            .into()
         }
     }
 
@@ -218,8 +219,11 @@ mod tests {
         assert_eq!((st.hits, st.inserts), (1, 2));
         assert_eq!(st.total_bytes, 5, "both images stored in full");
         assert_eq!(st.unique_bytes, 3, "dedup would collapse to {{1,2,3}}");
-        assert_eq!(s.plan_build(&spec(&[1, 2])), BuildPlan::Hit);
-        assert_eq!(s.plan_build(&spec(&[9])), BuildPlan::Insert { bytes: 1 });
+        assert_eq!(s.plan_build(&spec(&[1, 2])).build, BuildPlan::Hit);
+        assert_eq!(
+            s.plan_build(&spec(&[9])).build,
+            BuildPlan::Insert { bytes: 1 }
+        );
         s.check_invariants();
     }
 

@@ -10,7 +10,7 @@
 
 use landlord_core::cache::{CacheStats, Ledger};
 use landlord_core::metrics::ContainerEfficiency;
-use landlord_core::policy::{BuildPlan, CachePolicy, Served, ServedOp};
+use landlord_core::policy::{BuildPlan, CachePolicy, PlannedBuild, Served, ServedOp};
 use landlord_core::sizes::SizeModel;
 use landlord_core::spec::Spec;
 use std::sync::Arc;
@@ -71,8 +71,8 @@ impl CachePolicy for FullRepoStrategy {
         }
     }
 
-    fn plan_build(&self, _spec: &Spec) -> BuildPlan {
-        BuildPlan::Hit
+    fn plan_build(&self, _spec: &Spec) -> PlannedBuild {
+        BuildPlan::Hit.into()
     }
 
     fn spec_bytes(&self, spec: &Spec) -> u64 {

@@ -11,7 +11,7 @@
 
 use landlord_core::cache::{CacheStats, Ledger};
 use landlord_core::metrics::ContainerEfficiency;
-use landlord_core::policy::{BuildPlan, CachePolicy, Served, ServedOp};
+use landlord_core::policy::{BuildPlan, CachePolicy, PlannedBuild, Served, ServedOp};
 use landlord_core::sizes::SizeModel;
 use landlord_core::spec::Spec;
 use serde::{Deserialize, Serialize};
@@ -145,17 +145,18 @@ impl CachePolicy for LayerChain {
         }
     }
 
-    fn plan_build(&self, spec: &Spec) -> BuildPlan {
+    fn plan_build(&self, spec: &Spec) -> PlannedBuild {
         let visible = self.effective();
         let added = spec.difference(&visible);
         let masked = visible.difference(spec);
         if added.is_empty() && masked.is_empty() {
-            BuildPlan::Hit
+            BuildPlan::Hit.into()
         } else {
             // Appending rewrites the shared chain's top.
             BuildPlan::Rewrite {
                 bytes: self.sizes.spec_bytes(&added),
             }
+            .into()
         }
     }
 
@@ -306,9 +307,9 @@ mod tests {
         assert!(d.revision > b.revision);
         let s = c.stats();
         assert_eq!((s.hits, s.merges, s.bytes_written), (1, 2, 4));
-        assert_eq!(c.plan_build(&spec(&[1, 2, 4])), BuildPlan::Hit);
+        assert_eq!(c.plan_build(&spec(&[1, 2, 4])).build, BuildPlan::Hit);
         assert_eq!(
-            c.plan_build(&spec(&[1, 2, 5])),
+            c.plan_build(&spec(&[1, 2, 5])).build,
             BuildPlan::Rewrite { bytes: 1 }
         );
         c.check_invariants();

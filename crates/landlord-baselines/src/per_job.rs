@@ -11,7 +11,7 @@
 
 use landlord_core::cache::{CacheStats, Ledger, PackageRefs};
 use landlord_core::metrics::ContainerEfficiency;
-use landlord_core::policy::{BuildPlan, CachePolicy, Served, ServedOp};
+use landlord_core::policy::{BuildPlan, CachePolicy, PlannedBuild, Served, ServedOp};
 use landlord_core::sizes::SizeModel;
 use landlord_core::spec::Spec;
 use landlord_obs::{Counter, Histogram, MetricsRegistry};
@@ -117,13 +117,14 @@ impl CachePolicy for PerJobCache {
         }
     }
 
-    fn plan_build(&self, spec: &Spec) -> BuildPlan {
+    fn plan_build(&self, spec: &Spec) -> PlannedBuild {
         match self.find_hit(spec) {
             Some(_) => BuildPlan::Hit,
             None => BuildPlan::Insert {
                 bytes: self.sizes.spec_bytes(spec),
             },
         }
+        .into()
     }
 
     fn spec_bytes(&self, spec: &Spec) -> u64 {
@@ -292,10 +293,16 @@ mod tests {
     #[test]
     fn plan_build_predicts_request() {
         let mut c = cache(100);
-        assert_eq!(c.plan_build(&spec(&[1, 2])), BuildPlan::Insert { bytes: 2 });
+        assert_eq!(
+            c.plan_build(&spec(&[1, 2])).build,
+            BuildPlan::Insert { bytes: 2 }
+        );
         c.request(&spec(&[1, 2]));
-        assert_eq!(c.plan_build(&spec(&[1])), BuildPlan::Hit);
-        assert_eq!(c.plan_build(&spec(&[3])), BuildPlan::Insert { bytes: 1 });
+        assert_eq!(c.plan_build(&spec(&[1])).build, BuildPlan::Hit);
+        assert_eq!(
+            c.plan_build(&spec(&[3])).build,
+            BuildPlan::Insert { bytes: 1 }
+        );
         c.check_invariants();
     }
 }

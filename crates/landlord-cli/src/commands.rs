@@ -367,8 +367,8 @@ pub fn simulate(args: &Args) -> CmdResult {
         ..Default::default()
     };
 
-    // The failure model: --fault-rate > 0 switches to the faulty
-    // simulator, where merge/insert builds can fail and retry.
+    // The failure model: --fault-rate > 0 serves each request under it,
+    // where merge/insert builds can fail and retry.
     let fault_rate = float_flag(args, "fault-rate", 0.0, 1.0)?;
     let fault_seed = args.get_parsed("fault-seed", seed ^ 0xfa, "an integer seed")?;
     let retries = args.get_parsed("retries", 0u32, "a retry count")?;
@@ -446,7 +446,7 @@ pub fn simulate(args: &Args) -> CmdResult {
     let metrics_out = args.get("metrics-json");
     let obs = metrics_out.map(|_| simulator::SimObs::deterministic());
 
-    let (result, fault_stats) = if shards > 1 || sim_threads > 1 {
+    let result = if shards > 1 || sim_threads > 1 {
         if policy_token != "landlord" {
             return Err(format!(
                 "--shards/--threads support only --policy landlord, got {policy_token:?}"
@@ -460,37 +460,24 @@ pub fn simulate(args: &Args) -> CmdResult {
                     .into(),
             );
         }
-        let run = landlord_sim::sharded::simulate_stream_sharded_observed(
+        landlord_sim::sharded::simulate_stream_sharded_observed(
             &stream,
             cache,
             std::sync::Arc::clone(&sizes),
             shards,
             sim_threads,
             obs.as_ref().map(|o| &*o.registry),
-        );
-        (run, None)
-    } else if fault_rate > 0.0 {
-        let cfg = landlord_sim::faults::FaultConfig {
+        )
+    } else {
+        let faults = (fault_rate > 0.0).then(|| landlord_sim::faults::FaultConfig {
             fail_per_mille: (fault_rate * 1000.0).round() as u32,
             seed: fault_seed,
             retry: landlord_core::policy::RetryPolicy::new(retries, backoff_base, backoff_cap),
-        };
-        if let Some(o) = &obs {
-            policy.attach_metrics(&o.registry);
-        }
-        let fr = landlord_sim::faults::simulate_policy_with_faults(policy.as_mut(), &stream, &cfg);
-        if let Some(o) = &obs {
-            fr.faults.record_metrics(&o.registry);
-        }
-        (fr.run, Some(fr.faults))
-    } else {
-        (
-            simulator::simulate_policy_observed(policy.as_mut(), &stream, 0, obs.as_ref()),
-            None,
-        )
+        });
+        simulator::simulate_policy(policy.as_mut(), &stream, 0, obs.as_ref(), faults.as_ref())
     };
     if let Some(out) = args.get("report-json") {
-        let report = simulator::PolicyReport::from_run(policy_token, &result, fault_stats);
+        let report = simulator::PolicyReport::from_run(policy_token, &result);
         let json = format!("{}\n", serde_json::to_string_pretty(&report)?);
         if out == "-" {
             print!("{json}");
@@ -556,7 +543,7 @@ pub fn simulate(args: &Args) -> CmdResult {
         t.push_row(vec!["shards".into(), shards.to_string()]);
         t.push_row(vec!["worker threads".into(), sim_threads.to_string()]);
     }
-    if let Some(f) = fault_stats {
+    if let Some(f) = result.faults {
         t.push_row(vec!["goodput %".into(), fmt_pct(f.goodput_pct())]);
         t.push_row(vec![
             "failed requests".into(),

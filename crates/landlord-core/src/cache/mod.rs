@@ -72,7 +72,7 @@ use crate::conflict::{ConflictPolicy, NoConflicts};
 use crate::events::{CacheEvent, EventSink};
 use crate::image::{Image, ImageId};
 use crate::metrics::ContainerEfficiency;
-use crate::policy::{BuildPlan, CachePolicy, Served, ServedOp};
+use crate::policy::{BuildPlan, CachePolicy, PlannedBuild, Served, ServedOp};
 use crate::sizes::SizeModel;
 use crate::spec::{PackageId, Spec};
 use crate::util::FxHashMap;
@@ -619,19 +619,32 @@ impl CachePolicy for ImageCache {
         self.serve_outcome(out)
     }
 
-    fn plan_build(&self, spec: &Spec) -> BuildPlan {
-        match ImageCache::plan(self, spec).op {
+    fn plan_build(&self, spec: &Spec) -> PlannedBuild {
+        let plan = ImageCache::plan(self, spec);
+        let build = match plan.op {
             PlannedOp::Hit { .. } => BuildPlan::Hit,
             PlannedOp::Merge { image, .. } => BuildPlan::Rewrite {
                 bytes: self
                     .get(image)
                     .map(|img| self.sizes.spec_bytes(&img.spec.union(spec)))
-                    .unwrap_or_else(|| self.sizes.spec_bytes(spec)),
+                    .unwrap_or(plan.requested_bytes),
             },
             PlannedOp::Insert => BuildPlan::Insert {
-                bytes: self.sizes.spec_bytes(spec),
+                bytes: plan.requested_bytes,
             },
+        };
+        PlannedBuild {
+            build,
+            plan: Some(plan),
         }
+    }
+
+    fn apply_build(&mut self, spec: &Spec, planned: &PlannedBuild) -> Served {
+        let out = match &planned.plan {
+            Some(plan) => ImageCache::apply(self, spec, plan),
+            None => ImageCache::request(self, spec),
+        };
+        self.serve_outcome(out)
     }
 
     fn spec_bytes(&self, spec: &Spec) -> u64 {

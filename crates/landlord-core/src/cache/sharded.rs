@@ -2,9 +2,10 @@
 //!
 //! §V's site-wide deployment serves many submitters at once, but
 //! Algorithm 1 is a read-modify-write over the whole image collection,
-//! so [`crate::shared::SharedImageCache`] serializes every request
-//! behind one coarse mutex. [`ShardedImageCache`] recovers concurrency
-//! the way distributed HTC sites scale shared state: partition it.
+//! so one engine behind one lock serializes every request (a 1-shard
+//! [`ShardedImageCache`] is exactly that coarse mutex).
+//! [`ShardedImageCache`] recovers concurrency the way distributed HTC
+//! sites scale shared state: partition it.
 //!
 //! * **Routing** — each spec is owned by exactly one shard, chosen by a
 //!   one-slot MinHash of its package set (the minimum of a seeded

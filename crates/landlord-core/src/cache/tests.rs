@@ -617,22 +617,24 @@ fn cache_policy_trait_drives_the_engine() {
     let mut boxed: Box<dyn CachePolicy> = Box::new(cache(0.8, 100));
     assert_eq!(boxed.name(), "landlord");
     assert!(matches!(
-        boxed.plan_build(&spec(&[1, 2, 3])),
+        boxed.plan_build(&spec(&[1, 2, 3])).build,
         BuildPlan::Insert { bytes: 3 }
     ));
     let served = boxed.request(&spec(&[1, 2, 3]));
     assert_eq!(served.op, ServedOp::Inserted);
     assert_eq!((served.image_bytes, served.revision), (3, 0));
-    // A merge bumps the serving image's revision.
-    assert!(matches!(
-        boxed.plan_build(&spec(&[1, 2, 4])),
-        BuildPlan::Rewrite { bytes: 4 }
-    ));
-    let served = boxed.request(&spec(&[1, 2, 4]));
+    // A merge bumps the serving image's revision; the planned build is
+    // applied as decided.
+    let planned = boxed.plan_build(&spec(&[1, 2, 4]));
+    assert!(matches!(planned.build, BuildPlan::Rewrite { bytes: 4 }));
+    let served = boxed.apply_build(&spec(&[1, 2, 4]), &planned);
     assert_eq!(served.op, ServedOp::Merged);
     assert_eq!(served.revision, 1);
     // And a hit plans as free.
-    assert!(matches!(boxed.plan_build(&spec(&[1, 2])), BuildPlan::Hit));
+    assert!(matches!(
+        boxed.plan_build(&spec(&[1, 2])).build,
+        BuildPlan::Hit
+    ));
     let served = boxed.request(&spec(&[1, 2]));
     assert_eq!(served.op, ServedOp::Hit);
     assert_eq!(boxed.stats().requests, 3);

@@ -39,8 +39,6 @@
 //!   debugging.
 //! * [`snapshot`] — serializable cache checkpoints for warm restarts
 //!   and golden-state tests.
-//! * [`shared`] — a thread-safe handle for site-wide (batch-system
-//!   plugin) deployments with concurrent submitters.
 //!
 //! ## Quick example
 //!
@@ -77,7 +75,6 @@ pub mod jaccard;
 pub mod metrics;
 pub mod minhash;
 pub mod policy;
-pub mod shared;
 pub mod sizes;
 pub mod snapshot;
 pub mod spec;

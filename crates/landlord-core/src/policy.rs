@@ -9,7 +9,7 @@
 //! choice explicit and benchmarkable, and the trait lets one generic
 //! driver (simulator, cluster model, CLI, benches) run any strategy.
 
-use crate::cache::CacheStats;
+use crate::cache::{CacheStats, Plan};
 use crate::metrics::ContainerEfficiency;
 use crate::spec::Spec;
 use landlord_obs::MetricsRegistry;
@@ -345,7 +345,7 @@ pub struct Served {
 }
 
 /// What serving a spec would require of storage — the policy-agnostic
-/// slice of [`crate::cache::Plan`] the failure-injecting drivers need.
+/// slice of [`crate::cache::Plan`] the failure-injecting driver needs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BuildPlan {
     /// An existing image satisfies the spec: no build, nothing to fail.
@@ -374,6 +374,24 @@ impl BuildPlan {
     }
 }
 
+/// One request decided once by [`CachePolicy::plan_build`]: what the
+/// build costs, plus the engine decision [`CachePolicy::apply_build`]
+/// later executes unchanged.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PlannedBuild {
+    /// What serving the spec requires of storage.
+    pub build: BuildPlan,
+    /// The plan/apply engine's decision; `None` for policies whose
+    /// [`CachePolicy::request`] decides and serves in one step.
+    pub plan: Option<Plan>,
+}
+
+impl From<BuildPlan> for PlannedBuild {
+    fn from(build: BuildPlan) -> Self {
+        PlannedBuild { build, plan: None }
+    }
+}
+
 /// One image-management strategy, drivable by the generic simulator.
 ///
 /// Implemented by [`crate::cache::ImageCache`] (LANDLORD) and by every
@@ -399,10 +417,19 @@ pub trait CachePolicy {
         self.request(spec)
     }
 
-    /// What serving `spec` would require of storage, without mutating
-    /// anything — the hook the failure-injecting driver uses to decide
-    /// which requests can fail and what a failed attempt wastes.
-    fn plan_build(&self, spec: &Spec) -> BuildPlan;
+    /// Decide how `spec` would be served, without mutating anything —
+    /// the hook the failure-injecting driver uses to decide which
+    /// requests can fail and what a failed attempt wastes. The result
+    /// is then served by [`Self::apply_build`], so each request is
+    /// planned once.
+    fn plan_build(&self, spec: &Spec) -> PlannedBuild;
+
+    /// Serve `spec` as `planned` decided, on the state it was planned
+    /// on. Policies without a plan/apply split re-decide through
+    /// [`Self::request`].
+    fn apply_build(&mut self, spec: &Spec, _planned: &PlannedBuild) -> Served {
+        self.request(spec)
+    }
 
     /// Bytes `spec` occupies under this policy's size model.
     fn spec_bytes(&self, spec: &Spec) -> u64;

@@ -1,15 +1,15 @@
-//! Concurrent stress of [`SharedImageCache`] under randomized request
-//! streams, re-checking the full extended invariant set afterwards.
+//! Concurrent stress of [`ShardedImageCache`] (one shard, i.e. one
+//! coarse lock, and four) under randomized request streams, re-checking
+//! the full extended invariant set afterwards.
 //!
 //! Run with `cargo test --features paranoid` to additionally re-verify
-//! every invariant after *each* request (debug builds): the shared
-//! cache's `request` goes through `ImageCache::request`, whose paranoid
-//! hook fires inside the lock, so any transiently broken state is
+//! every invariant after *each* request (debug builds): every sharded
+//! request is applied by its shard's `ImageCache`, whose paranoid hook
+//! fires inside the shard lock, so any transiently broken state is
 //! caught at the exact mutation that introduced it.
 
-use landlord_core::cache::CacheConfig;
+use landlord_core::cache::{CacheConfig, ShardedImageCache};
 use landlord_core::policy::CandidateStrategy;
-use landlord_core::shared::SharedImageCache;
 use landlord_core::sizes::UniformSizes;
 use landlord_core::spec::{PackageId, Spec};
 use proptest::prelude::*;
@@ -53,30 +53,35 @@ proptest! {
         cfg in arb_config(),
         streams in proptest::collection::vec(arb_stream(), THREADS..=THREADS),
     ) {
-        let cache = SharedImageCache::new(cfg, Arc::new(UniformSizes::new(1)));
+        for shards in [1, 4] {
+            let cache = ShardedImageCache::new(shards, cfg, Arc::new(UniformSizes::new(1)));
 
-        let handles: Vec<_> = streams
-            .into_iter()
-            .map(|stream| {
-                let cache = cache.clone();
-                std::thread::spawn(move || {
-                    for spec in &stream {
-                        cache.request(spec);
-                    }
+            let handles: Vec<_> = streams
+                .iter()
+                .cloned()
+                .map(|stream| {
+                    let cache = cache.clone();
+                    std::thread::spawn(move || {
+                        for spec in &stream {
+                            cache.request(spec);
+                        }
+                    })
                 })
-            })
-            .collect();
-        for h in handles {
-            h.join().expect("stress thread panicked");
+                .collect();
+            for h in handles {
+                h.join().expect("stress thread panicked");
+            }
+
+            // The extended check re-derives, per shard, LRU recency
+            // order, LSH/signature agreement, and superset-lookup
+            // consistency from scratch, plus routing, the peek summaries
+            // and the byte-budget partition across shards.
+            cache.check_invariants();
+
+            let s = cache.stats();
+            prop_assert_eq!(s.requests, s.hits + s.merges + s.inserts);
+            prop_assert!(s.unique_bytes <= s.total_bytes);
         }
-
-        // The extended check re-derives LRU recency order, LSH/signature
-        // agreement, and superset-lookup consistency from scratch.
-        cache.with_cache(|c| c.check_invariants());
-
-        let s = cache.stats();
-        prop_assert_eq!(s.requests, s.hits + s.merges + s.inserts);
-        prop_assert!(s.unique_bytes <= s.total_bytes);
     }
 
     #[test]

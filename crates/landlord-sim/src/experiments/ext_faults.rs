@@ -10,9 +10,14 @@
 //! behaves when builds can die under it.
 
 use super::{ExperimentContext, Scale};
-use crate::faults::{self, FaultConfig};
+use crate::faults::FaultConfig;
 use crate::report::{fmt_tb, Table};
+use crate::simulator::simulate_policy;
+use crate::workload;
+use landlord_core::cache::ImageCache;
 use landlord_core::policy::RetryPolicy;
+use landlord_core::sizes::SizeModel;
+use std::sync::Arc;
 
 /// α used for the fault runs (the paper's recommended moderate pick).
 pub const FAULT_ALPHA: f64 = 0.8;
@@ -30,7 +35,8 @@ pub fn retry_grid() -> Vec<RetryPolicy> {
 /// Run the failure-rate × retry-policy table.
 pub fn run(ctx: &ExperimentContext) -> Table {
     let repo = ctx.repo();
-    let workload = ctx.standard_workload();
+    let stream = workload::generate_stream(&repo, &ctx.standard_workload());
+    let sizes: Arc<dyn SizeModel> = Arc::new(repo.size_table());
     let cache = ctx.standard_cache(&repo, FAULT_ALPHA);
     let rates: &[u32] = match ctx.scale {
         Scale::Full => &[0, 10, 50, 100, 200],
@@ -59,8 +65,9 @@ pub fn run(ctx: &ExperimentContext) -> Table {
                 seed: ctx.seed ^ 0xfa,
                 retry,
             };
-            let result = faults::simulate_with_faults(&repo, &workload, cache, &cfg);
-            let f = result.faults;
+            let mut policy = ImageCache::new(cache, Arc::clone(&sizes));
+            let run = simulate_policy(&mut policy, &stream, 0, None, Some(&cfg));
+            let f = run.faults.unwrap_or_default();
             t.push_row(vec![
                 fail_per_mille.to_string(),
                 retry.label(),
@@ -70,8 +77,8 @@ pub fn run(ctx: &ExperimentContext) -> Table {
                 f.backoff_ticks.to_string(),
                 f.degraded_inserts.to_string(),
                 fmt_tb(f.wasted_bytes as f64),
-                format!("{:.1}", result.run.container_eff_pct),
-                format!("{:.1}", result.run.cache_eff_pct),
+                format!("{:.1}", run.container_eff_pct),
+                format!("{:.1}", run.cache_eff_pct),
             ]);
         }
     }

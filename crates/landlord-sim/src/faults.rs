@@ -4,29 +4,23 @@
 //!
 //! In distributed HTC, serving a request is not free of risk: the
 //! worker building an image can crash, the build itself can fail, and
-//! the shared store can throw transient errors. This module drives the
-//! same [`ImageCache`] as [`crate::simulator`], but each *build*
-//! (merge or insert — hits touch no storage and never fail) draws a
-//! failure from a seeded [`FaultPlan`]. A failed build is retried under
-//! a [`RetryPolicy`] with exponential backoff in simulated ticks; a
-//! merge whose retry budget is exhausted *degrades* to a fresh per-job
-//! insert (with a fresh budget) instead of failing the request — the
-//! job still launches, at the price of duplication. Only when the
-//! degraded path also exhausts its budget is the request counted as
-//! failed (goodput loss).
+//! the shared store can throw transient errors. Given a [`FaultConfig`],
+//! [`crate::simulator::simulate_policy`] serves each request through
+//! this module: every *build* (merge or insert — hits touch no storage
+//! and never fail) draws a failure from a seeded [`FaultPlan`]. A
+//! failed build is retried under a [`RetryPolicy`] with exponential
+//! backoff in simulated ticks; a merge whose retry budget is exhausted
+//! *degrades* to a fresh per-job insert (with a fresh budget) instead
+//! of failing the request — the job still launches, at the price of
+//! duplication. Only when the degraded path also exhausts its budget is
+//! the request counted as failed (goodput loss).
 //!
 //! Everything is a pure function of the explicit seeds, so fault sweeps
 //! regenerate bit-identically.
 
-use crate::workload::{self, WorkloadConfig};
-use landlord_core::cache::{CacheConfig, ImageCache, Plan, PlannedOp};
-use landlord_core::conflict::ConflictPolicy;
 use landlord_core::policy::{BuildPlan, CachePolicy, RetryPolicy};
-use landlord_core::sizes::SizeModel;
 use landlord_core::spec::Spec;
-use landlord_repo::Repository;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// What went wrong with one build attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -202,224 +196,90 @@ impl FaultStats {
     }
 }
 
-/// Result of one simulation under the failure model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct FaultRunResult {
-    /// The cache-side outcome (identical in shape to the fault-free
-    /// simulator's result; counters cover *served* requests only).
-    pub run: crate::simulator::RunResult,
-    /// The failure-model counters.
-    pub faults: FaultStats,
-}
-
-/// Bytes one build attempt would write if it got through: the full
-/// merged image for a merge, the requested image for an insert. This is
-/// the I/O thrown away when the attempt fails.
-fn attempt_cost(cache: &ImageCache, spec: &Spec, planned: &Plan, sizes: &dyn SizeModel) -> u64 {
-    match planned.op {
-        PlannedOp::Hit { .. } => 0,
-        PlannedOp::Merge { image, .. } => match cache.get(image) {
-            Some(img) => sizes.spec_bytes(&img.spec.union(spec)),
-            None => sizes.spec_bytes(spec),
-        },
-        PlannedOp::Insert => sizes.spec_bytes(spec),
-    }
-}
-
-/// Run one prepared stream through a cache under the failure model.
+/// Serve request `request` (its index in the stream) under the failure
+/// model — the per-request step [`crate::simulator::simulate_policy`]
+/// takes when given a [`FaultConfig`].
 ///
-/// Each request is planned exactly once ([`ImageCache::plan`] on the
-/// settled cache); the resulting [`Plan`] both prices the failed
-/// attempts and, via [`ImageCache::apply`], serves the successful one —
-/// the decision is never re-derived between the fault draws and the
-/// mutation.
-pub fn simulate_stream_with_faults(
-    stream: &[Spec],
-    cache_config: CacheConfig,
-    sizes: Arc<dyn SizeModel>,
-    conflicts: Option<Arc<dyn ConflictPolicy>>,
-    config: &FaultConfig,
-) -> FaultRunResult {
-    let mut cache = match conflicts {
-        Some(c) => ImageCache::with_conflicts(cache_config, Arc::clone(&sizes), c),
-        None => ImageCache::new(cache_config, Arc::clone(&sizes)),
-    };
-    let plan = FaultPlan {
-        seed: config.seed,
-        fail_per_mille: config.fail_per_mille,
-    };
-    let mut stats = FaultStats::default();
-
-    for (i, spec) in stream.iter().enumerate() {
-        stats.requests += 1;
-        cache.settle();
-        let planned = cache.plan(spec);
-        if matches!(planned.op, PlannedOp::Hit { .. }) {
-            // Hits touch no storage: immune to build faults.
-            cache.apply(spec, &planned);
-            continue;
-        }
-        // Failed attempts never mutate the cache, so the attempt price
-        // is fixed by the plan for the whole build loop.
-        let build_cost = attempt_cost(&cache, spec, &planned, sizes.as_ref());
-
-        // The build loop: `draws` indexes fault decisions (monotone per
-        // request, so degraded attempts roll fresh), `budget` tracks the
-        // retries left for the current build target.
-        let mut draws = 0u32;
-        let mut budget = config.retry.max_retries;
-        let mut degraded = false;
-        loop {
-            match plan.draw(i as u64, draws) {
-                None => {
-                    if degraded {
-                        cache.insert_fresh(spec);
-                    } else {
-                        cache.apply(spec, &planned);
-                    }
-                    break;
-                }
-                Some(kind) => {
-                    stats.record_kind(kind);
-                    let cost = if degraded {
-                        sizes.spec_bytes(spec)
-                    } else {
-                        build_cost
-                    };
-                    stats.wasted_bytes += cost;
-                    if budget > 0 {
-                        let retry_index = config.retry.max_retries - budget + 1;
-                        budget -= 1;
-                        stats.retries += 1;
-                        stats.backoff_ticks += config.retry.backoff_before(retry_index);
-                    } else if !degraded && matches!(planned.op, PlannedOp::Merge { .. }) {
-                        // Graceful degradation: stop rewriting the
-                        // shared image, build a minimal per-job one.
-                        degraded = true;
-                        stats.degraded_inserts += 1;
-                        budget = config.retry.max_retries;
-                    } else {
-                        stats.failed_requests += 1;
-                        break;
-                    }
-                }
-            }
-            draws += 1;
-        }
-    }
-
-    stats.efficiency_clamps = cache.container_eff().clamped_samples();
-    FaultRunResult {
-        run: crate::simulator::RunResult {
-            final_stats: cache.stats(),
-            container_eff_pct: cache.container_efficiency_pct(),
-            cache_eff_pct: cache.cache_efficiency_pct(),
-            series: Vec::new(),
-        },
-        faults: stats,
-    }
-}
-
-/// Run one prepared stream through *any* [`CachePolicy`] under the
-/// failure model — the policy-agnostic twin of
-/// [`simulate_stream_with_faults`], used to put the baselines under the
-/// same fault regime as LANDLORD.
-///
-/// The policy's [`CachePolicy::plan_build`] prices the attempts and
-/// decides degradability: only a [`BuildPlan::Rewrite`] (a shared-image
-/// rewrite) may fall back to a fresh per-job insert. Driving
-/// [`ImageCache`] through this function is bit-identical to the
-/// specialized driver.
-pub fn simulate_policy_with_faults(
+/// The request is planned exactly once ([`CachePolicy::plan_build`] on
+/// the settled policy); that plan both prices the failed attempts and,
+/// via [`CachePolicy::apply_build`], serves the successful one, so the
+/// decision is never re-derived between the fault draws and the
+/// mutation. Only a [`BuildPlan::Rewrite`] (a shared-image rewrite) may
+/// degrade to a fresh per-job insert.
+pub(crate) fn serve_faulted(
     policy: &mut dyn CachePolicy,
-    stream: &[Spec],
+    spec: &Spec,
+    request: u64,
     config: &FaultConfig,
-) -> FaultRunResult {
+    stats: &mut FaultStats,
+) {
+    stats.requests += 1;
+    policy.settle();
+    let planned = policy.plan_build(spec);
+    if matches!(planned.build, BuildPlan::Hit) {
+        // Hits touch no storage: immune to build faults.
+        policy.apply_build(spec, &planned);
+        return;
+    }
     let plan = FaultPlan {
         seed: config.seed,
         fail_per_mille: config.fail_per_mille,
     };
-    let mut stats = FaultStats::default();
-
-    for (i, spec) in stream.iter().enumerate() {
-        stats.requests += 1;
-        policy.settle();
-        let build = policy.plan_build(spec);
-        if matches!(build, BuildPlan::Hit) {
-            policy.request(spec);
-            continue;
-        }
-        let mut draws = 0u32;
-        let mut budget = config.retry.max_retries;
-        let mut degraded = false;
-        loop {
-            match plan.draw(i as u64, draws) {
-                None => {
-                    if degraded {
-                        policy.insert_fresh(spec);
-                    } else {
-                        policy.request(spec);
-                    }
-                    break;
+    // The build loop: `draws` indexes fault decisions (monotone per
+    // request, so degraded attempts roll fresh), `budget` tracks the
+    // retries left for the current build target.
+    let mut draws = 0u32;
+    let mut budget = config.retry.max_retries;
+    let mut degraded = false;
+    loop {
+        match plan.draw(request, draws) {
+            None => {
+                if degraded {
+                    policy.insert_fresh(spec);
+                } else {
+                    policy.apply_build(spec, &planned);
                 }
-                Some(kind) => {
-                    stats.record_kind(kind);
-                    let cost = if degraded {
-                        policy.spec_bytes(spec)
-                    } else {
-                        build.cost()
-                    };
-                    stats.wasted_bytes += cost;
-                    if budget > 0 {
-                        let retry_index = config.retry.max_retries - budget + 1;
-                        budget -= 1;
-                        stats.retries += 1;
-                        stats.backoff_ticks += config.retry.backoff_before(retry_index);
-                    } else if !degraded && matches!(build, BuildPlan::Rewrite { .. }) {
-                        degraded = true;
-                        stats.degraded_inserts += 1;
-                        budget = config.retry.max_retries;
-                    } else {
-                        stats.failed_requests += 1;
-                        break;
-                    }
+                return;
+            }
+            Some(kind) => {
+                stats.record_kind(kind);
+                // Failed attempts never mutate the policy, so the
+                // attempt price is fixed by the plan for the whole loop.
+                stats.wasted_bytes += if degraded {
+                    policy.spec_bytes(spec)
+                } else {
+                    planned.build.cost()
+                };
+                if budget > 0 {
+                    let retry_index = config.retry.max_retries - budget + 1;
+                    budget -= 1;
+                    stats.retries += 1;
+                    stats.backoff_ticks += config.retry.backoff_before(retry_index);
+                } else if !degraded && matches!(planned.build, BuildPlan::Rewrite { .. }) {
+                    // Graceful degradation: stop rewriting the shared
+                    // image, build a minimal per-job one.
+                    degraded = true;
+                    stats.degraded_inserts += 1;
+                    budget = config.retry.max_retries;
+                } else {
+                    stats.failed_requests += 1;
+                    return;
                 }
             }
-            draws += 1;
         }
+        draws += 1;
     }
-
-    stats.efficiency_clamps = policy.container_eff().clamped_samples();
-    FaultRunResult {
-        run: crate::simulator::RunResult {
-            final_stats: policy.stats(),
-            container_eff_pct: policy.container_efficiency_pct(),
-            cache_eff_pct: policy.cache_efficiency_pct(),
-            series: Vec::new(),
-        },
-        faults: stats,
-    }
-}
-
-/// Convenience: generate the stream from a workload config and run it
-/// under the failure model.
-pub fn simulate_with_faults(
-    repo: &Repository,
-    workload: &WorkloadConfig,
-    cache_config: CacheConfig,
-    config: &FaultConfig,
-) -> FaultRunResult {
-    let stream = workload::generate_stream(repo, workload);
-    let sizes: Arc<dyn SizeModel> = Arc::new(repo.size_table());
-    simulate_stream_with_faults(&stream, cache_config, sizes, None, config)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::simulator;
-    use crate::workload::WorkloadScheme;
-    use landlord_repo::RepoConfig;
+    use crate::simulator::{self, simulate_policy, PolicyReport, RunResult, SimObs};
+    use crate::workload::{self, WorkloadConfig, WorkloadScheme};
+    use landlord_core::cache::{CacheConfig, ImageCache};
+    use landlord_core::sizes::SizeModel;
+    use landlord_repo::{RepoConfig, Repository};
+    use std::sync::Arc;
 
     fn repo() -> Repository {
         Repository::generate(&RepoConfig::small_for_tests(31))
@@ -451,6 +311,21 @@ mod tests {
         }
     }
 
+    /// Drive `w` through a fresh LANDLORD cache under `config`.
+    fn run_faulted(
+        r: &Repository,
+        w: &WorkloadConfig,
+        cache: CacheConfig,
+        config: &FaultConfig,
+    ) -> (RunResult, FaultStats) {
+        let stream = workload::generate_stream(r, w);
+        let mut policy = ImageCache::new(cache, Arc::new(r.size_table()));
+        let run = simulate_policy(&mut policy, &stream, 0, None, Some(config));
+        policy.check_invariants();
+        let stats = run.faults.expect("a faulted run reports fault stats");
+        (run, stats)
+    }
+
     #[test]
     fn fault_stats_export_as_counters() {
         use landlord_obs::{LogicalClock, MetricsRegistry};
@@ -458,24 +333,21 @@ mod tests {
         let r = repo();
         let w = workload();
         let cfg = faults(250, RetryPolicy::new(2, 1, 8));
-        let result = simulate_with_faults(&r, &w, cache_cfg(&r), &cfg);
-        assert!(result.faults.faults > 0, "fault rate 25% must inject");
+        let (_, f) = run_faulted(&r, &w, cache_cfg(&r), &cfg);
+        assert!(f.faults > 0, "fault rate 25% must inject");
 
         let registry = MetricsRegistry::new(Arc::new(LogicalClock::new()));
-        result.faults.record_metrics(&registry);
+        f.record_metrics(&registry);
         let snap = registry.snapshot();
-        assert_eq!(snap.counters["faults.requests"], result.faults.requests);
-        assert_eq!(snap.counters["faults.injected"], result.faults.faults);
-        assert_eq!(snap.counters["faults.retries"], result.faults.retries);
-        assert_eq!(
-            snap.counters["faults.degraded_inserts"],
-            result.faults.degraded_inserts
-        );
+        assert_eq!(snap.counters["faults.requests"], f.requests);
+        assert_eq!(snap.counters["faults.injected"], f.faults);
+        assert_eq!(snap.counters["faults.retries"], f.retries);
+        assert_eq!(snap.counters["faults.degraded_inserts"], f.degraded_inserts);
         assert_eq!(
             snap.counters["faults.worker_crashes"]
                 + snap.counters["faults.build_failures"]
                 + snap.counters["faults.store_errors"],
-            result.faults.faults,
+            f.faults,
             "fault kinds partition the injected total"
         );
     }
@@ -485,11 +357,12 @@ mod tests {
         let r = repo();
         let w = workload();
         let plain = simulator::simulate(&r, &w, cache_cfg(&r), 0);
-        let faulty = simulate_with_faults(&r, &w, cache_cfg(&r), &FaultConfig::none());
-        assert_eq!(faulty.run.final_stats, plain.final_stats);
-        assert_eq!(faulty.faults.goodput_pct(), 100.0);
+        let (faulty, f) = run_faulted(&r, &w, cache_cfg(&r), &FaultConfig::none());
+        assert_eq!(faulty.final_stats, plain.final_stats);
+        assert_eq!(faulty.container_eff_pct, plain.container_eff_pct);
+        assert_eq!(f.goodput_pct(), 100.0);
         assert_eq!(
-            faulty.faults,
+            f,
             FaultStats {
                 requests: 90,
                 ..FaultStats::default()
@@ -502,20 +375,20 @@ mod tests {
         let r = repo();
         let w = workload();
         let cfg = faults(200, RetryPolicy::new(2, 1, 8));
-        let a = simulate_with_faults(&r, &w, cache_cfg(&r), &cfg);
-        let b = simulate_with_faults(&r, &w, cache_cfg(&r), &cfg);
-        assert_eq!(a.faults, b.faults);
-        assert_eq!(a.run.final_stats, b.run.final_stats);
+        let (run_a, a) = run_faulted(&r, &w, cache_cfg(&r), &cfg);
+        let (run_b, b) = run_faulted(&r, &w, cache_cfg(&r), &cfg);
+        assert_eq!(a, b);
+        assert_eq!(run_a.final_stats, run_b.final_stats);
 
         let other = FaultConfig { seed: 100, ..cfg };
-        let c = simulate_with_faults(&r, &w, cache_cfg(&r), &other);
-        assert_ne!(a.faults, c.faults, "different fault seed must differ");
+        let (_, c) = run_faulted(&r, &w, cache_cfg(&r), &other);
+        assert_ne!(a, c, "different fault seed must differ");
     }
 
     #[test]
     fn total_failure_without_retries_serves_nothing() {
         let r = repo();
-        let result = simulate_with_faults(
+        let (run, f) = run_faulted(
             &r,
             &workload(),
             cache_cfg(&r),
@@ -523,33 +396,33 @@ mod tests {
         );
         // Every build fails, degraded or not; no image is ever created,
         // so nothing can hit either.
-        assert_eq!(result.faults.failed_requests, result.faults.requests);
-        assert_eq!(result.faults.goodput_pct(), 0.0);
-        assert_eq!(result.run.final_stats.requests, 0);
-        assert_eq!(result.run.final_stats.image_count, 0);
+        assert_eq!(f.failed_requests, f.requests);
+        assert_eq!(f.goodput_pct(), 0.0);
+        assert_eq!(run.final_stats.requests, 0);
+        assert_eq!(run.final_stats.image_count, 0);
     }
 
     #[test]
     fn retries_preserve_goodput_at_a_write_cost() {
         let r = repo();
         let w = workload();
-        let none = simulate_with_faults(&r, &w, cache_cfg(&r), &faults(300, RetryPolicy::none()));
-        let some = simulate_with_faults(
+        let (_, none) = run_faulted(&r, &w, cache_cfg(&r), &faults(300, RetryPolicy::none()));
+        let (_, some) = run_faulted(
             &r,
             &w,
             cache_cfg(&r),
             &faults(300, RetryPolicy::new(3, 1, 8)),
         );
         assert!(
-            some.faults.goodput_pct() > none.faults.goodput_pct(),
+            some.goodput_pct() > none.goodput_pct(),
             "retries must recover goodput: {} vs {}",
-            some.faults.goodput_pct(),
-            none.faults.goodput_pct()
+            some.goodput_pct(),
+            none.goodput_pct()
         );
-        assert!(some.faults.retries > 0);
-        assert!(some.faults.backoff_ticks > 0);
+        assert!(some.retries > 0);
+        assert!(some.backoff_ticks > 0);
         assert!(
-            some.faults.wasted_bytes > 0,
+            some.wasted_bytes > 0,
             "failed attempts must cost wasted I/O"
         );
     }
@@ -558,20 +431,19 @@ mod tests {
     fn accounting_adds_up() {
         let r = repo();
         let w = workload();
-        let result = simulate_with_faults(
+        let (run, f) = run_faulted(
             &r,
             &w,
             cache_cfg(&r),
             &faults(400, RetryPolicy::new(1, 2, 4)),
         );
-        let f = result.faults;
         assert_eq!(f.requests as usize, w.total_requests());
         assert_eq!(
             f.faults,
             f.worker_crashes + f.build_failures + f.store_errors
         );
         assert_eq!(
-            result.run.final_stats.requests,
+            run.final_stats.requests,
             f.requests - f.failed_requests,
             "cache counters cover exactly the served requests"
         );
@@ -588,39 +460,73 @@ mod tests {
         };
         // High rate without retries: first-attempt merge failures go
         // straight to the degraded path.
-        let result = simulate_with_faults(&r, &w, cache_cfg(&r), &faults(500, RetryPolicy::none()));
-        assert!(
-            result.faults.degraded_inserts > 0,
-            "failing merges must degrade"
-        );
+        let (_, f) = run_faulted(&r, &w, cache_cfg(&r), &faults(500, RetryPolicy::none()));
+        assert!(f.degraded_inserts > 0, "failing merges must degrade");
         // Degradation keeps goodput above the no-degradation floor:
         // some requests that lost their merge still launched.
-        assert!(result.faults.goodput_pct() > 0.0);
+        assert!(f.goodput_pct() > 0.0);
     }
 
     #[test]
-    fn generic_driver_matches_specialized_for_landlord() {
+    fn faulted_run_plans_each_request_once() {
+        // Reports of the former driver, which planned every request
+        // twice (once to price it, once more to serve it), pinned at
+        // three (seed, rate, retries) points. Planning once must keep
+        // every counter.
+        const EXPECTED: [(u64, u32, u32, &str); 3] = [
+            (
+                99,
+                250,
+                2,
+                r#"{"policy":"landlord","final_stats":{"requests":90,"hits":18,"merges":61,"inserts":11,"deletes":10,"splits":0,"bytes_written":25012931854,"bytes_requested":14882722161,"total_bytes":130293855,"unique_bytes":130293855,"image_count":1},"container_eff_milli":54191,"cache_eff_milli":100000,"faults":{"requests":90,"failed_requests":0,"faults":23,"worker_crashes":8,"build_failures":9,"store_errors":6,"retries":22,"backoff_ticks":28,"wasted_bytes":8691897936,"degraded_inserts":1,"efficiency_clamps":0}}"#,
+            ),
+            (
+                7,
+                400,
+                1,
+                r#"{"policy":"landlord","final_stats":{"requests":84,"hits":16,"merges":53,"inserts":15,"deletes":13,"splits":0,"bytes_written":22070109453,"bytes_requested":13937243243,"total_bytes":459821219,"unique_bytes":361037250,"image_count":2},"container_eff_milli":56917,"cache_eff_milli":78517,"faults":{"requests":90,"failed_requests":6,"faults":53,"worker_crashes":17,"build_failures":20,"store_errors":16,"retries":34,"backoff_ticks":34,"wasted_bytes":15474368537,"degraded_inserts":13,"efficiency_clamps":0}}"#,
+            ),
+            (
+                3,
+                600,
+                0,
+                r#"{"policy":"landlord","final_stats":{"requests":65,"hits":10,"merges":29,"inserts":26,"deletes":24,"splits":0,"bytes_written":12606198291,"bytes_requested":10689153496,"total_bytes":374282748,"unique_bytes":286733699,"image_count":2},"container_eff_milli":76922,"cache_eff_milli":76609,"faults":{"requests":90,"failed_requests":25,"faults":73,"worker_crashes":24,"build_failures":27,"store_errors":22,"retries":0,"backoff_ticks":0,"wasted_bytes":17230802298,"degraded_inserts":48,"efficiency_clamps":0}}"#,
+            ),
+        ];
         let r = repo();
-        let w = workload();
-        let stream = workload::generate_stream(&r, &w);
-        let sizes: Arc<dyn SizeModel> = Arc::new(r.size_table());
-        let cfg = faults(350, RetryPolicy::new(2, 1, 8));
-
-        let special =
-            simulate_stream_with_faults(&stream, cache_cfg(&r), Arc::clone(&sizes), None, &cfg);
-        let mut cache = ImageCache::new(cache_cfg(&r), sizes);
-        let generic = simulate_policy_with_faults(&mut cache, &stream, &cfg);
-
-        assert_eq!(special.faults, generic.faults);
-        assert_eq!(special.run.final_stats, generic.run.final_stats);
-        assert_eq!(special.run.container_eff_pct, generic.run.container_eff_pct);
+        let stream = workload::generate_stream(&r, &workload());
+        for (seed, fail_per_mille, retries, expected) in EXPECTED {
+            let config = FaultConfig {
+                fail_per_mille,
+                seed,
+                retry: RetryPolicy::new(retries, 1, 8),
+            };
+            let cache = CacheConfig {
+                limit_bytes: r.total_bytes() / 2,
+                ..cache_cfg(&r)
+            };
+            let sizes: Arc<dyn SizeModel> = Arc::new(r.size_table());
+            let mut policy = ImageCache::new(cache, sizes);
+            let obs = SimObs::deterministic();
+            let run = simulate_policy(&mut policy, &stream, 0, Some(&obs), Some(&config));
+            policy.check_invariants();
+            let f = run.faults.expect("a faulted run reports fault stats");
+            let snap = obs.registry.snapshot();
+            assert_eq!(snap.histograms["core.plan_ticks"].count, f.requests);
+            assert_eq!(
+                snap.histograms["core.apply_ticks"].count,
+                f.requests - f.failed_requests
+            );
+            let report = serde_json::to_string(&PolicyReport::from_run("landlord", &run)).unwrap();
+            assert_eq!(report, expected, "seed {seed}, {fail_per_mille}/1000");
+        }
     }
 
     #[test]
     fn degraded_serving_clamps_efficiency_and_counts_it() {
         use landlord_core::cache::{CacheStats, Ledger};
         use landlord_core::metrics::ContainerEfficiency;
-        use landlord_core::policy::Served;
+        use landlord_core::policy::{PlannedBuild, Served};
 
         /// Test double: a policy whose degraded path launches jobs from
         /// an image *half* the requested size — the exact shape that
@@ -658,10 +564,11 @@ mod tests {
                     revision: 0,
                 }
             }
-            fn plan_build(&self, spec: &Spec) -> BuildPlan {
+            fn plan_build(&self, spec: &Spec) -> PlannedBuild {
                 BuildPlan::Rewrite {
                     bytes: self.spec_bytes(spec),
                 }
+                .into()
             }
             fn spec_bytes(&self, spec: &Spec) -> u64 {
                 spec.len() as u64 * 10
@@ -693,21 +600,22 @@ mod tests {
         let mut policy = UndersizedDegrade {
             ledger: Ledger::new(),
         };
-        let result = simulate_policy_with_faults(&mut policy, &stream, &cfg);
-        assert!(result.faults.degraded_inserts > 0, "no degradation driven");
+        let run = simulate_policy(&mut policy, &stream, 0, None, Some(&cfg));
+        let f = run.faults.expect("a faulted run reports fault stats");
+        assert!(f.degraded_inserts > 0, "no degradation driven");
         assert!(
-            result.faults.efficiency_clamps > 0,
+            f.efficiency_clamps > 0,
             "undersized degraded serves must be counted as clamps"
         );
         assert!(
-            result.run.container_eff_pct <= 100.0,
+            run.container_eff_pct <= 100.0,
             "container efficiency leaked past 100%: {}",
-            result.run.container_eff_pct
+            run.container_eff_pct
         );
         // The clamp counter survives the report serialization path.
-        let json = serde_json::to_string(&result.faults).expect("serialize");
+        let json = serde_json::to_string(&f).expect("serialize");
         let back: FaultStats = serde_json::from_str(&json).expect("deserialize");
-        assert_eq!(back, result.faults);
+        assert_eq!(back, f);
     }
 
     #[test]

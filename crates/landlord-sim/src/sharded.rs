@@ -29,23 +29,14 @@ const BATCH: usize = 64;
 /// shards and `threads` worker threads. Deterministic in the stream and
 /// config regardless of `threads` (see the module docs).
 ///
+/// An optional metrics `registry` is attached before the replay. The
+/// `core.*` metrics recorded into it fold exactly: at a fixed stream
+/// and config they are independent of both the thread count and
+/// whether shards share one registry or record into private registries
+/// merged afterwards.
+///
 /// The time series is not sampled (there is no global request order to
 /// sample along); `series` comes back empty.
-pub fn simulate_stream_sharded(
-    stream: &[Spec],
-    cache_config: CacheConfig,
-    sizes: Arc<dyn SizeModel>,
-    shards: usize,
-    threads: usize,
-) -> RunResult {
-    simulate_stream_sharded_observed(stream, cache_config, sizes, shards, threads, None)
-}
-
-/// [`simulate_stream_sharded`] with an optional metrics registry
-/// attached before the replay. The `core.*` metrics recorded into the
-/// registry fold exactly: at a fixed stream and config they are
-/// independent of both the thread count and whether shards share one
-/// registry or record into private registries merged afterwards.
 pub fn simulate_stream_sharded_observed(
     stream: &[Spec],
     cache_config: CacheConfig,
@@ -64,6 +55,7 @@ pub fn simulate_stream_sharded_observed(
         container_eff_pct: cache.container_efficiency_pct(),
         cache_eff_pct: cache.cache_efficiency_pct(),
         series: Vec::new(),
+        faults: None,
     }
 }
 
@@ -132,9 +124,17 @@ mod tests {
         let jobs = stream();
         let sizes: Arc<dyn SizeModel> = Arc::new(r.size_table());
         let config = cfg(r.total_bytes() / 2);
-        let baseline = simulate_stream_sharded(&jobs, config, Arc::clone(&sizes), 8, 1);
+        let baseline =
+            simulate_stream_sharded_observed(&jobs, config, Arc::clone(&sizes), 8, 1, None);
         for threads in [2, 4, 8] {
-            let run = simulate_stream_sharded(&jobs, config, Arc::clone(&sizes), 8, threads);
+            let run = simulate_stream_sharded_observed(
+                &jobs,
+                config,
+                Arc::clone(&sizes),
+                8,
+                threads,
+                None,
+            );
             assert_eq!(
                 run.final_stats, baseline.final_stats,
                 "{threads} threads diverged from single-threaded replay"
@@ -272,10 +272,23 @@ mod tests {
                 ..CacheConfig::default()
             };
 
-            let baseline = simulate_stream_sharded(&jobs, config, Arc::clone(&sizes), shards, 1);
+            let baseline = simulate_stream_sharded_observed(
+                &jobs,
+                config,
+                Arc::clone(&sizes),
+                shards,
+                1,
+                None,
+            );
             for threads in [2, 4] {
-                let run =
-                    simulate_stream_sharded(&jobs, config, Arc::clone(&sizes), shards, threads);
+                let run = simulate_stream_sharded_observed(
+                    &jobs,
+                    config,
+                    Arc::clone(&sizes),
+                    shards,
+                    threads,
+                    None,
+                );
                 assert_eq!(
                     run.final_stats, baseline.final_stats,
                     "{eviction:?}: {threads} threads diverged from single-threaded replay"
@@ -316,8 +329,9 @@ mod tests {
         let jobs = stream();
         let sizes: Arc<dyn SizeModel> = Arc::new(r.size_table());
         let config = cfg(r.total_bytes());
-        let narrow = simulate_stream_sharded(&jobs, config, Arc::clone(&sizes), 2, 16);
-        let wide = simulate_stream_sharded(&jobs, config, Arc::clone(&sizes), 2, 2);
+        let narrow =
+            simulate_stream_sharded_observed(&jobs, config, Arc::clone(&sizes), 2, 16, None);
+        let wide = simulate_stream_sharded_observed(&jobs, config, Arc::clone(&sizes), 2, 2, None);
         assert_eq!(narrow.final_stats, wide.final_stats);
         assert_eq!(narrow.final_stats.requests as usize, jobs.len());
     }

@@ -4,9 +4,10 @@
 //! any baseline) processing one job stream, with counter snapshots
 //! sampled along the way (Fig. 5's time series) and a summary at the
 //! end (one data point of every sweep figure). [`simulate_policy`] is
-//! the single generic driver; the `ImageCache`-typed entry points
-//! delegate to it.
+//! the single driving loop, with or without the failure model; the
+//! `ImageCache`-typed entry points delegate to it.
 
+use crate::faults::{serve_faulted, FaultConfig, FaultStats};
 use crate::workload::{self, WorkloadConfig};
 use landlord_baselines::{DedupStore, FullRepoStrategy, LayerChain, PerJobCache};
 use landlord_core::cache::{CacheConfig, CacheStats, ImageCache};
@@ -41,6 +42,10 @@ pub struct RunResult {
     pub cache_eff_pct: f64,
     /// Sampled time series (empty when `sample_every == 0`).
     pub series: Vec<SeriesPoint>,
+    /// Failure-model counters when the run injected faults (`None`
+    /// for fault-free runs; counters above cover served requests only).
+    #[serde(default)]
+    pub faults: Option<FaultStats>,
 }
 
 /// Run one prepared stream through a cache built from `cache_config`.
@@ -58,17 +63,7 @@ pub fn simulate_stream(
         Some(c) => ImageCache::with_conflicts(cache_config, sizes, c),
         None => ImageCache::new(cache_config, sizes),
     };
-    simulate_policy(&mut cache, stream, sample_every)
-}
-
-/// Run one prepared stream through *any* policy — the one generic
-/// driver behind every simulation entry point.
-pub fn simulate_policy(
-    policy: &mut dyn CachePolicy,
-    stream: &[Spec],
-    sample_every: usize,
-) -> RunResult {
-    simulate_policy_observed(policy, stream, sample_every, None)
+    simulate_policy(&mut cache, stream, sample_every, None, None)
 }
 
 /// The observability harness for one simulation run: a registry the
@@ -84,7 +79,7 @@ pub struct SimObs {
 
 impl SimObs {
     /// A registry on a logical clock, ticked once per request by
-    /// [`simulate_policy_observed`]: every metric — including span
+    /// [`simulate_policy`]: every metric — including span
     /// histograms — is a pure function of the request stream, so the
     /// exported snapshot is byte-identical across runs at a fixed
     /// seed.
@@ -97,24 +92,37 @@ impl SimObs {
     }
 }
 
-/// [`simulate_policy`] with optional observability: attaches the
-/// registry to the policy up front and advances its logical clock once
-/// per request.
-pub fn simulate_policy_observed(
+/// Run one prepared stream through *any* policy — the one driving loop
+/// behind every single-threaded simulation entry point.
+///
+/// `obs` attaches its registry to the policy up front and advances its
+/// logical clock once per request. `faults` serves each request under
+/// the failure model ([`crate::faults`]): planned once, priced, retried
+/// or degraded, and its counters come back in [`RunResult::faults`]
+/// (and, with `obs`, as `faults.*` counters). Without `faults` every
+/// request goes straight to [`CachePolicy::request`].
+pub fn simulate_policy(
     policy: &mut dyn CachePolicy,
     stream: &[Spec],
     sample_every: usize,
     obs: Option<&SimObs>,
+    faults: Option<&FaultConfig>,
 ) -> RunResult {
     if let Some(o) = obs {
         policy.attach_metrics(&o.registry);
     }
+    let mut faulted = faults.map(|config| (config, FaultStats::default()));
     let mut series = Vec::new();
     for (i, spec) in stream.iter().enumerate() {
         if let Some(o) = obs {
             o.tick.tick();
         }
-        policy.request(spec);
+        match &mut faulted {
+            Some((config, stats)) => serve_faulted(policy, spec, i as u64, config, stats),
+            None => {
+                policy.request(spec);
+            }
+        }
         let done = i + 1 == stream.len();
         if sample_every > 0 && ((i + 1) % sample_every == 0 || done) {
             series.push(SeriesPoint {
@@ -124,11 +132,19 @@ pub fn simulate_policy_observed(
             });
         }
     }
+    let faults = faulted.map(|(_, mut stats)| {
+        stats.efficiency_clamps = policy.container_eff().clamped_samples();
+        if let Some(o) = obs {
+            stats.record_metrics(&o.registry);
+        }
+        stats
+    });
     RunResult {
         final_stats: policy.stats(),
         container_eff_pct: policy.container_efficiency_pct(),
         cache_eff_pct: policy.cache_efficiency_pct(),
         series,
+        faults,
     }
 }
 
@@ -188,22 +204,18 @@ pub struct PolicyReport {
     /// Fault-model counters when the run injected faults (`null` for
     /// fault-free runs).
     #[serde(default)]
-    pub faults: Option<crate::faults::FaultStats>,
+    pub faults: Option<FaultStats>,
 }
 
 impl PolicyReport {
     /// Summarize a finished run.
-    pub fn from_run(
-        policy: &str,
-        run: &RunResult,
-        faults: Option<crate::faults::FaultStats>,
-    ) -> Self {
+    pub fn from_run(policy: &str, run: &RunResult) -> Self {
         PolicyReport {
             policy: policy.to_string(),
             final_stats: run.final_stats,
             container_eff_milli: milli_pct(run.container_eff_pct),
             cache_eff_milli: milli_pct(run.cache_eff_pct),
-            faults,
+            faults: run.faults,
         }
     }
 }
@@ -259,7 +271,7 @@ mod tests {
             let obs = SimObs::deterministic();
             let mut cache =
                 ImageCache::new(cache_cfg(0.75, r.total_bytes() / 2), Arc::clone(&sizes));
-            simulate_policy_observed(&mut cache, jobs, 0, Some(&obs));
+            simulate_policy(&mut cache, jobs, 0, Some(&obs), None);
             obs.registry.snapshot()
         };
 
@@ -363,7 +375,7 @@ mod tests {
             )
             .expect("known token");
             assert_eq!(policy.name(), token);
-            let run = simulate_policy(policy.as_mut(), &stream, 0);
+            let run = simulate_policy(policy.as_mut(), &stream, 0, None, None);
             assert_eq!(run.final_stats.requests as usize, stream.len());
             policy.check_invariants();
         }
@@ -379,7 +391,7 @@ mod tests {
         let stream = workload::generate_stream(&r, &w);
         let sizes: Arc<dyn SizeModel> = Arc::new(r.size_table());
         let mut policy = make_policy("landlord", cfg, sizes, r.total_bytes()).unwrap();
-        let generic = simulate_policy(policy.as_mut(), &stream, 7);
+        let generic = simulate_policy(policy.as_mut(), &stream, 7, None, None);
         assert_eq!(typed.final_stats, generic.final_stats);
         assert_eq!(typed.container_eff_pct, generic.container_eff_pct);
         assert_eq!(typed.series.len(), generic.series.len());
@@ -414,7 +426,7 @@ mod tests {
     fn policy_report_round_trips_through_json() {
         let r = repo();
         let run = simulate(&r, &workload(), cache_cfg(0.8, r.total_bytes()), 0);
-        let report = PolicyReport::from_run("landlord", &run, None);
+        let report = PolicyReport::from_run("landlord", &run);
         let json = serde_json::to_string(&report).unwrap();
         let back: PolicyReport = serde_json::from_str(&json).unwrap();
         assert_eq!(report, back);

@@ -290,6 +290,7 @@ mod tests {
             container_eff_pct: hits as f64,
             cache_eff_pct: 50.0,
             series: Vec::new(),
+            faults: None,
         };
         let agg = AggregatedRun::from_runs(&[mk(1), mk(9), mk(5)]);
         assert_eq!(agg.hits, 5.0);

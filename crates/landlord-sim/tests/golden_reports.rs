@@ -17,7 +17,7 @@ use landlord_core::cache::CacheConfig;
 use landlord_core::policy::RetryPolicy;
 use landlord_core::sizes::SizeModel;
 use landlord_repo::{RepoConfig, Repository};
-use landlord_sim::faults::{simulate_policy_with_faults, FaultConfig};
+use landlord_sim::faults::FaultConfig;
 use landlord_sim::simulator::{make_policy, simulate_policy, PolicyReport, POLICY_TOKENS};
 use landlord_sim::workload::{generate_stream, WorkloadConfig, WorkloadScheme};
 use std::path::PathBuf;
@@ -53,13 +53,9 @@ fn report(token: &str, faulted: bool) -> PolicyReport {
     let (repo, stream, cfg) = scenario();
     let sizes: Arc<dyn SizeModel> = Arc::new(repo.size_table());
     let mut policy = make_policy(token, cfg, sizes, repo.total_bytes()).expect("known token");
-    if faulted {
-        let result = simulate_policy_with_faults(policy.as_mut(), &stream, &fault_config());
-        PolicyReport::from_run(token, &result.run, Some(result.faults))
-    } else {
-        let run = simulate_policy(policy.as_mut(), &stream, 0);
-        PolicyReport::from_run(token, &run, None)
-    }
+    let faults = faulted.then(fault_config);
+    let run = simulate_policy(policy.as_mut(), &stream, 0, None, faults.as_ref());
+    PolicyReport::from_run(token, &run)
 }
 
 fn golden_path(name: &str) -> PathBuf {
@@ -122,8 +118,8 @@ fn eviction_golden_reports_are_byte_identical() {
         let sizes: Arc<dyn SizeModel> = Arc::new(repo.size_table());
         let mut policy =
             make_policy("landlord", cfg, sizes, repo.total_bytes()).expect("known token");
-        let run = simulate_policy(policy.as_mut(), &stream, 0);
-        let report = PolicyReport::from_run("landlord", &run, None);
+        let run = simulate_policy(policy.as_mut(), &stream, 0, None, None);
+        let report = PolicyReport::from_run("landlord", &run);
         let name = format!("eviction-{}", eviction.token());
         let rendered = format!("{}\n", serde_json::to_string_pretty(&report).unwrap());
         let path = golden_path(&name);
