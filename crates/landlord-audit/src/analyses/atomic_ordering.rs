@@ -9,8 +9,8 @@
 //! without the annotation are findings; the fix is either writing the
 //! justification or upgrading to `Acquire`/`Release`/`SeqCst`.
 
-use super::{emit, FileModel};
 use crate::rules::Finding;
+use crate::scan::FileModel;
 
 /// How many lines above the site a `// sync:` note still covers it.
 const NOTE_REACH: usize = 2;
@@ -31,7 +31,7 @@ pub fn run(files: &[FileModel]) -> Vec<Finding> {
                 continue;
             }
             let line = toks[i].line;
-            let info = match file.lines.lines.get(line) {
+            let info = match file.lines.get(line) {
                 Some(info) => info,
                 None => continue,
             };
@@ -39,19 +39,18 @@ pub fn run(files: &[FileModel]) -> Vec<Finding> {
                 continue;
             }
             let annotated = (line.saturating_sub(NOTE_REACH)..=line)
-                .any(|l| file.lines.lines.get(l).is_some_and(|li| li.sync_note));
+                .any(|l| file.lines.get(l).is_some_and(|li| li.sync_note));
             if annotated {
                 continue;
             }
-            emit(
-                &mut findings,
+            findings.push(Finding::at(
                 file,
                 line,
                 "atomic-ordering",
                 "`Ordering::Relaxed` without a `// sync: <why relaxed is sound>` note: \
                  justify the relaxed ordering or upgrade it"
                     .to_string(),
-            );
+            ));
         }
     }
     findings

@@ -12,8 +12,8 @@
 //! operands (`pct`, `ratio`, …) are exempt: saturation is an integer
 //! concept.
 
-use super::{emit, FileModel};
 use crate::rules::Finding;
+use crate::scan::FileModel;
 use crate::tokens::TokenKind;
 
 /// Function-name fragments that mark a merge/fold path.
@@ -104,8 +104,7 @@ pub fn run(files: &[FileModel]) -> Vec<Finding> {
                 }
                 let counter = idents.iter().find(|id| word_match(id, COUNTER_WORDS));
                 let Some(name) = counter else { continue };
-                emit(
-                    &mut findings,
+                findings.push(Finding::at(
                     file,
                     t.line,
                     "counter-overflow",
@@ -114,7 +113,7 @@ pub fn run(files: &[FileModel]) -> Vec<Finding> {
                          `{}`: use saturating_* or checked_* arithmetic",
                         f.qualified
                     ),
-                );
+                ));
             }
         }
     }

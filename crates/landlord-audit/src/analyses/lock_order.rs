@@ -36,8 +36,8 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use super::{emit, FileModel};
 use crate::rules::Finding;
+use crate::scan::FileModel;
 use crate::structure::{CallSite, FnInfo};
 use crate::tokens::{Token, TokenKind};
 
@@ -264,8 +264,7 @@ pub fn run(files: &[FileModel]) -> Vec<Finding> {
                     ));
                 }
                 if b.token > a.token && b.token <= a.end && b.id == a.id {
-                    emit(
-                        &mut findings,
+                    findings.push(Finding::at(
                         file,
                         b.line,
                         "lock-order",
@@ -274,7 +273,7 @@ pub fn run(files: &[FileModel]) -> Vec<Finding> {
                              parking_lot locks are not reentrant",
                             a.id, f.qualified
                         ),
-                    );
+                    ));
                 }
             }
             // Calls made while `a` is held: propagate callee locks/I/O.
@@ -290,8 +289,7 @@ pub fn run(files: &[FileModel]) -> Vec<Finding> {
                             r.file,
                         ));
                     } else {
-                        emit(
-                            &mut findings,
+                        findings.push(Finding::at(
                             file,
                             line,
                             "lock-order",
@@ -301,12 +299,11 @@ pub fn run(files: &[FileModel]) -> Vec<Finding> {
                                 a.id,
                                 f.qualified
                             ),
-                        );
+                        ));
                     }
                 }
                 if let Some(io) = &does_io[&callee] {
-                    emit(
-                        &mut findings,
+                    findings.push(Finding::at(
                         file,
                         line,
                         "lock-order",
@@ -316,11 +313,10 @@ pub fn run(files: &[FileModel]) -> Vec<Finding> {
                             info(callee).qualified,
                             io
                         ),
-                    );
+                    ));
                 }
                 if let Some(w) = &does_wait[&callee] {
-                    emit(
-                        &mut findings,
+                    findings.push(Finding::at(
                         file,
                         line,
                         "lock-order",
@@ -331,7 +327,7 @@ pub fn run(files: &[FileModel]) -> Vec<Finding> {
                             info(callee).qualified,
                             w
                         ),
-                    );
+                    ));
                 }
             }
             // Condvar waits while `a` is held. The wait atomically
@@ -339,8 +335,7 @@ pub fn run(files: &[FileModel]) -> Vec<Finding> {
             // other guard locked pins that lock for the whole sleep.
             for (arg, label, tok, line) in &waits[&r] {
                 if *tok > a.token && *tok <= a.end && a.bound.as_deref() != Some(arg.as_str()) {
-                    emit(
-                        &mut findings,
+                    findings.push(Finding::at(
                         file,
                         *line,
                         "lock-order",
@@ -349,14 +344,13 @@ pub fn run(files: &[FileModel]) -> Vec<Finding> {
                              still held: a wait releases only its own guard",
                             label, arg, f.qualified, a.id
                         ),
-                    );
+                    ));
                 }
             }
             // Direct I/O while `a` is held.
             for (label, tok, line) in &direct_io[&r] {
                 if *tok > a.token && *tok <= a.end {
-                    emit(
-                        &mut findings,
+                    findings.push(Finding::at(
                         file,
                         *line,
                         "lock-order",
@@ -365,7 +359,7 @@ pub fn run(files: &[FileModel]) -> Vec<Finding> {
                              finish the I/O outside the critical section",
                             a.id, label, f.qualified
                         ),
-                    );
+                    ));
                 }
             }
         }
@@ -381,13 +375,12 @@ pub fn run(files: &[FileModel]) -> Vec<Finding> {
         let (file_path, line, file_idx) = edges[&(cycle[0].clone(), cycle[1].clone())].clone();
         let file = &files[file_idx];
         debug_assert_eq!(file.path, file_path);
-        emit(
-            &mut findings,
+        findings.push(Finding::at(
             file,
             line,
             "lock-order",
             format!("lock-order cycle: {}", desc.join(", ")),
-        );
+        ));
     }
 
     findings

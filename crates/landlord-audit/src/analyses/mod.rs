@@ -12,20 +12,18 @@
 //! - [`counter_overflow`]: merge/fold paths must not use unchecked
 //!   `+`/`+=`/`*` on counter- or byte-size-like values.
 //!
-//! Each analysis respects the standard allow escape hatch
-//! (`// audit: allow(<analysis>) -- reason`); the analysis names are
-//! registered in [`crate::rules::ANALYSIS_RULES`] so allow hygiene
-//! accepts them.
+//! Each analysis accepts the standard allow escape hatch
+//! (`// audit: allow(<analysis>) -- reason`); the names in [`ANALYSES`]
+//! are known rules to allow hygiene.
 
 pub mod atomic_ordering;
 pub mod counter_overflow;
 pub mod lock_order;
 
-use crate::rules::{FileKind, Finding};
-use crate::scan::{self, SourceModel};
-use crate::structure::StructureModel;
+use crate::rules::Finding;
+use crate::scan::FileModel;
 
-/// The analyses the audit binary can run, with one-line descriptions.
+/// The structural analyses, with one-line descriptions.
 pub const ANALYSES: &[(&str, &str)] = &[
     (
         "lock-order",
@@ -41,77 +39,11 @@ pub const ANALYSES: &[(&str, &str)] = &[
     ),
 ];
 
-/// True when `name` is one of the structural analyses.
-pub fn is_known_analysis(name: &str) -> bool {
-    ANALYSES.iter().any(|(n, _)| *n == name)
-}
-
-/// One fully-modelled source file, shared by all analyses.
-#[derive(Debug)]
-pub struct FileModel {
-    /// Repo-relative path (or fixture label).
-    pub path: String,
-    /// Where in the workspace the file lives.
-    pub kind: FileKind,
-    /// Per-line classification (test regions, allows, sync notes).
-    pub lines: SourceModel,
-    /// Token-level structure (functions, calls, brace nesting).
-    pub structure: StructureModel,
-}
-
-impl FileModel {
-    /// Build the full model for one source text.
-    pub fn build(path: &str, kind: FileKind, source: &str) -> FileModel {
-        let lines = scan::scan(source);
-        let (blanked, _comments) = scan::blank_source(source);
-        let structure = StructureModel::build(&blanked, &lines);
-        FileModel {
-            path: path.to_string(),
-            kind,
-            lines,
-            structure,
-        }
-    }
-
-    /// Analyses only look at library code: examples, benches, and
-    /// integration tests exercise the APIs under test harness rules.
-    pub fn analyzed(&self) -> bool {
-        matches!(self.kind, FileKind::StrictLib | FileKind::Lib)
-    }
-}
-
-/// Run the named analyses over a modelled file set. Unknown names are
-/// the caller's error and are skipped here (the CLI validates them).
-pub fn run_analyses(files: &[FileModel], names: &[&str]) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    for name in names {
-        match *name {
-            "lock-order" => findings.extend(lock_order::run(files)),
-            "atomic-ordering" => findings.extend(atomic_ordering::run(files)),
-            "counter-overflow" => findings.extend(counter_overflow::run(files)),
-            _ => {}
-        }
-    }
-    findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
+/// Run every analysis over a modelled file set. Findings are
+/// unfiltered: allow directives are applied by the caller.
+pub fn run(files: &[FileModel]) -> Vec<Finding> {
+    let mut findings = lock_order::run(files);
+    findings.extend(atomic_ordering::run(files));
+    findings.extend(counter_overflow::run(files));
     findings
-}
-
-/// Emit helper shared by the analyses: drops the finding when the line
-/// (or the line above) carries a matching allow directive.
-pub(crate) fn emit(
-    out: &mut Vec<Finding>,
-    file: &FileModel,
-    line: usize,
-    rule: &'static str,
-    message: String,
-) {
-    if file.lines.is_allowed(line, rule) {
-        return;
-    }
-    out.push(Finding {
-        file: file.path.clone(),
-        line: line + 1,
-        rule,
-        message,
-    });
 }

@@ -14,32 +14,96 @@ pub mod scan;
 pub mod structure;
 pub mod tokens;
 
-use analyses::FileModel;
-use rules::{check_file, FileKind, Finding, STRICT_CRATES};
+use rules::{is_known_rule, FileKind, Finding, STRICT_CRATES};
+use scan::FileModel;
 use std::path::{Path, PathBuf};
+
+/// The passes every run makes: the line rules, then each analysis.
+pub fn passes() -> impl Iterator<Item = &'static str> {
+    std::iter::once("rules").chain(analyses::ANALYSES.iter().map(|(name, _)| *name))
+}
 
 /// Result of auditing a workspace tree.
 #[derive(Debug)]
 pub struct Report {
-    /// Every violation, ordered by file then line.
+    /// Every violation, ordered by file, line, then rule.
     pub findings: Vec<Finding>,
     /// Number of files scanned.
     pub files_scanned: usize,
 }
 
-/// Audit a single in-memory source, as the fixture tests do.
-pub fn audit_source(label: &str, kind: FileKind, source: &str) -> Vec<Finding> {
-    check_file(label, kind, &scan::scan(source))
-}
-
-/// Run the named structural analyses over a set of in-memory sources,
-/// as the analysis fixture tests do.
-pub fn analyze_sources(sources: &[(&str, FileKind, &str)], names: &[&str]) -> Vec<Finding> {
+/// Audit in-memory sources (label, kind, text), as the fixture tests
+/// do: every rule and analysis, allow directives applied.
+pub fn audit_sources(sources: &[(&str, FileKind, &str)]) -> Vec<Finding> {
     let files: Vec<FileModel> = sources
         .iter()
         .map(|(path, kind, src)| FileModel::build(path, *kind, src))
         .collect();
-    analyses::run_analyses(&files, names)
+    audit(&files)
+}
+
+/// Audit the workspace rooted at `root` (the directory containing the
+/// top-level `Cargo.toml` and `crates/`) with every rule and analysis.
+pub fn audit_workspace(root: &Path) -> std::io::Result<Report> {
+    let mut files = Vec::new();
+    for (path, kind) in collect_workspace_files(root)? {
+        let source = std::fs::read_to_string(&path)?;
+        let rel = path
+            .strip_prefix(root)
+            .unwrap_or(&path)
+            .display()
+            .to_string();
+        files.push(FileModel::build(&rel, kind, &source));
+    }
+    Ok(Report {
+        findings: audit(&files),
+        files_scanned: files.len(),
+    })
+}
+
+/// One pass over the modelled files: the line rules and the analyses
+/// find violations, then allow directives drop the ones they cover and
+/// allow hygiene flags unknown rules, missing reasons, and allows that
+/// suppress nothing.
+fn audit(files: &[FileModel]) -> Vec<Finding> {
+    let mut raw: Vec<Finding> = files.iter().flat_map(rules::check_file).collect();
+    raw.extend(analyses::run(files));
+
+    let mut used: Vec<(&str, usize, &str)> = Vec::new();
+    let mut findings: Vec<Finding> = Vec::new();
+    for f in raw {
+        let file = files.iter().find(|m| m.path == f.file);
+        match file {
+            Some(m) if m.is_allowed(f.line - 1, f.rule) => {
+                used.push((m.path.as_str(), f.line - 1, f.rule));
+            }
+            _ => findings.push(f),
+        }
+    }
+    for file in files {
+        for (idx, info) in file.lines.iter().enumerate() {
+            let bad_allow = |message: String| Finding::at(file, idx, "bad-allow", message);
+            if info.malformed_allow {
+                findings.push(bad_allow(
+                    "malformed allow: use `// audit: allow(<rule>) -- reason`".to_string(),
+                ));
+            }
+            for rule in &info.allows {
+                let suppressed = used
+                    .iter()
+                    .any(|&(p, l, r)| p == file.path && r == rule && (l == idx || l == idx + 1));
+                if !is_known_rule(rule) {
+                    findings.push(bad_allow(format!("allow names unknown rule `{rule}`")));
+                } else if !suppressed {
+                    findings.push(bad_allow(format!(
+                        "allow(`{rule}`) suppresses nothing here: remove it"
+                    )));
+                }
+            }
+        }
+    }
+    findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
+    findings
 }
 
 /// Enumerate every auditable source file under `root` with its kind.
@@ -70,58 +134,19 @@ fn collect_workspace_files(root: &Path) -> std::io::Result<Vec<(PathBuf, FileKin
     Ok(files)
 }
 
-/// Audit the workspace rooted at `root` (the directory containing the
-/// top-level `Cargo.toml` and `crates/`) with the per-line rules.
-pub fn audit_workspace(root: &Path) -> std::io::Result<Report> {
-    let files = collect_workspace_files(root)?;
-    let mut findings = Vec::new();
-    for (path, kind) in &files {
-        let source = std::fs::read_to_string(path)?;
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(path)
-            .display()
-            .to_string();
-        findings.extend(check_file(&rel, *kind, &scan::scan(&source)));
-    }
-    findings.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
-    Ok(Report {
-        findings,
-        files_scanned: files.len(),
-    })
-}
-
-/// Run the named structural analyses over the whole workspace.
-pub fn analyze_workspace(root: &Path, names: &[&str]) -> std::io::Result<Report> {
-    let files = collect_workspace_files(root)?;
-    let mut models = Vec::with_capacity(files.len());
-    for (path, kind) in &files {
-        let source = std::fs::read_to_string(path)?;
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(path)
-            .display()
-            .to_string();
-        models.push(FileModel::build(&rel, *kind, &source));
-    }
-    Ok(Report {
-        findings: analyses::run_analyses(&models, names),
-        files_scanned: models.len(),
-    })
-}
-
-/// Render findings as a machine-readable JSON report (hand-rolled so
-/// the audit crate keeps zero dependencies).
-pub fn json_report(passes: &[&str], files_scanned: usize, findings: &[Finding]) -> String {
+/// Render a report as machine-readable JSON (hand-rolled so the audit
+/// crate keeps zero dependencies).
+pub fn json_report(report: &Report) -> String {
+    let findings = &report.findings;
     let mut out = String::from("{\n  \"passes\": [");
-    for (i, p) in passes.iter().enumerate() {
+    for (i, p) in passes().enumerate() {
         if i > 0 {
             out.push_str(", ");
         }
         out.push_str(&json_string(p));
     }
     out.push_str("],\n");
-    out.push_str(&format!("  \"files_scanned\": {files_scanned},\n"));
+    out.push_str(&format!("  \"files_scanned\": {},\n", report.files_scanned));
     out.push_str(&format!("  \"finding_count\": {},\n", findings.len()));
     out.push_str("  \"findings\": [");
     for (i, f) in findings.iter().enumerate() {

@@ -1,10 +1,8 @@
 //! CLI entry point: `cargo run -p landlord-audit [-- --root <dir>]`.
 //!
-//! By default only the per-line rules run (the fast lint pass CI uses
-//! on every push). `--analysis <name>` selects structural analyses —
-//! `lock-order`, `atomic-ordering`, `counter-overflow`, `rules`, or
-//! `all` — and may be repeated. `--json` switches output to a
-//! machine-readable report.
+//! Every run makes every pass: the line rules and the three structural
+//! analyses, over one model of each file. `--json` switches output to
+//! a machine-readable report.
 
 use landlord_audit::analyses::ANALYSES;
 use landlord_audit::rules::RULES;
@@ -13,7 +11,6 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
-    let mut selected: Vec<String> = Vec::new();
     let mut json = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -25,46 +22,19 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "--analysis" => match args.next() {
-                Some(name) => {
-                    let known = name == "rules"
-                        || name == "all"
-                        || landlord_audit::analyses::is_known_analysis(&name);
-                    if !known {
-                        eprintln!(
-                            "landlord-audit: unknown analysis `{name}` (try --list-analyses)"
-                        );
-                        return ExitCode::from(2);
-                    }
-                    selected.push(name);
-                }
-                None => {
-                    eprintln!("landlord-audit: --analysis needs a name (try --list-analyses)");
-                    return ExitCode::from(2);
-                }
-            },
             "--json" => json = true,
             "--list-rules" => {
-                for (name, what) in RULES {
+                for (name, what) in RULES.iter().chain(ANALYSES) {
                     println!("{name}: {what}");
                 }
-                return ExitCode::SUCCESS;
-            }
-            "--list-analyses" => {
-                println!("rules: the per-line lint rules (default; see --list-rules)");
-                for (name, what) in ANALYSES {
-                    println!("{name}: {what}");
-                }
-                println!("all: rules plus every analysis above");
                 return ExitCode::SUCCESS;
             }
             "--help" | "-h" => {
                 println!(
                     "landlord-audit: project-specific lint and analysis pass\n\n\
-                     usage: landlord-audit [--root <workspace-dir>] [--analysis <name>]...\n\
-                     \x20                     [--json] [--list-rules] [--list-analyses]\n\n\
-                     With no --analysis the per-line rules run. Analyses:\n\
-                     lock-order, atomic-ordering, counter-overflow, rules, all.\n\
+                     usage: landlord-audit [--root <workspace-dir>] [--json] [--list-rules]\n\n\
+                     Runs every line rule and the lock-order, atomic-ordering and\n\
+                     counter-overflow analyses in one pass (--list-rules lists them).\n\
                      Exits 0 when clean, 1 when findings exist, 2 on errors.\n\
                      Suppress a finding with `// audit: allow(<rule>) -- reason`\n\
                      on the offending line or the line above it."
@@ -101,81 +71,40 @@ fn main() -> ExitCode {
         }
     };
 
-    // Resolve the pass list: default is rules-only; `all` expands to
-    // rules plus every analysis.
-    if selected.is_empty() {
-        selected.push("rules".to_string());
-    }
-    if selected.iter().any(|s| s == "all") {
-        selected = std::iter::once("rules".to_string())
-            .chain(ANALYSES.iter().map(|(n, _)| n.to_string()))
-            .collect();
-    }
-    selected.dedup();
-
-    let run_rules = selected.iter().any(|s| s == "rules");
-    let analysis_names: Vec<&str> = selected
-        .iter()
-        .filter(|s| *s != "rules")
-        .map(String::as_str)
-        .collect();
-
-    let mut findings = Vec::new();
-    let mut files_scanned = 0usize;
-    if run_rules {
-        match landlord_audit::audit_workspace(&root) {
-            Ok(r) => {
-                files_scanned = r.files_scanned;
-                findings.extend(r.findings);
-            }
-            Err(e) => {
-                eprintln!("landlord-audit: scan failed: {e}");
-                return ExitCode::from(2);
-            }
+    let report = match landlord_audit::audit_workspace(&root) {
+        Ok(r) => r,
+        Err(e) => {
+            eprintln!("landlord-audit: scan failed: {e}");
+            return ExitCode::from(2);
         }
-    }
-    if !analysis_names.is_empty() {
-        match landlord_audit::analyze_workspace(&root, &analysis_names) {
-            Ok(r) => {
-                files_scanned = r.files_scanned;
-                findings.extend(r.findings);
-            }
-            Err(e) => {
-                eprintln!("landlord-audit: analysis failed: {e}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
-
-    let passes: Vec<&str> = selected.iter().map(String::as_str).collect();
-    if json {
-        print!(
-            "{}",
-            landlord_audit::json_report(&passes, files_scanned, &findings)
-        );
-        return if findings.is_empty() {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
-    }
-
-    for f in &findings {
-        println!("{}:{}: [{}] {}", f.file, f.line, f.rule, f.message);
-    }
-    if findings.is_empty() {
-        println!(
-            "landlord-audit: clean ({files_scanned} files scanned; passes: {})",
-            passes.join(", ")
-        );
+    };
+    let status = if report.findings.is_empty() {
         ExitCode::SUCCESS
     } else {
+        ExitCode::FAILURE
+    };
+    if json {
+        print!("{}", landlord_audit::json_report(&report));
+        return status;
+    }
+
+    for f in &report.findings {
+        println!("{}:{}: [{}] {}", f.file, f.line, f.rule, f.message);
+    }
+    let passes: Vec<&str> = landlord_audit::passes().collect();
+    if report.findings.is_empty() {
         println!(
-            "landlord-audit: {} finding(s) across {files_scanned} scanned files (passes: {})",
-            findings.len(),
+            "landlord-audit: clean ({} files scanned; passes: {})",
+            report.files_scanned,
             passes.join(", ")
         );
-        ExitCode::FAILURE
+    } else {
+        println!(
+            "landlord-audit: {} finding(s) across {} scanned files (passes: {})",
+            report.findings.len(),
+            report.files_scanned,
+            passes.join(", ")
+        );
     }
+    status
 }

@@ -1,12 +1,17 @@
-//! The ten project-specific lints, plus allow-directive hygiene.
+//! The ten project-specific lints.
 //!
-//! Each rule pattern-matches on the blanked `code` text produced by
-//! [`crate::scan`], so string literals and comments never trigger
-//! findings. Rules are heuristic by design — this is a project lint,
-//! not a compiler — and every rule can be suppressed per line with
-//! `// audit: allow(<rule>) -- reason`.
+//! The line rules pattern-match on each line's `code`, rendered from
+//! the lexer's tokens by [`crate::scan`], so string literals and
+//! comments never trigger findings; the function-scoped rules walk the
+//! structure pass's functions. Rules are heuristic by design — this is
+//! a project lint, not a compiler — and every rule can be suppressed
+//! per line with `// audit: allow(<rule>) -- reason` (applied, with
+//! allow hygiene, by [`crate::audit_sources`] and
+//! [`crate::audit_workspace`]).
 
-use crate::scan::SourceModel;
+use crate::analyses::ANALYSES;
+use crate::scan::FileModel;
+use crate::structure::FnInfo;
 
 /// Stable identifiers for every rule the audit enforces.
 pub const RULES: &[(&str, &str)] = &[
@@ -56,14 +61,9 @@ pub const RULES: &[(&str, &str)] = &[
     ),
 ];
 
-/// The structural analyses (see [`crate::analyses`]) also accept allow
-/// directives. They run in a separate pass, so the stale-allow check
-/// here must leave their directives alone.
-pub const ANALYSIS_RULES: &[&str] = &["lock-order", "atomic-ordering", "counter-overflow"];
-
 /// True when `rule` is one of the audit's known rule or analysis names.
 pub fn is_known_rule(rule: &str) -> bool {
-    RULES.iter().any(|(name, _)| *name == rule) || ANALYSIS_RULES.contains(&rule)
+    RULES.iter().chain(ANALYSES).any(|(name, _)| *name == rule)
 }
 
 /// One lint violation.
@@ -77,6 +77,23 @@ pub struct Finding {
     pub rule: &'static str,
     /// Human-oriented explanation.
     pub message: String,
+}
+
+impl Finding {
+    /// A finding on 0-based `line` of `file`.
+    pub(crate) fn at(
+        file: &FileModel,
+        line: usize,
+        rule: &'static str,
+        message: String,
+    ) -> Finding {
+        Finding {
+            file: file.path.clone(),
+            line: line + 1,
+            rule,
+            message,
+        }
+    }
 }
 
 /// What part of the workspace a file belongs to, which decides the
@@ -101,24 +118,14 @@ pub const STRICT_CRATES: &[&str] = &[
     "landlord-wal",
 ];
 
-/// Run every applicable rule over one scanned file.
-pub fn check_file(file: &str, kind: FileKind, model: &SourceModel) -> Vec<Finding> {
+/// Run every applicable rule over one modelled file. Findings are
+/// unfiltered: allow directives are applied by the caller.
+pub fn check_file(model: &FileModel) -> Vec<Finding> {
     let mut findings = Vec::new();
-    let mut used_allows: Vec<(usize, String)> = Vec::new();
-
-    let mut emit =
-        |line: usize, rule: &'static str, message: String, findings: &mut Vec<Finding>| {
-            if model.is_allowed(line, rule) {
-                used_allows.push((line, rule.to_string()));
-                return;
-            }
-            findings.push(Finding {
-                file: file.to_string(),
-                line: line + 1,
-                rule,
-                message,
-            });
-        };
+    let (file, kind) = (model.path.as_str(), model.kind);
+    let mut emit = |line: usize, rule: &'static str, message: String| {
+        findings.push(Finding::at(model, line, rule, message));
+    };
 
     let lints_code = matches!(
         kind,
@@ -157,7 +164,6 @@ pub fn check_file(file: &str, kind: FileKind, model: &SourceModel) -> Vec<Findin
                 "`&mut self` receiver in cache/plan.rs: planning must be pure (`&self` only) \
                  so plan(spec) can never disturb the state it decides over"
                     .to_string(),
-                &mut findings,
             );
         }
         if apply_side && !info.in_test {
@@ -170,7 +176,6 @@ pub fn check_file(file: &str, kind: FileKind, model: &SourceModel) -> Vec<Findin
                             "`{needle}` called from cache/apply.rs: apply must execute the \
                              decision carried by the Plan, never re-derive it"
                         ),
-                        &mut findings,
                     );
                 }
             }
@@ -181,7 +186,6 @@ pub fn check_file(file: &str, kind: FileKind, model: &SourceModel) -> Vec<Findin
                     "`.plan(..)` called from cache/apply.rs: apply consumes a Plan computed \
                      by the caller on settled state, it never plans itself"
                         .to_string(),
-                    &mut findings,
                 );
             }
         }
@@ -199,7 +203,6 @@ pub fn check_file(file: &str, kind: FileKind, model: &SourceModel) -> Vec<Findin
                             "`{needle}` in deterministic simulation code: take a \
                              `landlord_obs::Clock` (LogicalClock / MonotonicClock) instead"
                         ),
-                        &mut findings,
                     );
                 }
             }
@@ -222,7 +225,6 @@ pub fn check_file(file: &str, kind: FileKind, model: &SourceModel) -> Vec<Findin
                         format!(
                             "{what} in library code: thread the failure through Result instead"
                         ),
-                        &mut findings,
                     );
                 }
             }
@@ -231,8 +233,7 @@ pub fn check_file(file: &str, kind: FileKind, model: &SourceModel) -> Vec<Findin
         // R2: lossy-cast — non-test code of all workspace crates.
         if lints_code && !info.in_test {
             for target in ["u8", "u16", "u32", "usize", "i32"] {
-                for (pos, source_expr) in lossy_cast_sources(code, target) {
-                    let _ = pos;
+                for source_expr in lossy_cast_sources(code, target) {
                     if counter_tokens(&source_expr) && !widening_to_usize(target, &source_expr) {
                         emit(
                             idx,
@@ -241,8 +242,7 @@ pub fn check_file(file: &str, kind: FileKind, model: &SourceModel) -> Vec<Findin
                                 "byte/size counter narrowed with `as {target}` (source: `{}`): use `{target}::try_from` or widen the comparison",
                                 source_expr.trim()
                             ),
-                            &mut findings,
-                        );
+);
                     }
                 }
             }
@@ -261,8 +261,7 @@ pub fn check_file(file: &str, kind: FileKind, model: &SourceModel) -> Vec<Findin
                                 l.trim(),
                                 r.trim()
                             ),
-                            &mut findings,
-                        );
+);
                     }
                 }
             }
@@ -277,8 +276,7 @@ pub fn check_file(file: &str, kind: FileKind, model: &SourceModel) -> Vec<Findin
                         idx,
                         "unseeded-rng",
                         format!("`{needle}` constructs an unseeded RNG: accept an explicit u64 seed instead"),
-                        &mut findings,
-                    );
+);
                 }
             }
         }
@@ -300,8 +298,7 @@ pub fn check_file(file: &str, kind: FileKind, model: &SourceModel) -> Vec<Findin
                     idx,
                     "guard-across-closure",
                     "lock guard and closure share a statement: bind the guard in its own statement first".to_string(),
-                    &mut findings,
-                );
+);
             }
         }
 
@@ -325,7 +322,6 @@ pub fn check_file(file: &str, kind: FileKind, model: &SourceModel) -> Vec<Findin
                         "no-silent-io-drop",
                         "`let _ =` discards an io::Result: propagate with `?` or handle the error"
                             .to_string(),
-                        &mut findings,
                     );
                 }
             } else if code.contains(".ok();") {
@@ -353,8 +349,7 @@ pub fn check_file(file: &str, kind: FileKind, model: &SourceModel) -> Vec<Findin
                         "no-silent-io-drop",
                         "bare `.ok();` swallows an io::Result: propagate with `?` or handle the error"
                             .to_string(),
-                        &mut findings,
-                    );
+);
                 }
             }
         }
@@ -369,28 +364,7 @@ pub fn check_file(file: &str, kind: FileKind, model: &SourceModel) -> Vec<Findin
                 "`unsafe` in workspace code: rework behind a safe API, or justify with \
                  `// audit: allow(no-unsafe) -- <safety argument>`"
                     .to_string(),
-                &mut findings,
             );
-        }
-
-        // Allow hygiene: unknown rule names and missing reasons.
-        if info.malformed_allow {
-            findings.push(Finding {
-                file: file.to_string(),
-                line: idx + 1,
-                rule: "bad-allow",
-                message: "malformed allow: use `// audit: allow(<rule>) -- reason`".to_string(),
-            });
-        }
-        for rule in &info.allows {
-            if !is_known_rule(rule) {
-                findings.push(Finding {
-                    file: file.to_string(),
-                    line: idx + 1,
-                    rule: "bad-allow",
-                    message: format!("allow names unknown rule `{rule}`"),
-                });
-            }
         }
     }
 
@@ -402,15 +376,11 @@ pub fn check_file(file: &str, kind: FileKind, model: &SourceModel) -> Vec<Findin
     // sync_data / fsync_dir) somewhere in its body.
     let durability_path = file.contains("landlord-wal/src") || file.ends_with("persistent.rs");
     if durability_path {
-        for span in &model.fns {
-            if span.is_unit_test || span.in_test_region {
+        for span in &model.structure.fns {
+            if span.in_test {
                 continue;
             }
-            let body: String = model.lines[span.start_line..=span.end_line]
-                .iter()
-                .map(|l| l.code.as_str())
-                .collect::<Vec<_>>()
-                .join("\n");
+            let body = body_text(model, span);
             let writes_durably = ["write_all(", "rename(", ".set_len("]
                 .iter()
                 .any(|t| body.contains(t));
@@ -426,22 +396,17 @@ pub fn check_file(file: &str, kind: FileKind, model: &SourceModel) -> Vec<Findin
                          (sync_all/sync_data/fsync_dir): an unsynced write must not be acknowledged",
                         span.name
                     ),
-                    &mut findings,
-                );
+);
             }
         }
     }
 
     // R6: test-invariants — every #[test] body, anywhere.
-    for span in &model.fns {
+    for span in &model.structure.fns {
         if !span.is_unit_test {
             continue;
         }
-        let body: String = model.lines[span.start_line..=span.end_line]
-            .iter()
-            .map(|l| l.code.as_str())
-            .collect::<Vec<_>>()
-            .join("\n");
+        let body = body_text(model, span);
         let touches_cache = ["ImageCache", "cache(", "cache."]
             .iter()
             .any(|n| body.contains(n));
@@ -462,39 +427,26 @@ pub fn check_file(file: &str, kind: FileKind, model: &SourceModel) -> Vec<Findin
                     "#[test] `{}` mutates an ImageCache but never calls check_invariants()",
                     span.name
                 ),
-                &mut findings,
             );
-        }
-    }
-
-    // Allow hygiene: an allow that suppressed nothing is stale.
-    // Analysis allows are exercised by the analysis passes, which this
-    // per-file pass cannot see — they are exempt from staleness.
-    for (idx, info) in model.lines.iter().enumerate() {
-        for rule in &info.allows {
-            if !is_known_rule(rule) || ANALYSIS_RULES.contains(&rule.as_str()) {
-                continue;
-            }
-            let used = used_allows
-                .iter()
-                .any(|(l, r)| r == rule && (*l == idx || *l == idx + 1));
-            if !used {
-                findings.push(Finding {
-                    file: file.to_string(),
-                    line: idx + 1,
-                    rule: "bad-allow",
-                    message: format!("allow(`{rule}`) suppresses nothing here: remove it"),
-                });
-            }
         }
     }
 
     findings
 }
 
-/// Find `<expr> as <target>` casts on a blanked code line and return
+/// The rendered lines of a function, from its body's opening-brace
+/// line to its closing-brace line.
+fn body_text(model: &FileModel, span: &FnInfo) -> String {
+    model.lines[span.start_line..=span.end_line]
+        .iter()
+        .map(|l| l.code.as_str())
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
+/// Find `<expr> as <target>` casts on a rendered code line and return
 /// the textual source expression for each.
-fn lossy_cast_sources(code: &str, target: &str) -> Vec<(usize, String)> {
+fn lossy_cast_sources(code: &str, target: &str) -> Vec<String> {
     let mut out = Vec::new();
     let needle = format!(" as {target}");
     let bytes = code.as_bytes();
@@ -511,7 +463,7 @@ fn lossy_cast_sources(code: &str, target: &str) -> Vec<(usize, String)> {
                 continue;
             }
         }
-        out.push((pos, preceding_expr(code, pos)));
+        out.push(preceding_expr(code, pos));
     }
     out
 }
@@ -772,7 +724,7 @@ mod tests {
     use super::*;
 
     fn check(kind: FileKind, src: &str) -> Vec<Finding> {
-        check_file("fixture.rs", kind, &crate::scan::scan(src))
+        check_file(&FileModel::build("fixture.rs", kind, src))
     }
 
     #[test]
@@ -823,7 +775,7 @@ mod tests {
     }
 
     fn check_at(file: &str, src: &str) -> Vec<Finding> {
-        check_file(file, FileKind::StrictLib, &crate::scan::scan(src))
+        check_file(&FileModel::build(file, FileKind::StrictLib, src))
     }
 
     #[test]

@@ -1,20 +1,19 @@
-//! Lightweight Rust source scanner for the audit lints.
+//! The one source model every rule and analysis reads.
 //!
-//! This is deliberately not a full parser. It performs one job well:
-//! classify every line of a source file so the rules in [`crate::rules`]
-//! can pattern-match on *code* without tripping over comments, string
-//! literals, or test-only regions.
-//!
-//! Per line it records:
-//! - `code`: the line with comment text and literal *contents* blanked
-//!   out (quotes are kept so "a string was here" remains visible);
-//! - `in_test`: whether any part of the line is inside a `#[cfg(test)]`
-//!   item or a `#[test]` function;
-//! - `fn_name`: the innermost enclosing function, when known;
-//! - `allows`: lint names allowed via `// audit: allow(rule) -- reason`.
-//!
-//! It also collects the span of every function body so function-scoped
-//! rules (like `test-invariants`) can inspect whole bodies.
+//! [`FileModel::build`] runs the [`crate::tokens`] lexer once and the
+//! [`crate::structure`] pass once over each file. Per line it then
+//! records:
+//! - `code`: the line rendered from the lexer's tokens, so comment
+//!   text and literal *contents* are blanked (quotes are kept, so "a
+//!   string was here" remains visible);
+//! - `in_test`: whether any part of the line is inside a test-only
+//!   region found by the structure pass;
+//! - `allows`: lint names allowed via `// audit: allow(rule) -- reason`;
+//! - `sync_note`: whether the line carries a `// sync:` note.
+
+use crate::rules::FileKind;
+use crate::structure::StructureModel;
+use crate::tokens::{render_lines, tokenize};
 
 /// One classified source line.
 #[derive(Debug, Clone)]
@@ -23,8 +22,6 @@ pub struct LineInfo {
     pub code: String,
     /// True if any part of the line is inside test-only code.
     pub in_test: bool,
-    /// Innermost enclosing function name, if inside a function body.
-    pub fn_name: Option<String>,
     /// Rules allowed by an `audit: allow(...)` comment on this line.
     pub allows: Vec<String>,
     /// True if an allow comment on this line is missing its `-- reason`.
@@ -35,404 +32,67 @@ pub struct LineInfo {
     pub sync_note: bool,
 }
 
-/// The span of one function body (inclusive, 0-based line indices).
-#[derive(Debug, Clone)]
-pub struct FnSpan {
-    /// The function's name.
-    pub name: String,
-    /// True when the function carries a `#[test]` attribute.
-    pub is_unit_test: bool,
-    /// True when the function lives inside any test-only region.
-    pub in_test_region: bool,
-    /// Line index of the opening brace.
-    pub start_line: usize,
-    /// Line index of the closing brace.
-    pub end_line: usize,
-}
-
-/// A scanned source file ready for rule evaluation.
+/// One fully-modelled source file, shared by every rule and analysis.
 #[derive(Debug)]
-pub struct SourceModel {
+pub struct FileModel {
+    /// Repo-relative path (or fixture label).
+    pub path: String,
+    /// Where in the workspace the file lives.
+    pub kind: FileKind,
     /// Per-line classification, in file order.
     pub lines: Vec<LineInfo>,
-    /// Every function body found in the file.
-    pub fns: Vec<FnSpan>,
+    /// Tokens, functions, call sites and test regions.
+    pub structure: StructureModel,
 }
 
-impl SourceModel {
+impl FileModel {
+    /// Lex, structure and classify one source text.
+    pub fn build(path: &str, kind: FileKind, source: &str) -> FileModel {
+        let lexed = tokenize(source);
+        let structure = StructureModel::build(lexed.tokens);
+        let line_count = source.lines().count();
+        let mut in_test = vec![false; line_count];
+        for &(a, b) in &structure.tests {
+            let (first, last) = (structure.tokens[a].line, structure.tokens[b].line);
+            for flag in in_test.iter_mut().take(last + 1).skip(first) {
+                *flag = true;
+            }
+        }
+        let lines = render_lines(&structure.tokens, line_count)
+            .into_iter()
+            .zip(in_test)
+            .zip(&lexed.comments)
+            .map(|((code, in_test), comment)| {
+                let (allows, malformed_allow) = parse_allow(comment);
+                LineInfo {
+                    code,
+                    in_test,
+                    allows,
+                    malformed_allow,
+                    sync_note: comment.contains("sync:"),
+                }
+            })
+            .collect();
+        FileModel {
+            path: path.to_string(),
+            kind,
+            lines,
+            structure,
+        }
+    }
+
     /// True when the rule is allowed on `line` (same line or the one
     /// directly above carries the allow).
     pub fn is_allowed(&self, line: usize, rule: &str) -> bool {
-        let hit = |l: &LineInfo| l.allows.iter().any(|a| a == rule);
-        if hit(&self.lines[line]) {
-            return true;
-        }
-        line > 0 && hit(&self.lines[line - 1])
-    }
-}
-
-#[derive(Debug)]
-struct Scope {
-    is_test: bool,
-    fn_name: Option<String>,
-    fn_index: Option<usize>,
-}
-
-/// Scan `source` into a [`SourceModel`].
-pub fn scan(source: &str) -> SourceModel {
-    let (blanked, comments) = blank_source(source);
-    classify(&blanked, &comments)
-}
-
-/// Pass 1: blank comment text and literal contents; collect per-line
-/// comment text (for allow-directive parsing). Public so the
-/// structural analyses can tokenize the same neutralised text.
-pub fn blank_source(source: &str) -> (String, Vec<String>) {
-    let chars: Vec<char> = source.chars().collect();
-    let mut out = String::with_capacity(source.len());
-    let mut comments: Vec<String> = vec![String::new()];
-    let mut i = 0;
-
-    macro_rules! push {
-        ($c:expr) => {{
-            let c = $c;
-            out.push(c);
-            if c == '\n' {
-                comments.push(String::new());
-            }
-        }};
-    }
-    macro_rules! blank {
-        ($c:expr) => {
-            push!(if $c == '\n' { '\n' } else { ' ' })
-        };
+        let hit = |l: usize| self.lines[l].allows.iter().any(|a| a == rule);
+        hit(line) || (line > 0 && hit(line - 1))
     }
 
-    while i < chars.len() {
-        let c = chars[i];
-        let next = chars.get(i + 1).copied();
-        match c {
-            '/' if next == Some('/') => {
-                while i < chars.len() && chars[i] != '\n' {
-                    let idx = comments.len() - 1;
-                    comments[idx].push(chars[i]);
-                    blank!(chars[i]);
-                    i += 1;
-                }
-            }
-            '/' if next == Some('*') => {
-                let mut depth = 0usize;
-                while i < chars.len() {
-                    if chars[i] == '/' && chars.get(i + 1) == Some(&'*') {
-                        depth += 1;
-                        let idx = comments.len() - 1;
-                        comments[idx].push_str("/*");
-                        blank!('/');
-                        blank!('*');
-                        i += 2;
-                    } else if chars[i] == '*' && chars.get(i + 1) == Some(&'/') {
-                        depth -= 1;
-                        blank!('*');
-                        blank!('/');
-                        i += 2;
-                        if depth == 0 {
-                            break;
-                        }
-                    } else {
-                        let idx = comments.len() - 1;
-                        comments[idx].push(chars[i]);
-                        blank!(chars[i]);
-                        i += 1;
-                    }
-                }
-            }
-            _ if string_literal_start(&chars, i).is_some() => {
-                // Any string literal: `"..."`, `b"..."`, `c"..."`,
-                // `r"..."`, `r#"..."#`, `br#"..."#`, `cr"..."`, with
-                // any number of hashes. The prefix and quotes are kept
-                // as code; contents are blanked. Raw strings have no
-                // escapes and close only on `"` followed by exactly
-                // their hash count, so a raw string containing
-                // `.unwrap()`, `*/`, or bare quotes cannot corrupt the
-                // blanking.
-                let (prefix_len, raw, hashes) =
-                    string_literal_start(&chars, i).expect("guard checked");
-                for _ in 0..prefix_len {
-                    push!(chars[i]);
-                    i += 1;
-                }
-                if raw {
-                    'raw: while i < chars.len() {
-                        if chars[i] == '"' {
-                            let closes = (0..hashes).all(|k| chars.get(i + 1 + k) == Some(&'#'));
-                            if closes {
-                                push!('"');
-                                i += 1;
-                                for _ in 0..hashes {
-                                    push!('#');
-                                    i += 1;
-                                }
-                                break 'raw;
-                            }
-                        }
-                        blank!(chars[i]);
-                        i += 1;
-                    }
-                } else {
-                    while i < chars.len() {
-                        if chars[i] == '\\' && i + 1 < chars.len() {
-                            blank!(chars[i]);
-                            blank!(chars[i + 1]);
-                            i += 2;
-                        } else if chars[i] == '"' {
-                            push!('"');
-                            i += 1;
-                            break;
-                        } else {
-                            blank!(chars[i]);
-                            i += 1;
-                        }
-                    }
-                }
-            }
-            '\'' => {
-                // Char literal or lifetime. A char literal closes with
-                // a `'` within a few characters; a lifetime does not.
-                if next == Some('\\') {
-                    // Escaped char literal: '\n', '\u{...}', '\''. The
-                    // character right after the backslash is part of
-                    // the escape and never closes the literal (so
-                    // '\'' blanks correctly).
-                    push!('\'');
-                    blank!(' ');
-                    i += 2;
-                    if i < chars.len() {
-                        blank!(chars[i]);
-                        i += 1;
-                    }
-                    while i < chars.len() && chars[i] != '\'' {
-                        blank!(chars[i]);
-                        i += 1;
-                    }
-                    if i < chars.len() {
-                        push!('\'');
-                        i += 1;
-                    }
-                } else if chars.get(i + 2) == Some(&'\'') && next.is_some() {
-                    push!('\'');
-                    blank!(' ');
-                    push!('\'');
-                    i += 3;
-                } else {
-                    // Lifetime: keep as code.
-                    push!('\'');
-                    i += 1;
-                }
-            }
-            _ => {
-                push!(c);
-                i += 1;
-            }
-        }
+    /// Analyses only look at library code: examples, benches, and
+    /// integration tests exercise the APIs under test harness rules.
+    pub fn analyzed(&self) -> bool {
+        matches!(self.kind, FileKind::StrictLib | FileKind::Lib)
     }
-    (out, comments)
-}
-
-/// Does a string literal start at `i`? Returns `(prefix_len, raw,
-/// hashes)` where `prefix_len` counts every character up to and
-/// including the opening quote. Recognises all of Rust's string
-/// prefixes: `b`, `c`, `r`, `br`, `cr`, with any number of hashes on
-/// the raw forms. Raw identifiers (`r#match`) and longer identifiers
-/// ending in a prefix letter do not match.
-fn string_literal_start(chars: &[char], i: usize) -> Option<(usize, bool, usize)> {
-    // The prefix must not be the tail of a longer identifier.
-    if i > 0 {
-        let prev = chars[i - 1];
-        if prev.is_alphanumeric() || prev == '_' {
-            return None;
-        }
-    }
-    let mut j = i;
-    if matches!(chars.get(j), Some('b') | Some('c')) {
-        j += 1;
-    }
-    let raw = chars.get(j) == Some(&'r');
-    if raw {
-        j += 1;
-    }
-    let mut hashes = 0usize;
-    if raw {
-        while chars.get(j) == Some(&'#') {
-            hashes += 1;
-            j += 1;
-        }
-    }
-    if chars.get(j) == Some(&'"') {
-        Some((j - i + 1, raw, hashes))
-    } else {
-        None
-    }
-}
-
-/// Pass 2: walk the blanked source, tracking brace scopes, attributes,
-/// and function names.
-fn classify(blanked: &str, comments: &[String]) -> SourceModel {
-    let mut lines: Vec<LineInfo> = Vec::new();
-    let mut fns: Vec<FnSpan> = Vec::new();
-    let mut stack: Vec<Scope> = vec![Scope {
-        is_test: false,
-        fn_name: None,
-        fn_index: None,
-    }];
-
-    let mut pending_cfg_test = false;
-    let mut pending_test_attr = false;
-    let mut pending_fn: Option<String> = None;
-
-    for (line_no, raw_line) in blanked.lines().enumerate() {
-        let comment = comments.get(line_no).map(String::as_str).unwrap_or("");
-        let (allows, malformed_allow) = parse_allow(comment);
-        let sync_note = comment.contains("sync:");
-        let mut in_test = stack.iter().any(|s| s.is_test) || pending_cfg_test || pending_test_attr;
-        let mut fn_name = innermost_fn(&stack).map(str::to_string);
-
-        let tokens = tokenize(raw_line);
-        let mut t = 0;
-        while t < tokens.len() {
-            match tokens[t].as_str() {
-                // Attribute: capture bracketed content.
-                "#" if tokens.get(t + 1).map(String::as_str) == Some("[") => {
-                    let mut depth = 0usize;
-                    let mut body: Vec<&str> = Vec::new();
-                    let mut u = t + 1;
-                    while u < tokens.len() {
-                        match tokens[u].as_str() {
-                            "[" => depth += 1,
-                            "]" => {
-                                depth -= 1;
-                                if depth == 0 {
-                                    break;
-                                }
-                            }
-                            tok => body.push(tok),
-                        }
-                        u += 1;
-                    }
-                    let is_cfg = body.first().copied() == Some("cfg");
-                    let mentions_test = body.contains(&"test");
-                    if is_cfg && mentions_test {
-                        pending_cfg_test = true;
-                        in_test = true;
-                    } else if !is_cfg && mentions_test {
-                        pending_test_attr = true;
-                        in_test = true;
-                    }
-                    t = u;
-                }
-                "fn" => {
-                    if let Some(name) = tokens.get(t + 1) {
-                        if name
-                            .chars()
-                            .next()
-                            .is_some_and(|c| c.is_alphabetic() || c == '_')
-                        {
-                            pending_fn = Some(name.clone());
-                        }
-                    }
-                }
-                ";" => {
-                    // An item ended without a body; attribute pendings
-                    // no longer apply (e.g. `#[cfg(test)] use foo;`).
-                    if stack.len() == 1 || pending_fn.is_none() {
-                        pending_cfg_test = false;
-                        pending_test_attr = false;
-                    }
-                    pending_fn = None;
-                }
-                "{" => {
-                    let parent_test = stack.iter().any(|s| s.is_test);
-                    let is_test = parent_test || pending_cfg_test || pending_test_attr;
-                    let (scope_fn, fn_index) = if let Some(name) = pending_fn.take() {
-                        fns.push(FnSpan {
-                            name: name.clone(),
-                            is_unit_test: pending_test_attr,
-                            in_test_region: is_test,
-                            start_line: line_no,
-                            end_line: line_no,
-                        });
-                        (Some(name), Some(fns.len() - 1))
-                    } else {
-                        (innermost_fn(&stack).map(str::to_string), None)
-                    };
-                    if scope_fn.is_some() {
-                        fn_name = scope_fn.clone();
-                    }
-                    stack.push(Scope {
-                        is_test,
-                        fn_name: scope_fn,
-                        fn_index,
-                    });
-                    pending_cfg_test = false;
-                    pending_test_attr = false;
-                    if is_test {
-                        in_test = true;
-                    }
-                }
-                "}" if stack.len() > 1 => {
-                    let popped = stack.pop().expect("scope stack underflow");
-                    if let Some(idx) = popped.fn_index {
-                        fns[idx].end_line = line_no;
-                    }
-                }
-                _ => {}
-            }
-            t += 1;
-        }
-
-        if stack.iter().any(|s| s.is_test) {
-            in_test = true;
-        }
-        if fn_name.is_none() {
-            fn_name = innermost_fn(&stack).map(str::to_string);
-        }
-        lines.push(LineInfo {
-            code: raw_line.to_string(),
-            in_test,
-            fn_name,
-            allows,
-            malformed_allow,
-            sync_note,
-        });
-    }
-
-    SourceModel { lines, fns }
-}
-
-fn innermost_fn(stack: &[Scope]) -> Option<&str> {
-    stack.iter().rev().find_map(|s| s.fn_name.as_deref())
-}
-
-/// Split a blanked line into coarse tokens: identifier/number runs and
-/// single punctuation characters. Whitespace is dropped.
-fn tokenize(line: &str) -> Vec<String> {
-    let mut tokens = Vec::new();
-    let mut cur = String::new();
-    for c in line.chars() {
-        if c.is_alphanumeric() || c == '_' {
-            cur.push(c);
-        } else {
-            if !cur.is_empty() {
-                tokens.push(std::mem::take(&mut cur));
-            }
-            if !c.is_whitespace() {
-                tokens.push(c.to_string());
-            }
-        }
-    }
-    if !cur.is_empty() {
-        tokens.push(cur);
-    }
-    tokens
 }
 
 /// Parse `audit: allow(rule1, rule2) -- reason` out of a comment.
@@ -482,6 +142,10 @@ fn parse_allow(comment: &str) -> (Vec<String>, bool) {
 mod tests {
     use super::*;
 
+    fn scan(src: &str) -> FileModel {
+        FileModel::build("fixture.rs", FileKind::Lib, src)
+    }
+
     #[test]
     fn strings_and_comments_are_blanked() {
         let m = scan("let x = \"panic!(boom)\"; // .unwrap() here\n");
@@ -514,20 +178,26 @@ mod tests {
     fn fn_spans_and_names() {
         let src = "fn alpha() {\n    one();\n}\n\nfn beta() {\n    two();\n}\n";
         let m = scan(src);
-        assert_eq!(m.fns.len(), 2);
-        assert_eq!(m.fns[0].name, "alpha");
-        assert_eq!((m.fns[0].start_line, m.fns[0].end_line), (0, 2));
-        assert_eq!(m.fns[1].name, "beta");
-        assert_eq!(m.lines[5].fn_name.as_deref(), Some("beta"));
+        assert_eq!(m.structure.fns.len(), 2);
+        assert_eq!(m.structure.fns[0].name, "alpha");
+        assert_eq!(
+            (m.structure.fns[0].start_line, m.structure.fns[0].end_line),
+            (0, 2)
+        );
+        assert_eq!(m.structure.fns[1].name, "beta");
+        assert_eq!(
+            (m.structure.fns[1].start_line, m.structure.fns[1].end_line),
+            (4, 6)
+        );
     }
 
     #[test]
     fn test_attr_marks_unit_test_fn() {
         let src = "#[test]\nfn my_case() {\n    assert!(true);\n}\nfn plain() {}\n";
         let m = scan(src);
-        assert!(m.fns[0].is_unit_test);
-        assert_eq!(m.fns[0].name, "my_case");
-        assert!(!m.fns[1].is_unit_test);
+        assert!(m.structure.fns[0].is_unit_test);
+        assert_eq!(m.structure.fns[0].name, "my_case");
+        assert!(!m.structure.fns[1].is_unit_test);
     }
 
     #[test]
@@ -564,7 +234,7 @@ mod tests {
     fn nested_block_comments() {
         let m = scan("/* outer /* inner .unwrap() */ still comment */ fn f() {}\n");
         assert!(!m.lines[0].code.contains("unwrap"));
-        assert_eq!(m.fns[0].name, "f");
+        assert_eq!(m.structure.fns[0].name, "f");
     }
 
     #[test]
@@ -576,7 +246,7 @@ mod tests {
         assert!(!m.lines[0].code.contains("unwrap"), "{}", m.lines[0].code);
         assert!(!m.lines[0].code.contains("hi"));
         assert!(!m.lines[0].code.contains("*/"));
-        assert_eq!(m.fns[0].name, "g");
+        assert_eq!(m.structure.fns[0].name, "g");
         let m = scan("let s = b\"panic!(x)\"; let t = cr\"todo!()\";\n");
         assert!(!m.lines[0].code.contains("panic"));
         assert!(!m.lines[0].code.contains("todo"));
@@ -589,7 +259,7 @@ mod tests {
         let src = "let s = r#\"*/ /* .unwrap() //\"#;\nfn h() { body(); }\n";
         let m = scan(src);
         assert!(!m.lines[0].code.contains("unwrap"));
-        assert_eq!(m.fns[0].name, "h");
+        assert_eq!(m.structure.fns[0].name, "h");
         assert!(m.lines[1].code.contains("body"));
     }
 
@@ -599,14 +269,14 @@ mod tests {
         // in the code stream.
         let m = scan("let q = '\\''; let s = \".unwrap()\"; fn k() {}\n");
         assert!(!m.lines[0].code.contains("unwrap"), "{}", m.lines[0].code);
-        assert_eq!(m.fns[0].name, "k");
+        assert_eq!(m.structure.fns[0].name, "k");
     }
 
     #[test]
     fn raw_identifiers_are_not_strings() {
         let m = scan("fn r#match() { let r#fn = 1; body(); }\n");
         assert!(m.lines[0].code.contains("body"));
-        assert_eq!(m.fns.len(), 1, "raw-ident fn still found");
+        assert_eq!(m.structure.fns.len(), 1, "raw-ident fn still found");
     }
 
     #[test]
@@ -615,7 +285,7 @@ mod tests {
         let m = scan(src);
         assert!(!m.lines[0].code.contains("unwrap"));
         assert!(!m.lines[1].code.contains("*/"));
-        assert_eq!(m.fns[0].name, "tail");
+        assert_eq!(m.structure.fns[0].name, "tail");
     }
 
     #[test]

@@ -1,17 +1,18 @@
-//! Structural model of one source file: functions, impl blocks, call
-//! targets, and brace nesting, built over the [`crate::tokens`] stream.
+//! The audit's one structure pass: functions, impl self types, call
+//! sites and test regions of one file, found over the
+//! [`crate::tokens`] stream.
 //!
-//! This layers *under* the per-line [`crate::scan::SourceModel`]: both
-//! are derived from the same blanked text, so line numbers agree and
-//! the structural analyses can consult line-level facts (test regions,
-//! allow directives, `// sync:` notes) for any token.
+//! Test regions come from whole attributes parsed from tokens, so an
+//! attribute written across several lines reads as one. Only `#[test]`,
+//! `#[cfg(test)]` and `cfg` predicates that need `test` (such as
+//! `#[cfg(all(test, ..))]`) mark their item as test-only.
 //!
 //! The model is deliberately type-free: it records *names* (function
 //! names, impl self-type names, callee names, receiver ident chains)
-//! and lets each analysis decide how much ambiguity it tolerates.
+//! and lets each rule and analysis decide how much ambiguity it
+//! tolerates.
 
-use crate::scan::SourceModel;
-use crate::tokens::{tokenize, Token, TokenKind};
+use crate::tokens::{Token, TokenKind};
 
 /// One call site inside a function body.
 #[derive(Debug, Clone)]
@@ -43,9 +44,10 @@ pub struct FnInfo {
     pub self_type: Option<String>,
     /// `Type::name` when inside an impl, else just `name`.
     pub qualified: String,
-    /// True when the function is inside any test-only region (a
-    /// `#[test]` attribute or `#[cfg(test)]` scope), per the line
-    /// classification of [`SourceModel`].
+    /// True when the function carries a `#[test]` attribute.
+    pub is_unit_test: bool,
+    /// True when the function is inside any test-only region (its own
+    /// `#[test]` or an enclosing `#[cfg(test)]` item).
     pub in_test: bool,
     /// Token indices of the body's `{` and matching `}`.
     pub body: (usize, usize),
@@ -57,22 +59,41 @@ pub struct FnInfo {
     pub calls: Vec<CallSite>,
 }
 
-/// Token stream plus the functions shaping it.
+/// Token stream plus the functions and test regions shaping it.
 #[derive(Debug)]
 pub struct StructureModel {
-    /// The file's full token stream (blanked text).
+    /// The file's full token stream.
     pub tokens: Vec<Token>,
     /// Every function body, in source order.
     pub fns: Vec<FnInfo>,
+    /// Token ranges (inclusive) of test-only items, in source order.
+    pub tests: Vec<(usize, usize)>,
 }
 
 impl StructureModel {
-    /// Build the structural model from blanked source text and its
-    /// line classification (both produced by [`crate::scan`]).
-    pub fn build(blanked: &str, lines: &SourceModel) -> StructureModel {
-        let tokens = tokenize(blanked);
-        let fns = find_fns(&tokens, lines);
-        StructureModel { tokens, fns }
+    /// Find the functions, impl types, call sites and test regions of
+    /// a lexed file.
+    pub fn build(tokens: Vec<Token>) -> StructureModel {
+        let mut unit_tests = Vec::new();
+        let mut tests = Vec::new();
+        for i in 0..tokens.len() {
+            let Some(close) = attribute_end(&tokens, i) else {
+                continue;
+            };
+            if let Some(unit) = test_attribute(&tokens[i + 2..close]) {
+                let (body, end) = item_extent(&tokens, close + 1);
+                tests.push((i, end));
+                if unit {
+                    unit_tests.extend(body);
+                }
+            }
+        }
+        let mut fns = find_fns(&tokens);
+        for f in &mut fns {
+            f.is_unit_test = unit_tests.contains(&f.body.0);
+            f.in_test = tests.iter().any(|&(a, b)| a <= f.body.0 && f.body.0 <= b);
+        }
+        StructureModel { tokens, fns, tests }
     }
 
     /// The function whose body contains token `idx`, if any. Inner
@@ -83,6 +104,97 @@ impl StructureModel {
             .filter(|f| f.body.0 <= idx && idx <= f.body.1)
             .max_by_key(|f| f.body.0)
     }
+}
+
+/// If an outer attribute `#[..]` starts at token `i`, the index of its
+/// closing `]`.
+fn attribute_end(tokens: &[Token], i: usize) -> Option<usize> {
+    if !(tokens[i].is_punct("#") && tokens.get(i + 1).is_some_and(|t| t.is_punct("["))) {
+        return None;
+    }
+    let mut depth = 0usize;
+    for (j, t) in tokens.iter().enumerate().skip(i + 1) {
+        if t.is_punct("[") {
+            depth += 1;
+        } else if t.is_punct("]") {
+            depth -= 1;
+            if depth == 0 {
+                return Some(j);
+            }
+        }
+    }
+    None
+}
+
+/// What an attribute (the tokens between `#[` and `]`) says about the
+/// item under it: `Some(true)` for `#[test]`, `Some(false)` for a
+/// `cfg` that only holds in test builds (`cfg(test)`,
+/// `cfg(all(test, ..))`), `None` otherwise. `cfg(not(test))`,
+/// `cfg(any(test, feature = ".."))` and `cfg_attr(test, ..)` all keep
+/// their item in production builds.
+fn test_attribute(body: &[Token]) -> Option<bool> {
+    match body {
+        [t] if t.is_ident("test") => Some(true),
+        [cfg, open, pred @ .., close]
+            if cfg.is_ident("cfg") && open.is_punct("(") && close.is_punct(")") =>
+        {
+            test_only(pred).then_some(false)
+        }
+        _ => None,
+    }
+}
+
+/// Does the `cfg` predicate hold only when `test` does?
+fn test_only(pred: &[Token]) -> bool {
+    match pred {
+        [t] => t.is_ident("test"),
+        [op, open, args @ .., close] if open.is_punct("(") && close.is_punct(")") => {
+            let mut parts = Vec::new();
+            let (mut depth, mut from) = (0usize, 0);
+            for (j, t) in args.iter().enumerate() {
+                if t.is_punct("(") {
+                    depth += 1;
+                } else if t.is_punct(")") {
+                    depth = depth.saturating_sub(1);
+                } else if t.is_punct(",") && depth == 0 {
+                    parts.push(&args[from..j]);
+                    from = j + 1;
+                }
+            }
+            parts.push(&args[from..]);
+            parts.retain(|p| !p.is_empty());
+            if op.is_ident("all") {
+                parts.iter().any(|p| test_only(p))
+            } else if op.is_ident("any") {
+                !parts.is_empty() && parts.iter().all(|p| test_only(p))
+            } else {
+                false
+            }
+        }
+        _ => false,
+    }
+}
+
+/// The extent of the item starting at token `from` (just after its
+/// attribute): a braced item ends at its matching `}` and also yields
+/// the `{` index; any other item ends at its `;`, or before the `}`
+/// closing the scope it sits in.
+fn item_extent(tokens: &[Token], from: usize) -> (Option<usize>, usize) {
+    let mut depth = 0usize;
+    for (j, t) in tokens.iter().enumerate().skip(from) {
+        if t.is_punct("(") || t.is_punct("[") {
+            depth += 1;
+        } else if t.is_punct(")") || t.is_punct("]") {
+            depth = depth.saturating_sub(1);
+        } else if depth == 0 && t.is_punct("{") {
+            return (Some(j), matching_brace(tokens, j));
+        } else if depth == 0 && t.is_punct(";") {
+            return (None, j);
+        } else if depth == 0 && t.is_punct("}") {
+            return (None, j - 1);
+        }
+    }
+    (None, tokens.len().saturating_sub(1))
 }
 
 /// Scope kinds the brace tracker distinguishes.
@@ -96,34 +208,24 @@ enum ScopeKind {
     Other,
 }
 
-fn find_fns(tokens: &[Token], lines: &SourceModel) -> Vec<FnInfo> {
+fn find_fns(tokens: &[Token]) -> Vec<FnInfo> {
     let mut fns: Vec<FnInfo> = Vec::new();
     let mut stack: Vec<ScopeKind> = Vec::new();
     let mut pending_fn: Option<String> = None;
     let mut pending_impl: Option<String> = None;
+    // Paren/bracket nesting, so the `;` of `-> [u8; 4]` ends nothing.
+    let mut depth = 0usize;
     let mut i = 0usize;
 
     while i < tokens.len() {
+        if let Some(close) = attribute_end(tokens, i) {
+            // Skip attributes wholesale so `test` inside an attribute
+            // path is never mistaken for an ident of interest.
+            i = close + 1;
+            continue;
+        }
         let t = &tokens[i];
         match (t.kind, t.text.as_str()) {
-            // `#[...]` attributes: skip wholesale so `test` inside an
-            // attribute path is never mistaken for an ident of
-            // interest (test regions come from `lines`).
-            (TokenKind::Punct, "#") if tokens.get(i + 1).is_some_and(|n| n.is_punct("[")) => {
-                let mut depth = 0usize;
-                i += 1;
-                while i < tokens.len() {
-                    if tokens[i].is_punct("[") {
-                        depth += 1;
-                    } else if tokens[i].is_punct("]") {
-                        depth -= 1;
-                        if depth == 0 {
-                            break;
-                        }
-                    }
-                    i += 1;
-                }
-            }
             (TokenKind::Ident, "impl") if pending_fn.is_none() => {
                 // Only a top-of-item `impl` opens an impl block;
                 // `-> impl Trait` in a pending fn signature does not.
@@ -136,7 +238,9 @@ fn find_fns(tokens: &[Token], lines: &SourceModel) -> Vec<FnInfo> {
                     }
                 }
             }
-            (TokenKind::Punct, ";") => {
+            (TokenKind::Punct, "(" | "[") => depth += 1,
+            (TokenKind::Punct, ")" | "]") => depth = depth.saturating_sub(1),
+            (TokenKind::Punct, ";") if depth == 0 => {
                 // Trait method declarations and items without bodies.
                 pending_fn = None;
             }
@@ -153,16 +257,12 @@ fn find_fns(tokens: &[Token], lines: &SourceModel) -> Vec<FnInfo> {
                     };
                     let start_line = tokens[i].line;
                     let end_line = tokens.get(close).map_or(start_line, |t| t.line);
-                    let in_test = lines
-                        .lines
-                        .get(start_line)
-                        .map(|l| l.in_test)
-                        .unwrap_or(false);
                     fns.push(FnInfo {
                         name,
                         self_type,
                         qualified,
-                        in_test,
+                        is_unit_test: false,
+                        in_test: false,
                         body: (i, close),
                         start_line,
                         end_line,
@@ -379,12 +479,10 @@ fn path_chain(tokens: &[Token], sep: usize) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scan;
+    use crate::tokens::tokenize;
 
     fn model(src: &str) -> StructureModel {
-        let (blanked, _comments) = scan::blank_source(src);
-        let lines = scan::scan(src);
-        StructureModel::build(&blanked, &lines)
+        StructureModel::build(tokenize(src).tokens)
     }
 
     #[test]
@@ -448,9 +546,44 @@ mod tests {
             "#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { x(); }\n}\nfn lib() { y(); }\n";
         let m = model(src);
         let t = m.fns.iter().find(|f| f.name == "t").expect("test fn");
-        assert!(t.in_test);
+        assert!(t.in_test && t.is_unit_test);
         let lib = m.fns.iter().find(|f| f.name == "lib").expect("lib fn");
-        assert!(!lib.in_test);
+        assert!(!lib.in_test && !lib.is_unit_test);
+    }
+
+    #[test]
+    fn only_test_only_cfgs_mark_test_regions() {
+        let in_test = |attr: &str| {
+            let m = model(&format!("{attr}\nfn f() {{ x(); }}\n"));
+            m.fns[0].in_test
+        };
+        assert!(in_test("#[cfg(test)]"));
+        assert!(in_test("#[cfg(all(test, feature = \"x\"))]"));
+        assert!(in_test("#[cfg(all(\n    test,\n    feature = \"x\",\n))]"));
+        assert!(in_test("#[cfg(any(test, all(test, unix)))]"));
+        assert!(!in_test("#[cfg(not(test))]"));
+        assert!(!in_test("#[cfg(any(test, feature = \"x\"))]"));
+        assert!(!in_test("#[cfg_attr(test, allow(dead_code))]"));
+        assert!(!in_test("#[ignore = \"slow test\"]"));
+    }
+
+    #[test]
+    fn test_regions_end_with_their_item() {
+        let src = "#[cfg(test)]\nuse std::mem;\nfn lib() { a(); }\n#[test]\n#[should_panic]\nfn t() -> [u8; 2] { b() }\nfn tail() {}\n";
+        let m = model(src);
+        let names: Vec<(&str, bool, bool)> = m
+            .fns
+            .iter()
+            .map(|f| (f.name.as_str(), f.in_test, f.is_unit_test))
+            .collect();
+        assert_eq!(
+            names,
+            vec![
+                ("lib", false, false),
+                ("t", true, true),
+                ("tail", false, false)
+            ]
+        );
     }
 
     #[test]

@@ -3,11 +3,19 @@
 //! the real workspace must be clean under every analysis.
 
 use landlord_audit::rules::{FileKind, Finding};
-use landlord_audit::{analyze_sources, analyze_workspace, find_workspace_root, json_report};
+use landlord_audit::{audit_sources, audit_workspace, find_workspace_root, json_report, Report};
 use std::path::Path;
 
-fn analyze(sources: &[(&str, FileKind, &str)], names: &[&str]) -> Vec<Finding> {
-    analyze_sources(sources, names)
+/// The one-pass findings whose rule is among `rules`.
+fn analyze(sources: &[(&str, FileKind, &str)], rules: &[&str]) -> Vec<Finding> {
+    only(audit_sources(sources), rules)
+}
+
+fn only(findings: Vec<Finding>, rules: &[&str]) -> Vec<Finding> {
+    findings
+        .into_iter()
+        .filter(|f| rules.contains(&f.rule))
+        .collect()
 }
 
 fn lib(src: &str) -> [(&str, FileKind, &str); 1] {
@@ -19,9 +27,9 @@ fn lib(src: &str) -> [(&str, FileKind, &str); 1] {
 #[test]
 fn fixture_workspace_two_lock_inversion_detected() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/lockwork");
-    let report = analyze_workspace(&root, &["lock-order"]).expect("fixture tree readable");
-    let pinned: Vec<(&str, usize, &str)> = report
-        .findings
+    let report = audit_workspace(&root).expect("fixture tree readable");
+    let findings = only(report.findings, &["lock-order"]);
+    let pinned: Vec<(&str, usize, &str)> = findings
         .iter()
         .map(|f| (f.file.as_str(), f.line, f.rule))
         .collect();
@@ -34,28 +42,27 @@ fn fixture_workspace_two_lock_inversion_detected() {
             ("crates/iohold/src/lib.rs", 15, "lock-order"),
         ],
         "exactly the condvar parks, the inversion cycle, and the \
-         guard-across-I/O: {:#?}",
-        report.findings
+         guard-across-I/O: {findings:#?}"
     );
-    let direct_wait = &report.findings[0];
+    let direct_wait = &findings[0];
     assert_eq!(
         direct_wait.message,
         "condvar wait `self.cell.ready.wait(state)` in `Registry::blocked_wait` parks \
          while a guard on `Registry.index` is still held: a wait releases only its own guard"
     );
-    let wait_via_call = &report.findings[1];
+    let wait_via_call = &findings[1];
     assert_eq!(
         wait_via_call.message,
         "guard on `Registry.index` held across a condvar wait in `Registry::blocked_call`: \
          `Cell::wait_ready` reaches self.ready.wait"
     );
-    let cycle = &report.findings[2];
+    let cycle = &findings[2];
     assert_eq!(
         cycle.message,
         "lock-order cycle: `Pair.a` -> `Pair.b` (crates/inversion/src/lib.rs:14), \
          `Pair.b` -> `Pair.a` (crates/inversion/src/lib.rs:20)"
     );
-    let held = &report.findings[3];
+    let held = &findings[3];
     assert!(
         held.message
             .contains("`Logger.entries` held across store I/O (`std::fs::write`)"),
@@ -469,17 +476,53 @@ fn counter_overflow_respects_allows() {
     assert!(analyze(&lib(src), &["counter-overflow"]).is_empty());
 }
 
+// ------------------------------------------------------------------ one pass
+
+#[test]
+fn one_pass_reports_each_finding_once() {
+    let pair = "impl Pair {\n\
+        \x20   pub fn double(&self) -> u64 {\n\
+        \x20       let g1 = self.m.lock();\n\
+        \x20       let g2 = self.m.lock();\n\
+        \x20       *g1 + *g2\n\
+        \x20   }\n\
+        }\n";
+    let stats = "impl Stats {\n\
+        \x20   pub fn merge(&mut self, other: &Stats) {\n\
+        \x20       self.total_bytes += other.total_bytes;\n\
+        \x20       self.seen.store(1, Ordering::Relaxed);\n\
+        \x20       self.width = self.total_bytes as u32;\n\
+        \x20   }\n\
+        }\n";
+    let findings = audit_sources(&[
+        ("crates/a/src/lib.rs", FileKind::Lib, pair),
+        ("crates/b/src/lib.rs", FileKind::Lib, stats),
+    ]);
+    let mut keys: Vec<(&str, usize, &str)> = findings
+        .iter()
+        .map(|f| (f.file.as_str(), f.line, f.rule))
+        .collect();
+    assert_eq!(
+        keys,
+        vec![
+            ("crates/a/src/lib.rs", 4, "lock-order"),
+            ("crates/b/src/lib.rs", 3, "counter-overflow"),
+            ("crates/b/src/lib.rs", 4, "atomic-ordering"),
+            ("crates/b/src/lib.rs", 5, "lossy-cast"),
+        ],
+        "{findings:#?}"
+    );
+    keys.dedup();
+    assert_eq!(keys.len(), findings.len(), "no finding reported twice");
+}
+
 // ------------------------------------------------------------------ workspace
 
 #[test]
 fn real_workspace_is_clean_under_all_analyses() {
     let here = Path::new(env!("CARGO_MANIFEST_DIR"));
     let root = find_workspace_root(here).expect("workspace root above the audit crate");
-    let report = analyze_workspace(
-        &root,
-        &["lock-order", "atomic-ordering", "counter-overflow"],
-    )
-    .expect("workspace tree readable");
+    let report = audit_workspace(&root).expect("workspace tree readable");
     assert!(
         report.files_scanned > 50,
         "sanity: the real tree was scanned ({} files)",
@@ -497,19 +540,27 @@ fn real_workspace_is_clean_under_all_analyses() {
 
 #[test]
 fn json_report_shape_and_escaping() {
-    let findings = vec![Finding {
-        file: "crates/x/src/lib.rs".to_string(),
-        line: 7,
-        rule: "lock-order",
-        message: "guard on `A.b` held across \"io\"".to_string(),
-    }];
-    let json = json_report(&["rules", "lock-order"], 42, &findings);
-    assert!(json.contains("\"passes\": [\"rules\", \"lock-order\"]"));
+    let report = Report {
+        findings: vec![Finding {
+            file: "crates/x/src/lib.rs".to_string(),
+            line: 7,
+            rule: "lock-order",
+            message: "guard on `A.b` held across \"io\"".to_string(),
+        }],
+        files_scanned: 42,
+    };
+    let json = json_report(&report);
+    assert!(json.contains(
+        "\"passes\": [\"rules\", \"lock-order\", \"atomic-ordering\", \"counter-overflow\"]"
+    ));
     assert!(json.contains("\"files_scanned\": 42"));
     assert!(json.contains("\"finding_count\": 1"));
     assert!(json.contains("\"line\": 7"));
     assert!(json.contains("held across \\\"io\\\""));
 
-    let empty = json_report(&["rules"], 42, &[]);
+    let empty = json_report(&Report {
+        findings: Vec::new(),
+        files_scanned: 42,
+    });
     assert!(empty.contains("\"findings\": []"));
 }

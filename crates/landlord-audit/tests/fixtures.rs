@@ -4,10 +4,10 @@
 //! findings, so the lint gate in CI can never silently rot.
 
 use landlord_audit::rules::FileKind;
-use landlord_audit::{audit_source, find_workspace_root};
+use landlord_audit::{audit_sources, find_workspace_root};
 
 fn findings(kind: FileKind, src: &str) -> Vec<&'static str> {
-    audit_source("fixture.rs", kind, src)
+    audit_sources(&[("fixture.rs", kind, src)])
         .into_iter()
         .map(|f| f.rule)
         .collect()
@@ -220,7 +220,7 @@ fn silent_io_drop_permits_bound_ok_values() {
 // ---- R7 (durability half): fsync-before-ack ----------------------------
 
 fn findings_in(file: &str, src: &str) -> Vec<&'static str> {
-    audit_source(file, FileKind::Lib, src)
+    audit_sources(&[(file, FileKind::Lib, src)])
         .into_iter()
         .map(|f| f.rule)
         .collect()
@@ -297,6 +297,38 @@ fn no_unsafe_ignores_mentions_in_comments_and_strings() {
     let src =
         "fn f() -> &'static str {\n    // The word unsafe in prose is fine.\n    \"unsafe\"\n}\n";
     assert!(findings(FileKind::Lib, src).is_empty());
+}
+
+// ---- Test regions ------------------------------------------------------
+// Only `#[test]`, `#[cfg(test)]` and cfgs that need `test` mark code as
+// test-only. An attribute that still compiles its item into production
+// builds exempts nothing.
+
+#[test]
+fn cfg_not_test_is_production_code() {
+    let src = "#[cfg(not(test))]\nfn f() {\n    v.unwrap();\n}\n";
+    assert_eq!(findings(FileKind::StrictLib, src), vec!["no-panic-path"]);
+}
+
+#[test]
+fn cfg_attr_test_is_production_code() {
+    let src = "#[cfg_attr(test, allow(dead_code))]\nfn f() {\n    v.unwrap();\n}\n";
+    assert_eq!(findings(FileKind::StrictLib, src), vec!["no-panic-path"]);
+}
+
+#[test]
+fn cfg_any_test_is_production_code() {
+    let src = "#[cfg(any(test, feature = \"x\"))]\nfn f(n: &AtomicU64) {\n    v.unwrap();\n    n.store(1, Ordering::Relaxed);\n}\n";
+    assert_eq!(
+        findings(FileKind::StrictLib, src),
+        vec!["no-panic-path", "atomic-ordering"]
+    );
+}
+
+#[test]
+fn cfg_all_test_across_lines_is_test_code() {
+    let src = "#[cfg(all(\n    test,\n    feature = \"x\"\n))]\nmod tests {\n    fn f() {\n        v.unwrap();\n    }\n}\n";
+    assert!(findings(FileKind::StrictLib, src).is_empty());
 }
 
 // ---- Allow hygiene -----------------------------------------------------

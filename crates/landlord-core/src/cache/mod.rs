@@ -76,7 +76,7 @@ use crate::policy::{BuildPlan, CachePolicy, PlannedBuild, Served, ServedOp};
 use crate::sizes::SizeModel;
 use crate::spec::{PackageId, Spec};
 use crate::util::FxHashMap;
-use landlord_obs::{Journal, MetricsRegistry};
+use landlord_obs::MetricsRegistry;
 use std::sync::Arc;
 
 /// A byte-bounded container image cache implementing LANDLORD's online
@@ -101,10 +101,6 @@ pub struct ImageCache {
     /// [`ImageCache::attach_metrics`] is called (the default — an
     /// unobserved cache pays one branch per instrumented site).
     obs: Option<observe::CoreObs>,
-    /// Bounded event journal; every emitted [`CacheEvent`] is also
-    /// recorded here (sequence-stamped, phase-attributed) when
-    /// attached.
-    journal: Option<Arc<Journal<CacheEvent>>>,
     /// Image flagged by the last merge for bloat splitting; processed
     /// lazily by [`ImageCache::settle`] at the start of the next
     /// request so the merge's own outcome keeps pointing at a live
@@ -176,7 +172,6 @@ impl ImageCache {
             ),
             sink: None,
             obs: None,
-            journal: None,
             pending_split: None,
         }
     }
@@ -263,13 +258,6 @@ impl ImageCache {
     /// exactly (see `landlord_obs`).
     pub fn attach_metrics(&mut self, registry: &MetricsRegistry) {
         self.obs = Some(observe::CoreObs::new(registry));
-    }
-
-    /// Attach a bounded event journal; every emitted [`CacheEvent`] is
-    /// additionally recorded there, stamped with a sequence number,
-    /// the registry clock's tick, and its phase.
-    pub fn attach_journal(&mut self, journal: Arc<Journal<CacheEvent>>) {
-        self.journal = Some(journal);
     }
 
     /// The configuration this cache was built with.
@@ -446,9 +434,6 @@ impl ImageCache {
     }
 
     pub(super) fn emit(&mut self, event: CacheEvent) {
-        if let Some(journal) = &self.journal {
-            journal.record(event.phase(), event);
-        }
         if let Some(sink) = &mut self.sink {
             sink.on_event(&event);
         }

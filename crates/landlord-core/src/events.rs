@@ -68,9 +68,9 @@ impl CacheEvent {
         }
     }
 
-    /// Request-lifecycle phase the event belongs to, for journal
-    /// attribution: the per-request outcome events are `"apply"`, while
-    /// evictions and splits are maintenance that may trail a request.
+    /// Request-lifecycle phase the event belongs to: the per-request
+    /// outcome events are `"apply"`, while evictions and splits are
+    /// maintenance that may trail a request.
     pub fn phase(&self) -> &'static str {
         match self {
             CacheEvent::Hit { .. } | CacheEvent::Merge { .. } | CacheEvent::Insert { .. } => {
@@ -128,39 +128,6 @@ pub struct SequencedEvent {
 pub trait EventSink {
     /// Called once per event, in order.
     fn on_event(&mut self, event: &CacheEvent);
-}
-
-/// Discards all events (the default sink).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl EventSink for NullSink {
-    fn on_event(&mut self, _event: &CacheEvent) {}
-}
-
-/// Buffers every event in memory, for tests and traces.
-#[derive(Debug, Default, Clone)]
-pub struct VecSink {
-    /// The recorded events, oldest first.
-    pub events: Vec<CacheEvent>,
-}
-
-impl VecSink {
-    /// Empty buffer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Count events of a given kind tag.
-    pub fn count_kind(&self, kind: &str) -> usize {
-        self.events.iter().filter(|e| e.kind() == kind).count()
-    }
-}
-
-impl EventSink for VecSink {
-    fn on_event(&mut self, event: &CacheEvent) {
-        self.events.push(*event);
-    }
 }
 
 /// Stamps every event with a dense, monotone sequence number and hands
@@ -248,23 +215,6 @@ mod tests {
             .kind(),
             "merge"
         );
-    }
-
-    #[test]
-    fn vec_sink_records_in_order() {
-        let mut sink = VecSink::new();
-        sink.on_event(&CacheEvent::Insert {
-            image: ImageId(1),
-            bytes: 10,
-        });
-        sink.on_event(&CacheEvent::Evict {
-            image: ImageId(1),
-            bytes: 10,
-        });
-        assert_eq!(sink.events.len(), 2);
-        assert_eq!(sink.count_kind("insert"), 1);
-        assert_eq!(sink.count_kind("evict"), 1);
-        assert_eq!(sink.count_kind("hit"), 0);
     }
 
     #[test]

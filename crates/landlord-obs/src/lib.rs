@@ -17,8 +17,6 @@
 //!   into sim-visible metrics: landlord-core and landlord-sim only ever
 //!   see the `Clock` trait (the `no-raw-clock` audit rule enforces
 //!   this).
-//! * [`Journal`] — a bounded ring buffer of sequence-stamped,
-//!   tick-stamped, phase-attributed events, exportable as JSONL.
 //!
 //! The registry is deliberately string-keyed and schema-versioned
 //! ([`snapshot::METRICS_SCHEMA`]) rather than typed per metric: the
@@ -26,13 +24,11 @@
 //! snapshot JSON is byte-stable across runs at a fixed seed.
 
 pub mod clock;
-pub mod journal;
 pub mod registry;
 pub mod snapshot;
 pub mod span;
 
 pub use clock::{Clock, LogicalClock, MonotonicClock};
-pub use journal::{Journal, JournalEntry};
 pub use registry::{
     bucket_index, bucket_upper_bound, quantile_upper_bound, Counter, Gauge, Histogram,
     MetricsRegistry,
