@@ -7,10 +7,11 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use landlord_core::cache::{CacheConfig, ImageCache};
 use landlord_core::jaccard::jaccard_distance;
 use landlord_core::minhash::{LshIndex, LshShape, MinHasher};
-use landlord_core::spec::PackageId;
+use landlord_core::spec::{PackageId, Spec};
 use landlord_repo::ClosureComputer;
 use landlord_shrinkwrap::filetree::FileTreeConfig;
 use landlord_shrinkwrap::Shrinkwrap;
+use landlord_sim::workload::{self, WorkloadConfig, WorkloadScheme};
 use landlord_store::MemStore;
 use std::hint::black_box;
 use std::sync::Arc;
@@ -175,6 +176,80 @@ fn touch_path(c: &mut Criterion) {
     group.finish();
 }
 
+/// Plan and evict cost against the number of resident images: the
+/// hit test, a miss's merge-candidate search (α = 0.75, package-count
+/// metric) and an insert that evicts one image, at 1e2 … 1e5 images
+/// whose specs are dependency closures over the 2,000-package benchmark
+/// universe. Images are admitted with `insert_fresh`, so none
+/// merges and all `n` stay resident.
+fn plan_scaling(c: &mut Criterion) {
+    let repo = bench_repo();
+    let mut group = c.benchmark_group("plan_scaling");
+    for n in [100usize, 1_000, 10_000, 100_000] {
+        let uniques = workload::unique_specs(
+            &repo,
+            &WorkloadConfig {
+                unique_jobs: n,
+                repeats: 1,
+                max_initial_selection: 20,
+                scheme: WorkloadScheme::DependencyClosure,
+                seed: 0x5ca1e,
+            },
+        );
+        let cfg = CacheConfig {
+            alpha: 0.75,
+            limit_bytes: u64::MAX,
+            ..CacheConfig::default()
+        };
+        let mut cache = ImageCache::new(cfg, Arc::new(repo.size_table()));
+        for spec in &uniques {
+            cache.insert_fresh(spec);
+        }
+        cache.settle();
+        // Misses: unions of neighbouring specs that no single image
+        // holds, so each plans a full merge-candidate search.
+        let misses: Vec<Spec> = uniques
+            .windows(2)
+            .map(|w| w[0].union(&w[1]))
+            .filter(|s| cache.find_satisfying(s).is_none())
+            .take(64)
+            .collect();
+        assert!(!misses.is_empty(), "no missing spec at {n} images");
+        let mut next = 0usize;
+        group.bench_with_input(BenchmarkId::new("hit", n), &n, |bench, _| {
+            bench.iter(|| {
+                next = (next + 1) % uniques.len();
+                black_box(cache.plan(&uniques[next]))
+            })
+        });
+        group.bench_with_input(BenchmarkId::new("miss", n), &n, |bench, _| {
+            bench.iter(|| {
+                next = (next + 1) % misses.len();
+                black_box(cache.plan(&misses[next]))
+            })
+        });
+        // Evict: at the byte limit, each fresh insert evicts the LRU
+        // image, so the resident count stays near `n`.
+        let mut full = ImageCache::new(
+            CacheConfig {
+                limit_bytes: cache.stats().total_bytes,
+                ..cfg
+            },
+            Arc::new(repo.size_table()),
+        );
+        for spec in &uniques {
+            full.insert_fresh(spec);
+        }
+        group.bench_with_input(BenchmarkId::new("evict", n), &n, |bench, _| {
+            bench.iter(|| {
+                next = (next + 1) % uniques.len();
+                black_box(full.insert_fresh(&uniques[next]))
+            })
+        });
+    }
+    group.finish();
+}
+
 fn spec_inference(c: &mut Criterion) {
     let python_src = r#"
 import numpy as np, uproot
@@ -222,6 +297,6 @@ fn image_build(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = set_ops, minhash_ops, closures, cache_requests, victim_selection, touch_path, spec_inference, image_build
+    targets = set_ops, minhash_ops, closures, cache_requests, victim_selection, touch_path, plan_scaling, spec_inference, image_build
 }
 criterion_main!(benches);

@@ -12,7 +12,7 @@
 //!
 //! Identifiers, numbers and punctuation (with maximal-munch
 //! multi-character operators such as `::`, `->`, `+=`, `..=`) complete
-//! the stream. [`render_lines`] turns the stream back into per-line
+//! the stream. `render_lines` turns the stream back into per-line
 //! text for the rules that still match text within a statement.
 
 /// What a token is, coarsely.

@@ -5,12 +5,11 @@
 //! package ids), the S3-FIFO evictor's ghost-membership set (over
 //! hashed spec fingerprint slots), and the image cache's planner, which
 //! keeps one bitmap of package ids per resident image. A word-packed
-//! bit set makes a probe a couple of instructions. The planner tests a
-//! request against every image, so it packs the request once into
-//! `SparseBits` — only its nonzero `(word, mask)` pairs — and then a
-//! subset test or an intersection count costs one AND per request word
-//! (`BitSet::covers`, `BitSet::intersection_count`), whatever the
-//! image's size. Implemented here rather than pulled in as a
+//! bit set makes a probe a couple of instructions. The planner measures
+//! a request's overlap with each merge candidate, so it packs the
+//! request once into `SparseBits` — only its nonzero `(word, mask)`
+//! pairs — and then an intersection count costs one AND per request
+//! word (`BitSet::intersection_count`), whatever the image's size. Implemented here rather than pulled in as a
 //! dependency because the workspace's offline crate budget is
 //! deliberately small.
 
@@ -97,17 +96,6 @@ impl BitSet {
         }
     }
 
-    /// True when every bit of `sparse` is set here (bits beyond the
-    /// capacity count as clear). Stops at the first word with a
-    /// missing bit.
-    #[inline]
-    pub(crate) fn covers(&self, sparse: &SparseBits) -> bool {
-        sparse
-            .words
-            .iter()
-            .all(|&(wi, mask)| self.words.get(wi).is_some_and(|&w| w & mask == mask))
-    }
-
     /// `|self ∩ sparse|`: the sum of `popcount(word & mask)` over the
     /// words of `sparse`.
     #[inline]
@@ -140,7 +128,7 @@ impl BitSet {
 }
 
 /// The set bits of word `wi` holding `w`, ascending.
-fn ones_of_word(wi: usize, w: u64) -> impl Iterator<Item = usize> {
+pub(crate) fn ones_of_word(wi: usize, w: u64) -> impl Iterator<Item = usize> {
     let mut bits = w;
     std::iter::from_fn(move || {
         if bits == 0 {
@@ -252,15 +240,12 @@ mod tests {
     }
 
     #[test]
-    fn covers_and_intersection_count() {
+    fn intersection_count_across_words() {
         let image = set_of(&[1, 63, 64, 127]);
         assert_eq!(image.len(), 128);
-        assert!(image.covers(&SparseBits::from_sorted([63usize, 64])));
-        assert!(image.covers(&SparseBits::default()), "empty is covered");
-        assert!(!image.covers(&SparseBits::from_sorted([63usize, 65])));
-        // A probe bit beyond the image's last word is not covered.
+        assert_eq!(image.intersection_count(&SparseBits::default()), 0);
+        // A probe bit beyond the image's last word is not shared.
         let beyond = SparseBits::from_sorted([1usize, 128]);
-        assert!(!image.covers(&beyond));
         assert_eq!(image.intersection_count(&beyond), 1);
         assert_eq!(
             image.intersection_ones(&beyond).collect::<Vec<_>>(),
@@ -331,7 +316,6 @@ mod proptests {
                 set.insert(i);
             }
             let probe = SparseBits::from_sorted(b.iter().copied());
-            prop_assert_eq!(set.covers(&probe), b.is_subset(&a));
             let common: Vec<usize> = a.intersection(&b).copied().collect();
             prop_assert_eq!(set.intersection_count(&probe), common.len());
             prop_assert_eq!(set.intersection_ones(&probe).collect::<Vec<_>>(), common);

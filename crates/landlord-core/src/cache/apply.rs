@@ -181,11 +181,13 @@ impl ImageCache {
         let Resident {
             image: img,
             members,
+            slot,
         } = self.images.get_mut(&id.0)?;
 
         // Account the packages newly introduced by the request.
         let added = spec.difference(&img.spec);
         add_members(members, &added);
+        self.postings.add(*slot, &added);
         let old_bytes = img.bytes;
         let new_spec = img.spec.union(spec);
         let new_bytes = sizes.spec_bytes(&new_spec);

@@ -2,8 +2,10 @@
 //! before the exact distance check, behind the [`CandidateIndex`]
 //! trait.
 //!
-//! [`ExactScan`] considers every cached image (the paper's simulated
-//! configuration). [`MinHashLshIndex`] keeps a MinHash signature per
+//! [`ExactScan`] keeps no index: the engine then finds every image
+//! within α exactly, by prefix filter over its posting table (the
+//! paper's simulated configuration). [`MinHashLshIndex`] keeps a
+//! MinHash signature per
 //! image in a banded LSH table and proposes only probable near
 //! neighbours — the scaling trade the paper describes for very large
 //! specification collections. Either way the engine confirms every
@@ -28,15 +30,16 @@ pub trait CandidateIndex: Send {
     fn on_merge(&mut self, id: u64, request: &Spec);
     /// Image `id` left the cache.
     fn on_remove(&mut self, id: u64);
-    /// Candidate image ids for `spec`, or `None` meaning "consider
-    /// every cached image" (no index maintained).
+    /// Candidate image ids for `spec`, or `None` meaning "no index:
+    /// find the exact candidate set" (by prefix filter over the
+    /// engine's posting table).
     fn candidates(&self, spec: &Spec) -> Option<Vec<u64>>;
     /// Verify the index against the resident images (each exactly
     /// once); panics on inconsistency.
     fn check(&self, images: &[&Image]);
 }
 
-/// No index at all: every cached image is a candidate.
+/// No index at all: the engine finds the exact candidate set itself.
 pub(crate) struct ExactScan;
 
 impl CandidateIndex for ExactScan {

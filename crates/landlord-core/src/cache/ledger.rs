@@ -9,8 +9,7 @@
 use super::config::CacheStats;
 use crate::metrics::ContainerEfficiency;
 use crate::sizes::SizeModel;
-use crate::spec::{PackageId, Spec};
-use crate::util::FxHashMap;
+use crate::spec::Spec;
 
 /// Counters plus the container-efficiency accumulator, with one
 /// mutator per accounting event.
@@ -145,10 +144,11 @@ impl Ledger {
 /// Package refcounts driving a [`Ledger`]'s unique-bytes counter: a
 /// package contributes its size while at least one image references
 /// it. Shared by [`super::ImageCache`] and the baseline policies so
-/// the first-reference/last-reference bookkeeping exists once.
+/// the first-reference/last-reference bookkeeping exists once. Dense
+/// over package ids, which `landlord-repo` interns from zero.
 #[derive(Debug, Clone, Default)]
 pub struct PackageRefs {
-    counts: FxHashMap<PackageId, u32>,
+    counts: Vec<u32>,
 }
 
 impl PackageRefs {
@@ -160,8 +160,13 @@ impl PackageRefs {
     /// Reference every package in `spec`, crediting unique bytes to
     /// the ledger for first references.
     pub fn add_spec(&mut self, spec: &Spec, sizes: &dyn SizeModel, ledger: &mut Ledger) {
+        if let Some(last) = spec.ids().last() {
+            if last.index() >= self.counts.len() {
+                self.counts.resize(last.index() + 1, 0);
+            }
+        }
         for p in spec.iter() {
-            let count = self.counts.entry(p).or_insert(0);
+            let count = &mut self.counts[p.index()];
             *count += 1;
             if *count == 1 {
                 ledger.add_unique(sizes.package_size(p));
@@ -173,19 +178,20 @@ impl PackageRefs {
     /// bytes for last references.
     pub fn release_spec(&mut self, spec: &Spec, sizes: &dyn SizeModel, ledger: &mut Ledger) {
         for p in spec.iter() {
-            match self.counts.get_mut(&p) {
+            match self.counts.get_mut(p.index()) {
                 Some(count) if *count > 1 => *count -= 1,
-                Some(_) => {
-                    self.counts.remove(&p);
+                Some(count) if *count == 1 => {
+                    *count = 0;
                     ledger.sub_unique(sizes.package_size(p));
                 }
-                None => debug_assert!(false, "released unreferenced package {p}"),
+                _ => debug_assert!(false, "released unreferenced package {p}"),
             }
         }
     }
 
-    /// The raw per-package counts (for invariant checks).
-    pub fn counts(&self) -> &FxHashMap<PackageId, u32> {
+    /// The raw per-package counts, indexed by package id; ids past the
+    /// end have none (for invariant checks).
+    pub fn counts(&self) -> &[u32] {
         &self.counts
     }
 }

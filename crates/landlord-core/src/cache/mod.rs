@@ -32,6 +32,7 @@
 //! | `apply` | sole mutator: [`ImageCache::apply`] executes a [`Plan`] |
 //! | `evictor` | [`Evictor`] seam: ordered indexes, S3-FIFO queues, sampled LHD |
 //! | `candidates` | [`CandidateIndex`] seam: exact scan vs MinHash/LSH |
+//! | `postings` | package → resident-slot bitmaps: hit test and exact merge candidates |
 //! | `ledger` | [`Ledger`]: accounting shared with every baseline |
 //!
 //! `request()` is literally `settle(); apply(spec, &plan(spec))`: the
@@ -52,6 +53,7 @@ mod flight;
 mod ledger;
 pub mod observe;
 mod plan;
+mod postings;
 #[cfg(test)]
 mod proptests;
 mod sharded;
@@ -66,6 +68,8 @@ pub use flight::{Flight, LeaderGuard, SingleFlight, Ticket};
 pub use ledger::{Ledger, PackageRefs};
 pub use plan::{plan_over, plan_over_with_peek, Plan, PlannedOp};
 pub use sharded::{shard_limit_bytes, ShardedImageCache};
+
+use postings::Postings;
 
 use crate::bitset::BitSet;
 use crate::conflict::{ConflictPolicy, NoConflicts};
@@ -90,6 +94,9 @@ pub struct ImageCache {
     next_id: u64,
     ledger: Ledger,
     refcounts: PackageRefs,
+    /// Package → bitmap over the resident images' slots: the hit test
+    /// and the exact merge-candidate set (see `postings`).
+    postings: Postings,
     evictor: Box<dyn Evictor>,
     /// Evictor counter values already flushed to the metrics registry;
     /// [`ImageCache::apply`] records only the delta since this
@@ -108,22 +115,28 @@ pub struct ImageCache {
     pending_split: Option<ImageId>,
 }
 
-/// One entry of the image map: the image plus a packed bitmap of its
-/// spec's package ids, sized to its largest id. The sorted `Spec` stays
-/// the canonical set (serialization, iteration, union); the bitmap
-/// answers the planner's subset and overlap queries in one word
-/// operation per request word. [`ImageCache::check_invariants`] holds
-/// the two equal.
+/// One entry of the image map: the image, a packed bitmap of its
+/// spec's package ids sized to its largest id, and its slot in the
+/// posting table. The sorted `Spec` stays the canonical set
+/// (serialization, iteration, union); the bitmap answers the overlap
+/// with one image in one word operation per request word; the posting
+/// table's rows answer which images hold a package.
+/// [`ImageCache::check_invariants`] holds all three equal.
 struct Resident {
     image: Image,
     members: BitSet,
+    slot: u32,
 }
 
 impl Resident {
-    fn new(image: Image) -> Self {
+    fn new(image: Image, slot: u32) -> Self {
         let mut members = BitSet::new(0);
         add_members(&mut members, &image.spec);
-        Resident { image, members }
+        Resident {
+            image,
+            members,
+            slot,
+        }
     }
 }
 
@@ -164,6 +177,7 @@ impl ImageCache {
             next_id: 0,
             ledger: Ledger::new(),
             refcounts: PackageRefs::new(),
+            postings: Postings::default(),
             evictor: evictor::make_evictor(&config),
             evictor_reported: evictor::EvictorCounters::default(),
             candidate_index: candidates::make_candidate_index(
@@ -204,15 +218,16 @@ impl ImageCache {
 
     /// Make `image` resident: reference its packages, count its bytes,
     /// register it with the evictor and the candidate index, and store
-    /// it with its bitmap. The one admission path of insert, split
-    /// pieces and checkpoint restore.
+    /// it with its bitmap and posting slot. The one admission path of
+    /// insert, split pieces and checkpoint restore.
     fn admit_image(&mut self, image: Image) {
         self.refcounts
             .add_spec(&image.spec, self.sizes.as_ref(), &mut self.ledger);
         self.ledger.admit(image.bytes);
         self.candidate_index.on_insert(image.id.0, &image.spec);
         self.evictor.on_insert(&image);
-        self.images.insert(image.id.0, Resident::new(image));
+        let slot = self.postings.admit(image.id.0, &image.spec);
+        self.images.insert(image.id.0, Resident::new(image, slot));
     }
 
     /// Current logical clock (for checkpointing).
@@ -356,7 +371,10 @@ impl ImageCache {
     /// Remove an image from all structures without deciding *why* —
     /// shared by eviction (counted as a delete) and splitting (not).
     fn detach(&mut self, id: ImageId) -> Option<Image> {
-        let img = self.images.remove(&id.0)?.image;
+        let Resident {
+            image: img, slot, ..
+        } = self.images.remove(&id.0)?;
+        self.postings.release(slot, &img.spec);
         self.refcounts
             .release_spec(&img.spec, self.sizes.as_ref(), &mut self.ledger);
         self.ledger.drop_image(img.bytes);
@@ -449,10 +467,11 @@ impl ImageCache {
     pub fn check_invariants(&self) {
         let stats = self.ledger.stats();
         let mut total = 0u64;
-        let mut refcounts: FxHashMap<PackageId, u32> = FxHashMap::default();
+        let mut refcounts: Vec<u32> = Vec::new();
         for Resident {
             image: img,
             members,
+            ..
         } in self.images.values()
         {
             // The bitmap holds exactly the spec's members, sized to its
@@ -494,17 +513,22 @@ impl ImageCache {
             );
             total += img.bytes;
             for p in img.spec.iter() {
-                *refcounts.entry(p).or_insert(0) += 1;
+                if refcounts.len() <= p.index() {
+                    refcounts.resize(p.index() + 1, 0);
+                }
+                refcounts[p.index()] += 1;
             }
         }
         assert_eq!(stats.total_bytes, total, "total_bytes out of sync");
         assert_eq!(stats.image_count, self.images.len() as u64, "image_count");
-        assert_eq!(
-            self.refcounts.counts(),
-            &refcounts,
-            "package refcounts out of sync"
-        );
-        let unique: u64 = refcounts.keys().map(|&p| self.sizes.package_size(p)).sum();
+        // The dense table keeps zero entries past the last live id.
+        let kept = self.refcounts.counts();
+        refcounts.resize(refcounts.len().max(kept.len()), 0);
+        assert_eq!(kept, &refcounts[..], "package refcounts out of sync");
+        let unique: u64 = (0..refcounts.len())
+            .filter(|&p| refcounts[p] > 0)
+            .map(|p| self.sizes.package_size(PackageId::from_index(p)))
+            .sum();
         assert_eq!(stats.unique_bytes, unique, "unique_bytes out of sync");
         assert!(stats.unique_bytes <= stats.total_bytes.max(1));
         assert_eq!(
@@ -551,9 +575,17 @@ impl ImageCache {
         let resident: Vec<&Image> = self.images().collect();
         self.evictor.check(&resident);
         self.candidate_index.check(&resident);
+        // The posting table equals one recomputed from the images, and
+        // each package's refcount is its row's popcount.
+        self.postings.check(
+            self.images
+                .values()
+                .map(|r| (r.image.id.0, r.slot, &r.image.spec)),
+            kept,
+        );
 
         // Superset-lookup agreement: every image's own spec must hit,
-        // and the bitmap scan's answer must match a brute-force scan
+        // and the posting table's answer must match a brute-force scan
         // with the sorted-slice subset test.
         for img in self.images() {
             let hit = self.find_satisfying(&img.spec).map(|h| h.id);

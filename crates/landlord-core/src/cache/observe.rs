@@ -24,7 +24,10 @@ pub mod names {
     pub const PLAN_TICKS: &str = "core.plan_ticks";
     /// Span histogram: ticks spent in `apply`.
     pub const APPLY_TICKS: &str = "core.apply_ticks";
-    /// Histogram: merge candidates examined per planning pass.
+    /// Histogram: merge candidates verified against α per planning
+    /// pass — the images holding a package of the request's prefix
+    /// under the exact strategy, or the index's live proposals under
+    /// MinHash/LSH. Images outside that set are never visited.
     pub const CANDIDATE_SCAN: &str = "core.candidate_scan";
     /// Histogram: evictions performed per `evict_to_limit` call.
     pub const EVICT_CHAIN: &str = "core.evict_chain";
@@ -46,7 +49,7 @@ pub mod names {
     /// Histogram: ticks a sharded request held its shard's lock.
     pub const SHARD_LOCK_HOLD: &str = "sharded.lock_hold_ticks";
     /// Counter: sharded requests whose package-summary peek proved a
-    /// miss, skipping the hit scan.
+    /// miss, skipping the hit test.
     pub const SHARD_PEEK_SKIP: &str = "sharded.peek_skip";
     /// Counter: sharded requests whose peek could not rule out a hit.
     pub const SHARD_PEEK_POSSIBLE: &str = "sharded.peek_possible";

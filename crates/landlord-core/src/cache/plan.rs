@@ -9,21 +9,29 @@
 //!
 //! # Cost
 //!
-//! [`ImageCache::plan`] packs the request once into sparse bitmap
-//! words (`O(|s|)`), then tests it against each resident image's
-//! bitmap. With `w` the number of request words (at most `|s|`, and at
-//! most `max id / 64`):
+//! With `n` resident images, `W = ⌈slots / 64⌉` words per posting row
+//! (slots ≈ the peak resident count), and `w` the request's nonzero
+//! bitmap words (at most `|s|`):
 //!
-//! - hit scan: `O(images · w)`, each image's subset test stopping at
-//!   the first request word it does not cover;
-//! - candidate scan: `O(candidates · w)` for the intersection
-//!   popcount, plus the common packages' sizes under the byte metric.
+//! - hit test: `O(|s| · W)` at most — the AND of the request's posting
+//!   rows, which keeps only the words still holding a survivor and
+//!   stops at the first package no image holds or once nothing
+//!   survives — then a `(bytes, id)` minimum over the survivors. It
+//!   never visits an image that lacks one of the request's packages.
+//! - merge candidates (exact strategy): `O(k · W)` to OR the rows of
+//!   the request's `k` highest ids (the prefix filter; see
+//!   `ImageCache::candidate_prefix`), then `O(w)` per image in that
+//!   union for the intersection popcount, plus the common packages'
+//!   sizes under the byte metric. Images outside the union cannot be
+//!   within α, so they are never verified. When `k · W ≥ n` the OR
+//!   would cost as much as it could save, and all `n` images are
+//!   verified instead.
 //!
 //! Neither depends on the images' sizes. [`plan_over`] keeps the
-//! sorted-slice merges, `O(|s| + |image|)` per image, and is the
-//! reference the engine's planner is tested against.
+//! sorted-slice merges over every entry, `O(|s| + |image|)` per image,
+//! and is the reference the engine's planner is tested against.
 
-use super::{ImageCache, Resident};
+use super::{postings, ImageCache, Resident};
 use crate::bitset::SparseBits;
 use crate::conflict::ConflictPolicy;
 use crate::image::{Image, ImageId};
@@ -71,17 +79,15 @@ pub struct Plan {
 impl ImageCache {
     /// Would this spec hit without mutating anything? Returns the
     /// smallest satisfying image.
+    ///
+    /// The AND of the spec's posting rows, highest id first, started
+    /// from every resident slot, stopping as soon as no slot survives
+    /// (at the latest at a package no image holds). The smallest
+    /// `(bytes, id)` of the survivors wins, so the answer does not
+    /// depend on slots.
     pub fn find_satisfying(&self, spec: &Spec) -> Option<&Image> {
-        self.find_satisfying_packed(spec, &spec.sparse_bits())
-    }
-
-    /// [`ImageCache::find_satisfying`] for a spec already packed into
-    /// `words` (`spec.sparse_bits()`).
-    fn find_satisfying_packed(&self, spec: &Spec, words: &SparseBits) -> Option<&Image> {
-        self.images
-            .values()
-            .filter(|r| spec.len() <= r.image.spec.len() && r.members.covers(words))
-            .map(|r| &r.image)
+        postings::slots(self.postings.supersets(spec))
+            .map(|slot| &self.images[&self.postings.image_at(slot)].image)
             .min_by_key(|img| (img.bytes, img.id))
     }
 
@@ -100,7 +106,7 @@ impl ImageCache {
     /// `superset_possible = false` asserts that the caller has already
     /// proven no cached image can satisfy `spec` (e.g. the sharded
     /// frontend's package-summary peek reported a package of `spec`
-    /// absent from every image of this cache), so the hit scan is
+    /// absent from every image of this cache), so the hit test is
     /// skipped entirely. The hint must be conservative: passing `false`
     /// when a superset exists turns a hit into a merge/insert, which is
     /// a correctness bug, not just a slowdown. `true` is always safe
@@ -108,14 +114,12 @@ impl ImageCache {
     pub fn plan_with_peek(&self, spec: &Spec, superset_possible: bool) -> Plan {
         // Atomic recording only: planning stays `&self`-pure.
         let _span = self.obs.as_ref().map(|o| o.plan_span());
-        // Packed once; the hit scan and the candidate scan share it.
-        let words = spec.sparse_bits();
         let requested_bytes = self.sizes.spec_bytes(spec);
         let hit = if superset_possible {
-            self.find_satisfying_packed(spec, &words)
+            self.find_satisfying(spec)
         } else {
             debug_assert!(
-                self.find_satisfying_packed(spec, &words).is_none(),
+                self.find_satisfying(spec).is_none(),
                 "peek claimed no superset but a satisfying image exists"
             );
             None
@@ -123,7 +127,7 @@ impl ImageCache {
         let op = if let Some(img) = hit {
             PlannedOp::Hit { image: img.id }
         } else if self.config.alpha > 0.0 {
-            match self.pick_merge_candidate(spec, &words, requested_bytes) {
+            match self.pick_merge_candidate(spec, requested_bytes) {
                 Some((image, distance)) => PlannedOp::Merge { image, distance },
                 None => PlannedOp::Insert,
             }
@@ -136,50 +140,71 @@ impl ImageCache {
         }
     }
 
-    /// Enumerate merge candidates (via the candidate index), compute
-    /// exact distances, filter by α, order per policy, and return the
-    /// first non-conflicting one. `words` is `spec.sparse_bits()` and
-    /// `requested_bytes` is `spec`'s size in bytes.
-    fn pick_merge_candidate(
-        &self,
-        spec: &Spec,
-        words: &SparseBits,
-        requested_bytes: u64,
-    ) -> Option<(ImageId, f64)> {
+    /// Enumerate merge candidates (via the candidate index, or exactly
+    /// by prefix filter over the posting table), compute exact
+    /// distances, filter by α, order per policy, and return the first
+    /// non-conflicting one. `requested_bytes` is `spec`'s size in
+    /// bytes.
+    fn pick_merge_candidate(&self, spec: &Spec, requested_bytes: u64) -> Option<(ImageId, f64)> {
         let alpha = self.config.alpha;
-        let mut scored: Vec<(ImageId, f64)> = Vec::new();
-
         let metric = self.config.metric;
-        let sizes = &self.sizes;
-        let consider = |r: &Resident, scored: &mut Vec<(ImageId, f64)>| {
+        let sizes = self.sizes.as_ref();
+        // Packed once for every candidate's overlap count.
+        let words = spec.sparse_bits();
+        let score = |r: &Resident| -> Option<(ImageId, f64)> {
             // Cheap size-ratio bound prunes most far candidates without
             // touching the bitmap.
             if metric == DistanceMetric::PackageCount
                 && size_lower_bound(spec.len(), r.image.spec.len()) >= alpha
             {
-                return;
+                return None;
             }
-            let d = r.distance(metric, spec.len(), words, requested_bytes, sizes.as_ref());
-            if d < alpha {
-                scored.push((r.image.id, d));
-            }
+            let d = r.distance(metric, spec.len(), &words, requested_bytes, sizes);
+            (d < alpha).then_some((r.image.id, d))
         };
 
         let mut examined: u64 = 0;
+        let mut scored: Vec<(ImageId, f64)> = Vec::new();
         match self.candidate_index.candidates(spec) {
             Some(keys) => {
                 for key in keys {
                     if let Some(r) = self.images.get(&key) {
                         examined += 1;
-                        consider(r, &mut scored);
+                        scored.extend(score(r));
                     }
                 }
             }
             None => {
-                for r in self.images.values() {
-                    examined += 1;
-                    consider(r, &mut scored);
+                match self.candidate_prefix(spec, requested_bytes) {
+                    Some(prefix) => {
+                        let holders = self
+                            .postings
+                            .holders_of_any(&spec.ids()[spec.len() - prefix..]);
+                        for slot in postings::slots(holders.into_iter().enumerate()) {
+                            examined += 1;
+                            scored.extend(score(&self.images[&self.postings.image_at(slot)]));
+                        }
+                    }
+                    None => {
+                        for r in self.images.values() {
+                            examined += 1;
+                            scored.extend(score(r));
+                        }
+                    }
                 }
+                debug_assert!(
+                    {
+                        let mut full: Vec<(ImageId, f64)> =
+                            self.images.values().filter_map(score).collect();
+                        full.sort_by_key(|&(id, _)| id);
+                        let mut got = scored.clone();
+                        got.sort_by_key(|&(id, _)| id);
+                        full.iter()
+                            .map(|&(id, d)| (id, d.to_bits()))
+                            .eq(got.iter().map(|&(id, d)| (id, d.to_bits())))
+                    },
+                    "prefix filter disagrees with the full scan's merge candidates"
+                );
             }
         }
         if let Some(obs) = &self.obs {
@@ -203,6 +228,61 @@ impl ImageCache {
                 .conflicts
                 .conflicts(spec, &self.images[&id.0].image.spec)
         })
+    }
+
+    /// How many of `spec`'s highest package ids every image within
+    /// distance α of it must share at least one of (the prefix filter
+    /// of AllPairs and PPJoin, over the one global order of descending
+    /// ids); `None` when every resident image is to be verified
+    /// instead: when the bound does not apply, or when OR-ing the
+    /// prefix's rows (`prefix × stride` words) would touch at least as
+    /// many words as there are resident images to verify.
+    ///
+    /// With `|·|` counting packages or bytes per the metric, a candidate
+    /// at distance `d < α` has intersection `I` and union `U ≥ |s|` with
+    /// `I > (1 − α)·U ≥ (1 − α)·|s|`. An image sharing nothing with the
+    /// prefix overlaps `s` in the suffix at most, so a prefix whose
+    /// suffix stays below `(1 − α)·|s|` misses no candidate. The bound
+    /// carries a 2⁻⁴⁰ relative margin, so float rounding can only
+    /// lengthen the prefix; under the package count an integral bound
+    /// thus keeps one spare package. Every integer in the distance
+    /// formula is below 2⁵³, exact in `f64`, so a computed `d < α`
+    /// implies the real one.
+    fn candidate_prefix(&self, spec: &Spec, requested_bytes: u64) -> Option<usize> {
+        // Past 2^52 bytes the distance formula rounds.
+        const EXACT: u64 = 1 << 52;
+        let (whole, by_bytes) = match self.config.metric {
+            DistanceMetric::PackageCount => (spec.len() as u64, false),
+            DistanceMetric::Bytes if self.ledger.stats().total_bytes < EXACT => {
+                (requested_bytes, true)
+            }
+            DistanceMetric::Bytes => return None,
+        };
+        // The empty set, and zero-byte sets under the byte metric, are
+        // at distance 0 from every other such set, overlap or not.
+        if whole == 0 || whole >= EXACT {
+            return None;
+        }
+        let bound = (1.0 - self.config.alpha) * whole as f64 * (1.0 - f64::powi(2.0, -40));
+        let longest = self.images.len() / self.postings.stride().max(1);
+        let mut suffix = whole;
+        let mut prefix = 0;
+        for &p in spec.ids().iter().rev() {
+            if (suffix as f64) < bound {
+                break;
+            }
+            if prefix == longest {
+                return None;
+            }
+            let weight = if by_bytes {
+                self.sizes.package_size(p)
+            } else {
+                1
+            };
+            suffix = suffix.saturating_sub(weight);
+            prefix += 1;
+        }
+        Some(prefix)
     }
 }
 

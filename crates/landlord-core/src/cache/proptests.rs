@@ -176,19 +176,85 @@ proptest! {
         cache.check_invariants();
     }
 
+    /// The posting-table planner agrees with the sorted-slice
+    /// `plan_over`, decision for decision, once more than 128 images
+    /// are resident (so the posting rows have regrown twice) and while
+    /// evictions and bloat splits free slots for reuse; under both
+    /// metrics, every merge order, and α at 0.05, 0.2, 0.75 and 1.0.
+    /// Ids straddle 64-bit words, and some requests are empty.
+    #[test]
+    fn posting_planner_matches_plan_over_with_many_images(
+        alpha in prop_oneof![Just(0.05), Just(0.2), Just(0.75), Just(1.0)],
+        metric in prop_oneof![Just(DistanceMetric::PackageCount), Just(DistanceMetric::Bytes)],
+        merge_order in prop_oneof![
+            Just(MergeOrder::NearestFirst),
+            Just(MergeOrder::ArrivalOrder),
+            Just(MergeOrder::LargestFirst),
+            Just(MergeOrder::SmallestFirst),
+        ],
+        split in any::<bool>(),
+        fill in proptest::collection::vec(
+            proptest::collection::vec(arb_id(), 1..12).prop_map(Spec::from_ids),
+            130..180,
+        ),
+        stream in proptest::collection::vec(
+            proptest::collection::vec(arb_id(), 0..12).prop_map(Spec::from_ids),
+            1..60,
+        ),
+    ) {
+        let sizes = Arc::new(TableSizes::new(size_table()));
+        // The fill exactly fits, so the stream's inserts and merges
+        // evict, and the freed slots are reused.
+        let limit: u64 = fill.iter().map(|s| sizes.spec_bytes(s)).sum();
+        let cfg = CacheConfig {
+            alpha,
+            limit_bytes: limit,
+            merge_order,
+            metric,
+            split_threshold: split.then_some(2),
+            ..CacheConfig::default()
+        };
+        let mut cache = ImageCache::new(cfg, Arc::clone(&sizes) as Arc<dyn SizeModel>);
+        for s in &fill {
+            cache.insert_fresh(s);
+        }
+        prop_assert_eq!(cache.len(), fill.len());
+        cache.check_invariants();
+        for s in &stream {
+            cache.settle();
+            {
+                let entries: Vec<(u64, &Spec, u64)> = cache
+                    .images()
+                    .map(|img| (img.id.0, &img.spec, img.bytes))
+                    .collect();
+                let free = plan_over(
+                    &entries,
+                    s,
+                    alpha,
+                    merge_order,
+                    metric,
+                    sizes.as_ref(),
+                    &NoConflicts,
+                );
+                prop_assert_eq!(cache.plan(s).op, free);
+            }
+            cache.request(s);
+        }
+        cache.check_invariants();
+    }
+
     /// The bitmap kernels the planner uses agree with the sorted-slice
-    /// ones: subset test, intersection size, and both distances to the
-    /// bit. Request ids above the image's last word are covered by the
-    /// draws (an image's bitmap ends at its own largest id).
+    /// ones: intersection size, and both distances to the bit. Request
+    /// ids above the image's last word are covered by the draws (an
+    /// image's bitmap ends at its own largest id).
     #[test]
     fn bitmap_kernels_match_sorted_kernels(
         image in arb_kernel_spec(),
         request in arb_kernel_spec(),
     ) {
         let sizes = TableSizes::new((0..300u64).map(|i| 1 + i % 7).collect());
-        let resident = Resident::new(Image::new(ImageId(0), image.clone(), sizes.spec_bytes(&image), 1));
+        let resident = Resident::new(Image::new(ImageId(0), image.clone(), sizes.spec_bytes(&image), 1), 0);
         let words = request.sparse_bits();
-        prop_assert_eq!(resident.members.covers(&words), request.is_subset(&image));
         prop_assert_eq!(
             resident.members.intersection_count(&words),
             request.intersection_len(&image)

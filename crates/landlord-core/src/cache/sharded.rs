@@ -25,8 +25,8 @@
 //!   could possibly hold a superset of a spec; a clear bit for any
 //!   member proves it cannot. The owning shard re-reads its own summary
 //!   under its lock (where it is authoritative, not advisory) and feeds
-//!   the answer to [`ImageCache::plan_with_peek`], skipping the O(n)
-//!   hit scan for specs that introduce any new package. Because 256
+//!   the answer to [`ImageCache::plan_with_peek`], skipping the hit
+//!   test for specs that introduce any new package. Because 256
 //!   bits saturate at a few hundred distinct packages, the under-lock
 //!   path layers an [`XorFilter`] (rebuilt from the live images at each
 //!   summary rebuild, with an exact overlay for ids noted since) that

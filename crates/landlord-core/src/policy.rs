@@ -188,8 +188,12 @@ impl DistanceMetric {
 /// How merge candidates are enumerated before the distance check.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum CandidateStrategy {
-    /// Compare the request against every cached image with the exact
-    /// Jaccard distance (the paper's simulated configuration).
+    /// Every cached image within distance α, exactly (the paper's
+    /// simulated configuration). The engine finds them by prefix
+    /// filter over its package → image posting table, not by visiting
+    /// every image: any image within α shares a package with a prefix
+    /// of the request, and each image holding one is verified with the
+    /// exact Jaccard distance.
     #[default]
     ExactScan,
     /// MinHash + banded LSH pre-filter, then exact confirmation. Never

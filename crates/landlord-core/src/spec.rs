@@ -22,12 +22,13 @@
 //! no hashing or allocation beyond the output.
 //!
 //! The cache's planner does not use those merges on its hot path. It
-//! keeps a packed [`crate::bitset::BitSet`] of each resident image's
-//! members and packs each request once with `Spec::sparse_bits`;
-//! a subset test or an intersection count then costs one word
+//! finds supersets and merge candidates in a package → image posting
+//! table, keeps a packed [`crate::bitset::BitSet`] of each resident
+//! image's members, and packs each request once with
+//! `Spec::sparse_bits`; an intersection count then costs one word
 //! operation per request word, independent of the image's size. The
-//! merges remain the reference those bitmap kernels are tested
-//! against, and the path of [`crate::cache::plan_over`].
+//! merges remain the reference those structures are tested against,
+//! and the path of [`crate::cache::plan_over`].
 
 use crate::bitset::SparseBits;
 use serde::{DeError, Deserialize, Serialize, Value};
@@ -168,7 +169,7 @@ impl Spec {
     }
 
     /// The members packed into bitmap words, ascending: the form the
-    /// planner probes every resident image's bitmap with.
+    /// planner probes each merge candidate's bitmap with.
     pub(crate) fn sparse_bits(&self) -> SparseBits {
         SparseBits::from_sorted(self.members.iter().map(|p| p.index()))
     }
