@@ -2,13 +2,13 @@
 //! similarity machinery every simulated request exercises thousands of
 //! times, plus end-to-end cache request throughput and image builds.
 
-use bench::{bench_repo, bench_stream, overlapping_specs};
+use bench::{bench_repo, bench_stream, hot_repo, overlapping_specs};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use landlord_core::cache::{CacheConfig, ImageCache};
 use landlord_core::jaccard::jaccard_distance;
 use landlord_core::minhash::{LshIndex, LshShape, MinHasher};
 use landlord_core::spec::{PackageId, Spec};
-use landlord_repo::ClosureComputer;
+use landlord_repo::{ClosureComputer, Repository};
 use landlord_shrinkwrap::filetree::FileTreeConfig;
 use landlord_shrinkwrap::Shrinkwrap;
 use landlord_sim::workload::{self, WorkloadConfig, WorkloadScheme};
@@ -176,12 +176,42 @@ fn touch_path(c: &mut Criterion) {
     group.finish();
 }
 
+/// Resident images from `uniques` (admitted with `insert_fresh`, so
+/// none merges) under `alpha`, with no byte limit, plus up to 64 misses:
+/// unions of neighbouring specs that no single image holds, so each
+/// plans a full merge-candidate search.
+fn resident_cache(repo: &Repository, uniques: &[Spec], alpha: f64) -> (ImageCache, Vec<Spec>) {
+    let cfg = CacheConfig {
+        alpha,
+        limit_bytes: u64::MAX,
+        ..CacheConfig::default()
+    };
+    let mut cache = ImageCache::new(cfg, Arc::new(repo.size_table()));
+    for spec in uniques {
+        cache.insert_fresh(spec);
+    }
+    cache.settle();
+    let misses: Vec<Spec> = uniques
+        .windows(2)
+        .map(|w| w[0].union(&w[1]))
+        .filter(|s| cache.find_satisfying(s).is_none())
+        .take(64)
+        .collect();
+    assert!(
+        !misses.is_empty(),
+        "no missing spec at {} images",
+        uniques.len()
+    );
+    (cache, misses)
+}
+
 /// Plan and evict cost against the number of resident images: the
 /// hit test, a miss's merge-candidate search (α = 0.75, package-count
 /// metric) and an insert that evicts one image, at 1e2 … 1e5 images
 /// whose specs are dependency closures over the 2,000-package benchmark
-/// universe. Images are admitted with `insert_fresh`, so none
-/// merges and all `n` stay resident.
+/// universe; then hit and miss at 1e2 … 1e4 images shaped like the
+/// `hot_sharded` benchmark's (α = 0.2). Images are admitted with
+/// `insert_fresh`, so none merges and all `n` stay resident.
 fn plan_scaling(c: &mut Criterion) {
     let repo = bench_repo();
     let mut group = c.benchmark_group("plan_scaling");
@@ -196,25 +226,7 @@ fn plan_scaling(c: &mut Criterion) {
                 seed: 0x5ca1e,
             },
         );
-        let cfg = CacheConfig {
-            alpha: 0.75,
-            limit_bytes: u64::MAX,
-            ..CacheConfig::default()
-        };
-        let mut cache = ImageCache::new(cfg, Arc::new(repo.size_table()));
-        for spec in &uniques {
-            cache.insert_fresh(spec);
-        }
-        cache.settle();
-        // Misses: unions of neighbouring specs that no single image
-        // holds, so each plans a full merge-candidate search.
-        let misses: Vec<Spec> = uniques
-            .windows(2)
-            .map(|w| w[0].union(&w[1]))
-            .filter(|s| cache.find_satisfying(s).is_none())
-            .take(64)
-            .collect();
-        assert!(!misses.is_empty(), "no missing spec at {n} images");
+        let (cache, misses) = resident_cache(&repo, &uniques, 0.75);
         let mut next = 0usize;
         group.bench_with_input(BenchmarkId::new("hit", n), &n, |bench, _| {
             bench.iter(|| {
@@ -233,7 +245,7 @@ fn plan_scaling(c: &mut Criterion) {
         let mut full = ImageCache::new(
             CacheConfig {
                 limit_bytes: cache.stats().total_bytes,
-                ..cfg
+                ..*cache.config()
             },
             Arc::new(repo.size_table()),
         );
@@ -244,6 +256,36 @@ fn plan_scaling(c: &mut Criterion) {
             bench.iter(|| {
                 next = (next + 1) % uniques.len();
                 black_box(full.insert_fresh(&uniques[next]))
+            })
+        });
+    }
+    // `hot_sharded`-shaped rows: closures of one or two seed packages
+    // over a 4,000-package universe, α = 0.2. The rarest-first prefix is
+    // a few packages here, so misses verify a small share of the images.
+    let hot = hot_repo();
+    for n in [100usize, 1_000, 10_000] {
+        let uniques = workload::unique_specs(
+            &hot,
+            &WorkloadConfig {
+                unique_jobs: n,
+                repeats: 1,
+                max_initial_selection: 2,
+                scheme: WorkloadScheme::DependencyClosure,
+                seed: 0x5ca1e,
+            },
+        );
+        let (cache, misses) = resident_cache(&hot, &uniques, 0.2);
+        let mut next = 0usize;
+        group.bench_with_input(BenchmarkId::new("hot_hit", n), &n, |bench, _| {
+            bench.iter(|| {
+                next = (next + 1) % uniques.len();
+                black_box(cache.plan(&uniques[next]))
+            })
+        });
+        group.bench_with_input(BenchmarkId::new("hot_miss", n), &n, |bench, _| {
+            bench.iter(|| {
+                next = (next + 1) % misses.len();
+                black_box(cache.plan(&misses[next]))
             })
         });
     }

@@ -17,6 +17,17 @@ pub fn bench_repo() -> Repository {
     })
 }
 
+/// A universe shaped like the `hot_sharded` benchmark's: 4,000
+/// packages, two universal core products attached with probability 0.3.
+pub fn hot_repo() -> Repository {
+    Repository::generate(&RepoConfig {
+        package_count: 4000,
+        universal_core_products: 2,
+        core_attach_probability: 0.3,
+        ..RepoConfig::sft_like(0xbe9c)
+    })
+}
+
 /// A small job stream over the benchmark universe.
 pub fn bench_stream(repo: &Repository, unique_jobs: usize, repeats: usize) -> Vec<Spec> {
     workload::generate_stream(

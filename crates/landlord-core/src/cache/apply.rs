@@ -113,13 +113,11 @@ impl ImageCache {
 
         match plan.op {
             PlannedOp::Hit { image } => {
-                let touched = self.images.get_mut(&image.0).map(|r| {
+                if let Some(r) = self.images.get_mut(&image.0) {
                     r.image.last_used = now;
                     r.image.use_count += 1;
-                    r.image.bytes
-                });
-                if let Some(image_bytes) = touched {
-                    self.evictor.on_touch(&self.images[&image.0].image);
+                    self.evictor.on_touch(&r.image);
+                    let image_bytes = r.image.bytes;
                     self.ledger.count_hit();
                     self.ledger.serve(requested_bytes, image_bytes);
                     self.emit(CacheEvent::Hit {
@@ -187,10 +185,10 @@ impl ImageCache {
         // Account the packages newly introduced by the request.
         let added = spec.difference(&img.spec);
         add_members(members, &added);
-        self.postings.add(*slot, &added);
         let old_bytes = img.bytes;
         let new_spec = img.spec.union(spec);
         let new_bytes = sizes.spec_bytes(&new_spec);
+        self.postings.grow(*slot, &added, new_bytes);
         img.spec = new_spec;
         img.bytes = new_bytes;
         img.last_used = now;
@@ -202,7 +200,7 @@ impl ImageCache {
         if wants_split {
             self.pending_split = Some(id);
         }
-        self.evictor.on_touch(&self.images[&id.0].image);
+        self.evictor.on_touch(img);
         self.candidate_index.on_merge(id.0, spec);
         self.refcounts
             .add_spec(&added, self.sizes.as_ref(), &mut self.ledger);

@@ -12,12 +12,21 @@
 //! the leader's resulting image satisfies every subset) becomes a
 //! **waiter** and blocks until the leader publishes its [`Outcome`].
 //!
+//! Flights are lazy. Opening one records only the leader's spec and a
+//! token in the map; the first waiter to join allocates the [`Flight`]
+//! (the result cell it parks on), and later waiters share it. A leader
+//! nobody joins — nearly every leader outside a burst of duplicates —
+//! allocates nothing, and its completion wakes no one.
+//!
 //! Lock protocol (covered by the `lock-order` audit analysis):
 //!
 //! * `SingleFlight.inflight` (the map) and `Flight.state` (one flight's
 //!   result cell) are never held at the same time. `begin` touches only
-//!   the map; publishing first removes the map entry, then locks the
-//!   flight to store the result and notify.
+//!   the map, creating a flight there if it is the first waiter;
+//!   publishing first removes the map entry, taking its flight if one
+//!   was created, then locks that flight to store the result and
+//!   notify. A waiter that joined did so under the map lock before the
+//!   removal, so the leader always sees the flight it must publish to.
 //! * Waiters hold only their flight's `state` lock, released atomically
 //!   while parked on the condvar — a waiter never blocks the map.
 //!
@@ -42,7 +51,8 @@ enum FlightState {
     Abandoned,
 }
 
-/// One open flight: the result cell waiters park on.
+/// The result cell the waiters of one open flight park on, created by
+/// the first of them.
 pub struct Flight {
     state: Mutex<FlightState>,
     done: Condvar,
@@ -77,16 +87,26 @@ impl Flight {
     }
 }
 
+/// One open flight in the map: the leader's spec, the token naming
+/// its leader, and the result cell once a waiter has joined.
 struct FlightEntry {
     spec: Spec,
-    flight: Arc<Flight>,
+    token: u64,
+    flight: Option<Arc<Flight>>,
+}
+
+/// The open flights, in opening order, and the next leader token.
+#[derive(Default)]
+struct Inflight {
+    entries: Vec<FlightEntry>,
+    next_token: u64,
 }
 
 /// The in-flight map: open flights keyed by the leader's spec. One per
 /// shard — routing already partitions specs, so a global map would only
 /// add contention.
 pub struct SingleFlight {
-    inflight: Mutex<Vec<FlightEntry>>,
+    inflight: Mutex<Inflight>,
 }
 
 /// What [`SingleFlight::begin`] hands back: lead the build or wait on
@@ -102,10 +122,11 @@ pub enum Ticket<'a> {
 
 /// Obligation held by a flight's leader. Completing publishes the
 /// outcome; dropping without completing publishes `Abandoned` so
-/// waiters are never stranded.
+/// waiters are never stranded. Either way, a flight nobody joined has
+/// nothing to publish to.
 pub struct LeaderGuard<'a> {
     owner: &'a SingleFlight,
-    flight: Arc<Flight>,
+    token: u64,
     completed: bool,
 }
 
@@ -113,41 +134,64 @@ impl SingleFlight {
     /// An empty map with no open flights.
     pub fn new() -> Self {
         SingleFlight {
-            inflight: Mutex::new(Vec::new()),
+            inflight: Mutex::new(Inflight::default()),
         }
     }
 
-    /// Join the first open flight whose spec is a superset of `spec`,
+    /// Join the first open flight whose spec is a superset of `spec`
+    /// (allocating its result cell if the caller is its first waiter),
     /// or open a new flight led by the caller. The linear scan is fine:
     /// the map holds at most one entry per concurrently-planning
     /// leader, and subset matching needs the scan anyway.
     pub fn begin(&self, spec: &Spec) -> Ticket<'_> {
         let mut inflight = self.inflight.lock();
-        for entry in inflight.iter() {
+        for entry in inflight.entries.iter_mut() {
             if spec.is_subset(&entry.spec) {
-                return Ticket::Waiter(Arc::clone(&entry.flight));
+                return Ticket::Waiter(Arc::clone(entry.flight.get_or_insert_with(Flight::new)));
             }
         }
-        let flight = Flight::new();
-        inflight.push(FlightEntry {
+        let token = inflight.next_token;
+        inflight.next_token = token.wrapping_add(1);
+        inflight.entries.push(FlightEntry {
             spec: spec.clone(),
-            flight: Arc::clone(&flight),
+            token,
+            flight: None,
         });
         Ticket::Leader(LeaderGuard {
             owner: self,
-            flight,
+            token,
             completed: false,
         })
     }
 
     /// Open flights right now (tests and introspection).
     pub fn inflight_len(&self) -> usize {
-        self.inflight.lock().len()
+        self.inflight.lock().entries.len()
     }
 
-    fn remove(&self, flight: &Arc<Flight>) {
-        let mut inflight = self.inflight.lock();
-        inflight.retain(|e| !Arc::ptr_eq(&e.flight, flight));
+    /// Open flights whose result cell exists (a waiter joined them).
+    #[cfg(test)]
+    fn flights_allocated(&self) -> usize {
+        let inflight = self.inflight.lock();
+        inflight
+            .entries
+            .iter()
+            .filter(|e| e.flight.is_some())
+            .count()
+    }
+
+    /// Close the flight led by `token`: remove its entry, keeping the
+    /// others in opening order, then publish `terminal` if any waiter
+    /// joined.
+    fn close(&self, token: u64, terminal: FlightState) {
+        let flight = {
+            let mut inflight = self.inflight.lock();
+            let at = inflight.entries.iter().position(|e| e.token == token);
+            at.and_then(|i| inflight.entries.remove(i).flight)
+        };
+        if let Some(flight) = flight {
+            flight.publish(terminal);
+        }
     }
 }
 
@@ -163,16 +207,14 @@ impl LeaderGuard<'_> {
     /// the cache plan against the cache, not a closed flight.
     pub fn complete(mut self, outcome: Outcome) {
         self.completed = true;
-        self.owner.remove(&self.flight);
-        self.flight.publish(FlightState::Done(outcome));
+        self.owner.close(self.token, FlightState::Done(outcome));
     }
 }
 
 impl Drop for LeaderGuard<'_> {
     fn drop(&mut self) {
         if !self.completed {
-            self.owner.remove(&self.flight);
-            self.flight.publish(FlightState::Abandoned);
+            self.owner.close(self.token, FlightState::Abandoned);
         }
     }
 }
@@ -190,6 +232,7 @@ mod tests {
     use super::*;
     use crate::image::ImageId;
     use crate::spec::PackageId;
+    use crate::util::mix64;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::time::Duration;
 
@@ -265,15 +308,20 @@ mod tests {
             Ticket::Leader(g) => g,
             Ticket::Waiter(_) => panic!("first request must lead"),
         };
+        let joined = Arc::new(AtomicU64::new(0));
         let waiter = {
-            let sf = Arc::clone(&sf);
-            let s = s.clone();
+            let (sf, s, joined) = (Arc::clone(&sf), s.clone(), Arc::clone(&joined));
             std::thread::spawn(move || match sf.begin(&s) {
-                Ticket::Waiter(flight) => flight.wait(),
+                Ticket::Waiter(flight) => {
+                    joined.store(1, Ordering::SeqCst);
+                    flight.wait()
+                }
                 Ticket::Leader(_) => panic!("flight should still be open"),
             })
         };
-        while sf.inflight_len() != 1 || Arc::strong_count(&guard.flight) < 3 {
+        // Once the waiter holds the flight, the abandon reaches it
+        // whether or not it has parked yet.
+        while joined.load(Ordering::SeqCst) == 0 {
             std::thread::sleep(Duration::from_millis(1));
         }
         drop(guard); // leader bails out without completing
@@ -284,5 +332,135 @@ mod tests {
             matches!(sf.begin(&s), Ticket::Leader(_)),
             "abandoned flight must not capture new requests"
         );
+    }
+
+    #[test]
+    fn uncoalesced_leader_allocates_no_flight() {
+        let sf = SingleFlight::new();
+        let s = spec(&[1, 2]);
+        let Ticket::Leader(guard) = sf.begin(&s) else {
+            panic!("first request must lead");
+        };
+        let Ticket::Leader(other) = sf.begin(&spec(&[3])) else {
+            panic!("a disjoint spec must lead its own flight");
+        };
+        assert_eq!(sf.inflight_len(), 2);
+        assert_eq!(
+            sf.flights_allocated(),
+            0,
+            "a leader alone allocates nothing"
+        );
+        guard.complete(outcome(1));
+        drop(other);
+        assert_eq!(sf.inflight_len(), 0);
+        assert!(
+            matches!(sf.begin(&s), Ticket::Leader(_)),
+            "no open flight to join"
+        );
+
+        // The first waiter creates the flight; later waiters share it.
+        let Ticket::Leader(guard) = sf.begin(&s) else {
+            panic!("the map is empty again");
+        };
+        let Ticket::Waiter(first) = sf.begin(&spec(&[1])) else {
+            panic!("a subset joins the open flight");
+        };
+        let Ticket::Waiter(second) = sf.begin(&s) else {
+            panic!("an identical spec joins the open flight");
+        };
+        assert!(Arc::ptr_eq(&first, &second), "one flight per leader");
+        assert_eq!(sf.flights_allocated(), 1);
+        guard.complete(outcome(5));
+        assert_eq!(first.wait(), Some(outcome(5)));
+        assert_eq!(second.wait(), Some(outcome(5)));
+        assert_eq!(sf.inflight_len(), 0);
+    }
+
+    /// What one thread of the random-join test came away with.
+    #[derive(Debug)]
+    enum Joined {
+        /// It waited on an open flight and got this result.
+        Waited(Option<Outcome>),
+        /// Thread `t` found no open flight and led (and completed) its
+        /// own.
+        Led(u64),
+    }
+
+    /// Waiters join a flight at seeded random points of its life —
+    /// before the first waiter exists, after it, or after the flight
+    /// closed — while the leader completes or abandons it. Every thread
+    /// comes back exactly once: a waiter with the outcome of the flight
+    /// it joined, or `None` only when that flight was abandoned; a
+    /// latecomer as a leader of its own.
+    #[test]
+    fn waiters_joining_at_random_points_each_get_one_result() {
+        const THREADS: u64 = 4;
+        let s = spec(&[3, 4, 5]);
+        let mut waited = 0;
+        for seed in 0..24u64 {
+            let sf = Arc::new(SingleFlight::new());
+            let abandon = mix64(seed) & 1 == 1;
+            let Ticket::Leader(guard) = sf.begin(&s) else {
+                panic!("first request must lead");
+            };
+            let started = Arc::new(AtomicU64::new(0));
+            let handles: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let (sf, s, started) = (Arc::clone(&sf), s.clone(), Arc::clone(&started));
+                    let delay = Duration::from_micros(mix64(seed * THREADS + t + 1) % 300);
+                    std::thread::spawn(move || {
+                        started.fetch_add(1, Ordering::SeqCst);
+                        std::thread::sleep(delay);
+                        match sf.begin(&s) {
+                            Ticket::Waiter(flight) => Joined::Waited(flight.wait()),
+                            Ticket::Leader(own) => {
+                                own.complete(outcome(100 + t));
+                                Joined::Led(t)
+                            }
+                        }
+                    })
+                })
+                .collect();
+            while started.load(Ordering::SeqCst) < THREADS {
+                std::thread::yield_now();
+            }
+            std::thread::sleep(Duration::from_micros(mix64(!seed) % 400));
+            if abandon {
+                drop(guard);
+            } else {
+                guard.complete(outcome(0));
+            }
+            let results: Vec<Joined> = handles
+                .into_iter()
+                .map(|h| h.join().expect("joiner panicked"))
+                .collect();
+            assert_eq!(results.len() as u64, THREADS);
+            let led: Vec<u64> = results
+                .iter()
+                .filter_map(|got| match got {
+                    Joined::Led(t) => Some(100 + t),
+                    Joined::Waited(_) => None,
+                })
+                .collect();
+            for got in &results {
+                match got {
+                    Joined::Led(_) => {}
+                    Joined::Waited(None) => {
+                        assert!(abandon, "seed {seed}: None from a completed flight");
+                        waited += 1;
+                    }
+                    Joined::Waited(Some(o)) => {
+                        let bytes = o.image_bytes();
+                        assert!(
+                            (bytes == 0 && !abandon) || led.contains(&bytes),
+                            "seed {seed}: waiter got {o:?}"
+                        );
+                        waited += usize::from(bytes == 0);
+                    }
+                }
+            }
+            assert_eq!(sf.inflight_len(), 0, "seed {seed}: every flight closed");
+        }
+        assert!(waited > 0, "no seed had a waiter join the leader's flight");
     }
 }

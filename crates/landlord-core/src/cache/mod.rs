@@ -226,7 +226,7 @@ impl ImageCache {
         self.ledger.admit(image.bytes);
         self.candidate_index.on_insert(image.id.0, &image.spec);
         self.evictor.on_insert(&image);
-        let slot = self.postings.admit(image.id.0, &image.spec);
+        let slot = self.postings.admit(image.id.0, image.bytes, &image.spec);
         self.images.insert(image.id.0, Resident::new(image, slot));
     }
 
@@ -575,12 +575,13 @@ impl ImageCache {
         let resident: Vec<&Image> = self.images().collect();
         self.evictor.check(&resident);
         self.candidate_index.check(&resident);
-        // The posting table equals one recomputed from the images, and
-        // each package's refcount is its row's popcount.
+        // The posting table equals one recomputed from the images, each
+        // occupied slot's `(bytes, id)` record is its image's, and each
+        // package's refcount is its row's popcount.
         self.postings.check(
             self.images
                 .values()
-                .map(|r| (r.image.id.0, r.slot, &r.image.spec)),
+                .map(|r| (r.image.id.0, r.image.bytes, r.slot, &r.image.spec)),
             kept,
         );
 

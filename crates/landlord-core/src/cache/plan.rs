@@ -13,25 +13,27 @@
 //! (slots ≈ the peak resident count), and `w` the request's nonzero
 //! bitmap words (at most `|s|`):
 //!
-//! - hit test: `O(|s| · W)` at most — the AND of the request's posting
-//!   rows, which keeps only the words still holding a survivor and
-//!   stops at the first package no image holds or once nothing
-//!   survives — then a `(bytes, id)` minimum over the survivors. It
-//!   never visits an image that lacks one of the request's packages.
-//! - merge candidates (exact strategy): `O(k · W)` to OR the rows of
-//!   the request's `k` highest ids (the prefix filter; see
-//!   `ImageCache::candidate_prefix`), then `O(w)` per image in that
-//!   union for the intersection popcount, plus the common packages'
-//!   sizes under the byte metric. Images outside the union cannot be
-//!   within α, so they are never verified. When `k · W ≥ n` the OR
-//!   would cost as much as it could save, and all `n` images are
-//!   verified instead.
+//! - hit test: `O(|s| · W)` at most — one word of slots at a time, the
+//!   AND of that word of the request's posting rows, stopped as soon as
+//!   the word has no survivor — then the least `(bytes, id)` among the
+//!   survivors from the table's slot records, and one image-map lookup
+//!   for the winner. No allocation; it never visits an image that lacks
+//!   one of the request's packages.
+//! - merge candidates (exact strategy): `O(|s|)` to pick the prefix —
+//!   the request's `k` rarest packages by `PackageRefs` count (see
+//!   `ImageCache::candidate_prefix`) — and `O(k · W)` to OR their rows,
+//!   then `O(w)` per image in that union for the intersection popcount,
+//!   plus the common packages' sizes under the byte metric. Images
+//!   outside the union cannot be within α, so they are never verified.
+//!   When `k > ⌊n / W⌋` the OR would cost about as much as it could
+//!   save, and all `n` images are verified instead; under the package
+//!   count that is decided before any refcount is read.
 //!
 //! Neither depends on the images' sizes. [`plan_over`] keeps the
 //! sorted-slice merges over every entry, `O(|s| + |image|)` per image,
 //! and is the reference the engine's planner is tested against.
 
-use super::{postings, ImageCache, Resident};
+use super::{ImageCache, Resident};
 use crate::bitset::SparseBits;
 use crate::conflict::ConflictPolicy;
 use crate::image::{Image, ImageId};
@@ -80,15 +82,14 @@ impl ImageCache {
     /// Would this spec hit without mutating anything? Returns the
     /// smallest satisfying image.
     ///
-    /// The AND of the spec's posting rows, highest id first, started
-    /// from every resident slot, stopping as soon as no slot survives
-    /// (at the latest at a package no image holds). The smallest
-    /// `(bytes, id)` of the survivors wins, so the answer does not
-    /// depend on slots.
+    /// The posting table ANDs the spec's rows from the occupied slots
+    /// and ranks the survivors by the `(bytes, id)` records it keeps per
+    /// slot, so the answer does not depend on slots; only the winner is
+    /// looked up in the image map.
     pub fn find_satisfying(&self, spec: &Spec) -> Option<&Image> {
-        postings::slots(self.postings.supersets(spec))
-            .map(|slot| &self.images[&self.postings.image_at(slot)].image)
-            .min_by_key(|img| (img.bytes, img.id))
+        self.postings
+            .smallest_superset(spec)
+            .map(|id| &self.images[&id].image)
     }
 
     /// Decide what serving `spec` would do (Algorithm 1), without
@@ -177,12 +178,9 @@ impl ImageCache {
             None => {
                 match self.candidate_prefix(spec, requested_bytes) {
                     Some(prefix) => {
-                        let holders = self
-                            .postings
-                            .holders_of_any(&spec.ids()[spec.len() - prefix..]);
-                        for slot in postings::slots(holders.into_iter().enumerate()) {
+                        for id in self.postings.holders_of_any(&prefix) {
                             examined += 1;
-                            scored.extend(score(&self.images[&self.postings.image_at(slot)]));
+                            scored.extend(score(&self.images[&id]));
                         }
                     }
                     None => {
@@ -230,25 +228,39 @@ impl ImageCache {
         })
     }
 
-    /// How many of `spec`'s highest package ids every image within
-    /// distance α of it must share at least one of (the prefix filter
-    /// of AllPairs and PPJoin, over the one global order of descending
-    /// ids); `None` when every resident image is to be verified
-    /// instead: when the bound does not apply, or when OR-ing the
-    /// prefix's rows (`prefix × stride` words) would touch at least as
-    /// many words as there are resident images to verify.
+    /// The packages of `spec` every image within distance α of it must
+    /// share at least one of — the prefix filter of AllPairs and PPJoin,
+    /// taking the request's rarest packages by [`super::PackageRefs`]
+    /// count (ties to the lower id) — or `None` when every resident
+    /// image is to be verified instead: when the bound does not apply,
+    /// or when `k > ⌊images / stride⌋`, so that OR-ing the prefix's rows
+    /// (`k × stride` words) would touch about as many words as there
+    /// are resident images to verify.
     ///
     /// With `|·|` counting packages or bytes per the metric, a candidate
     /// at distance `d < α` has intersection `I` and union `U ≥ |s|` with
-    /// `I > (1 − α)·U ≥ (1 − α)·|s|`. An image sharing nothing with the
-    /// prefix overlaps `s` in the suffix at most, so a prefix whose
-    /// suffix stays below `(1 − α)·|s|` misses no candidate. The bound
-    /// carries a 2⁻⁴⁰ relative margin, so float rounding can only
-    /// lengthen the prefix; under the package count an integral bound
-    /// thus keeps one spare package. Every integer in the distance
-    /// formula is below 2⁵³, exact in `f64`, so a computed `d < α`
-    /// implies the real one.
-    fn candidate_prefix(&self, spec: &Spec, requested_bytes: u64) -> Option<usize> {
+    /// `I > (1 − α)·|s|`. An image sharing nothing with the prefix
+    /// overlaps `s` in the rest of it at most, so a prefix whose rest
+    /// stays below `(1 − α)·|s|` misses no candidate. Any subset of `s`
+    /// may serve as the prefix, because every package of every resident
+    /// image has its posting bit; the rarest packages have the shortest
+    /// rows, so their OR verifies the fewest images. At α = 1 the bound
+    /// is zero and the prefix is all of `s`.
+    ///
+    /// Under the package count the prefix length `k` follows from `|s|`
+    /// alone, so the full-scan fallback is decided before any refcount
+    /// is read, and the `k` rarest are selected in `O(|s|)`. Under the
+    /// byte metric packages are taken rarest first until the bytes left
+    /// fall below the bound. The bound carries a 2⁻⁴⁰ relative margin,
+    /// so float rounding can only lengthen the prefix; under the package
+    /// count an integral bound thus keeps one spare package. Every
+    /// integer in the distance formula is below 2⁵³, exact in `f64`, so
+    /// a computed `d < α` implies the real one.
+    pub(super) fn candidate_prefix(
+        &self,
+        spec: &Spec,
+        requested_bytes: u64,
+    ) -> Option<Vec<PackageId>> {
         // Past 2^52 bytes the distance formula rounds.
         const EXACT: u64 = 1 << 52;
         let (whole, by_bytes) = match self.config.metric {
@@ -265,24 +277,43 @@ impl ImageCache {
         }
         let bound = (1.0 - self.config.alpha) * whole as f64 * (1.0 - f64::powi(2.0, -40));
         let longest = self.images.len() / self.postings.stride().max(1);
-        let mut suffix = whole;
-        let mut prefix = 0;
-        for &p in spec.ids().iter().rev() {
-            if (suffix as f64) < bound {
-                break;
-            }
-            if prefix == longest {
+        let counts = self.refcounts.counts();
+        let rarity = |p: &PackageId| (counts.get(p.index()).copied().unwrap_or(0), *p);
+        if !by_bytes {
+            // The most packages that may stay out: the largest integer
+            // `m` with `m < bound`.
+            let rest = if bound > 0.0 {
+                (bound.ceil() as u64 - 1).min(whole)
+            } else {
+                0
+            };
+            let k = (whole - rest) as usize;
+            if k > longest {
                 return None;
             }
-            let weight = if by_bytes {
-                self.sizes.package_size(p)
-            } else {
-                1
-            };
-            suffix = suffix.saturating_sub(weight);
-            prefix += 1;
+            let mut order = spec.ids().to_vec();
+            if k < order.len() {
+                order.select_nth_unstable_by_key(k, rarity);
+                order.truncate(k);
+            }
+            return Some(order);
         }
-        Some(prefix)
+        let mut order = spec.ids().to_vec();
+        order.sort_unstable_by_key(rarity);
+        let mut rest = whole;
+        let mut k = 0;
+        for &p in &order {
+            if (rest as f64) < bound {
+                break;
+            }
+            if k == longest {
+                return None;
+            }
+            rest = rest.saturating_sub(self.sizes.package_size(p));
+            k += 1;
+        }
+        order.truncate(k);
+        Some(order)
     }
 }
 

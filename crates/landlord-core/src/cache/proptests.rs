@@ -243,6 +243,79 @@ proptest! {
         cache.check_invariants();
     }
 
+    /// Refcounts skewed against id order: every fill image holds 4–11
+    /// ids of the highest cluster and at most two of the lower ones, so
+    /// the high ids are the common ones and counts tie often. The prefix
+    /// is exactly the request's `k` least `(count, id)` packages, and
+    /// every plan is `plan_over`'s, under both metrics with zero-size
+    /// packages (every fifth id weighs nothing) and α up to 1.
+    #[test]
+    fn rarest_first_prefix_with_skewed_refcounts(
+        alpha in prop_oneof![Just(0.05), Just(0.2), Just(0.5), Just(0.75), Just(1.0)],
+        metric in prop_oneof![Just(DistanceMetric::PackageCount), Just(DistanceMetric::Bytes)],
+        fill in proptest::collection::vec(
+            (
+                proptest::collection::vec(2 * CLUSTER..3 * CLUSTER, 4..12),
+                proptest::collection::vec(0..2 * CLUSTER, 0..3),
+            )
+                .prop_map(|(common, rare)| {
+                    Spec::from_ids(common.into_iter().chain(rare).map(|i| {
+                        PackageId((i / CLUSTER + 1) * 64 - 10 + i % CLUSTER)
+                    }))
+                }),
+            70..140,
+        ),
+        stream in proptest::collection::vec(
+            proptest::collection::vec(arb_id(), 0..12).prop_map(Spec::from_ids),
+            1..40,
+        ),
+    ) {
+        let sizes = Arc::new(TableSizes::new((0..UNIVERSE as u64).map(|i| i % 5).collect()));
+        let cfg = CacheConfig {
+            alpha,
+            limit_bytes: u64::MAX,
+            metric,
+            ..CacheConfig::default()
+        };
+        let mut cache = ImageCache::new(cfg, Arc::clone(&sizes) as Arc<dyn SizeModel>);
+        for s in &fill {
+            cache.insert_fresh(s);
+        }
+        for s in &stream {
+            let counts = cache.refcounts.counts();
+            let rarity = |p: &PackageId| (counts.get(p.index()).copied().unwrap_or(0), *p);
+            if let Some(prefix) = cache.candidate_prefix(s, sizes.spec_bytes(s)) {
+                prop_assert!(prefix.iter().all(|p| s.contains(*p)), "prefix outside the spec");
+                let rarest = prefix.iter().map(rarity).max();
+                let rest = s.iter().filter(|p| !prefix.contains(p)).map(|p| rarity(&p)).min();
+                if let (Some(rarest), Some(rest)) = (rarest, rest) {
+                    prop_assert!(rarest < rest, "prefix is not the rarest packages");
+                }
+                if alpha == 1.0 {
+                    prop_assert_eq!(prefix.len(), s.len(), "α = 1 takes the whole spec");
+                }
+            }
+            {
+                let entries: Vec<(u64, &Spec, u64)> = cache
+                    .images()
+                    .map(|img| (img.id.0, &img.spec, img.bytes))
+                    .collect();
+                let free = plan_over(
+                    &entries,
+                    s,
+                    alpha,
+                    MergeOrder::NearestFirst,
+                    metric,
+                    sizes.as_ref(),
+                    &NoConflicts,
+                );
+                prop_assert_eq!(cache.plan(s).op, free);
+            }
+            cache.request(s);
+        }
+        cache.check_invariants();
+    }
+
     /// The bitmap kernels the planner uses agree with the sorted-slice
     /// ones: intersection size, and both distances to the bit. Request
     /// ids above the image's last word are covered by the draws (an

@@ -70,9 +70,11 @@ use std::sync::{Arc, OnceLock};
 /// Words in a shard's package-set summary (256 bits total).
 const SUMMARY_WORDS: usize = 4;
 
-/// Requests between periodic summary rebuilds. The summary cannot
-/// *clear* liveness incrementally (bits are shared), so any lock hold
-/// that evicted forces an immediate rebuild at its end (see
+/// Noted (non-hit) requests between periodic summary rebuilds. Hits
+/// are not noted (see [`PackageSummary::note_spec`]), so they do not
+/// count towards it. The summary cannot *clear* liveness incrementally
+/// (bits are shared), so any lock hold that evicted forces an
+/// immediate rebuild at its end (see
 /// [`PackageSummary::rebuild_after_evictions`]); this periodic rebuild
 /// remains as a backstop for holds that did not evict, and also
 /// refreshes the precise layer's static filter before its `fresh`
@@ -110,7 +112,7 @@ struct PreciseLayer {
 /// pruning after the tiny bloom saturates.
 struct PackageSummary {
     bits: [AtomicU64; SUMMARY_WORDS],
-    /// Requests noted since the last rebuild.
+    /// Non-hit requests noted since the last rebuild.
     notes: AtomicU64,
     /// Lock holds whose evictions forced a rebuild (stale bits cleared
     /// eagerly, once per hold that evicted).
@@ -165,8 +167,11 @@ impl PackageSummary {
     }
 
     /// Record that `spec`'s packages are (now) live in this shard.
-    /// Called under the shard lock after every served request; hits are
-    /// redundant but harmless.
+    /// Called under the shard lock after every merge or insert — only
+    /// those make packages live. A hit is not noted: its image already
+    /// holds every package of the spec, and every package of a live
+    /// image is in the bloom and in `filter ∪ fresh` already, so a note
+    /// would move nothing but the rebuild counter.
     fn note_spec(&self, spec: &Spec) {
         for p in spec.iter() {
             let (word, mask) = Self::slot(p);
@@ -391,11 +396,11 @@ impl ShardedImageCache {
     }
 
     /// Serve one request under the owning shard's lock: settle, consult
-    /// the (now authoritative) summary, plan with the peek, apply, and
-    /// note the spec's packages as live. Returns the outcome and whether
-    /// the apply evicted anything; the summary upkeep that eviction
-    /// calls for is left to the end of the lock hold (see
-    /// [`ShardedImageCache::hold`]).
+    /// the (now authoritative) summary, plan with the peek, apply, and,
+    /// unless it hit, note the spec's packages as live. Returns the
+    /// outcome and whether the apply evicted anything; the summary
+    /// upkeep that eviction calls for is left to the end of the lock
+    /// hold (see [`ShardedImageCache::hold`]).
     fn serve_locked(
         shard: &Shard,
         cache: &mut ImageCache,
@@ -414,7 +419,9 @@ impl ShardedImageCache {
         }
         let plan = cache.plan_with_peek(spec, superset_possible);
         let outcome = cache.apply(spec, &plan);
-        shard.summary.note_spec(spec);
+        if !matches!(outcome, Outcome::Hit { .. }) {
+            shard.summary.note_spec(spec);
+        }
         (outcome, cache.stats().deletes > deletes_before)
     }
 

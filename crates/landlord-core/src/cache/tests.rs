@@ -1,6 +1,6 @@
 use super::*;
 use crate::conflict::SingleVersionPerName;
-use crate::policy::{CandidateStrategy, EvictionPolicy};
+use crate::policy::{CandidateStrategy, DistanceMetric, EvictionPolicy};
 use crate::sizes::{TableSizes, UniformSizes};
 
 fn spec(ids: &[u32]) -> Spec {
@@ -641,4 +641,146 @@ fn cache_policy_trait_drives_the_engine() {
     assert_eq!(boxed.len(), 1);
     assert_eq!(boxed.limit_bytes(), 100);
     boxed.check_invariants();
+}
+
+/// The prefix the planner ORs, as a sorted id list.
+fn prefix_of(c: &ImageCache, s: &Spec) -> Option<Vec<u32>> {
+    let bytes = c.sizes.spec_bytes(s);
+    c.candidate_prefix(s, bytes).map(|prefix| {
+        let mut ids: Vec<u32> = prefix.into_iter().map(|p| p.0).collect();
+        ids.sort_unstable();
+        ids
+    })
+}
+
+/// Eight images that all hold the high ids 10..=13, while the low ids
+/// are rare: the prefix must take the rarest packages, not the highest
+/// ids, and break count ties on the lower id.
+#[test]
+fn prefix_takes_the_rarest_packages_not_the_highest_ids() {
+    let mut c = cache(0.5, u64::MAX);
+    for extra in [1, 2, 20, 21, 22, 23, 24, 25] {
+        c.insert_fresh(&spec(&[10, 11, 12, 13, extra]));
+    }
+    c.check_invariants();
+    // |s| = 8 at α = 0.5: fewer than 4 may stay out, so k = 5. Counts:
+    // 3 and 4 held by none, 1 and 2 by one image, 10..=13 by eight.
+    let s = spec(&[1, 2, 3, 4, 10, 11, 12, 13]);
+    assert_eq!(prefix_of(&c, &s), Some(vec![1, 2, 3, 4, 10]));
+    // |s| = 6: k = 4. 20 and 21 (one image each) come first, and the
+    // tie among 10..=13 goes to the lowest ids.
+    let s = spec(&[10, 11, 12, 13, 20, 21]);
+    assert_eq!(prefix_of(&c, &s), Some(vec![10, 11, 20, 21]));
+    // The decision is the full scan's.
+    let entries: Vec<(u64, &Spec, u64)> = c
+        .images()
+        .map(|img| (img.id.0, &img.spec, img.bytes))
+        .collect();
+    for s in [
+        spec(&[1, 2, 3, 4, 10, 11, 12, 13]),
+        spec(&[10, 11, 12, 13, 20, 21]),
+    ] {
+        let want = plan_over(
+            &entries,
+            &s,
+            0.5,
+            c.config().merge_order,
+            c.config().metric,
+            c.sizes.as_ref(),
+            &NoConflicts,
+        );
+        assert_eq!(c.plan(&s).op, want);
+    }
+}
+
+/// At α = 1 nothing may stay out of the prefix, under either metric.
+#[test]
+fn alpha_one_prefix_is_the_whole_spec() {
+    for metric in [DistanceMetric::PackageCount, DistanceMetric::Bytes] {
+        let cfg = CacheConfig {
+            alpha: 1.0,
+            limit_bytes: u64::MAX,
+            metric,
+            ..CacheConfig::default()
+        };
+        let mut c = ImageCache::new(cfg, Arc::new(UniformSizes::new(3)));
+        for i in 0..12u32 {
+            c.insert_fresh(&spec(&[i, i + 1]));
+        }
+        let s = spec(&[0, 5, 9, 30]);
+        assert_eq!(prefix_of(&c, &s), Some(vec![0, 5, 9, 30]), "{metric:?}");
+    }
+}
+
+/// Under the byte metric zero-size packages cost nothing to leave out
+/// and free nothing to take in: the rarest-first walk takes them and
+/// goes on until the bytes left fall below the bound, and an all-zero
+/// request falls back to the full scan.
+#[test]
+fn byte_prefix_walks_past_zero_size_packages() {
+    let cfg = CacheConfig {
+        alpha: 0.5,
+        limit_bytes: u64::MAX,
+        metric: DistanceMetric::Bytes,
+        ..CacheConfig::default()
+    };
+    // Packages 1 and 2 weigh nothing; 3, 4 and 5 weigh 4 bytes each.
+    let sizes = TableSizes::new(vec![1, 0, 0, 4, 4, 4, 1, 1]);
+    let mut c = ImageCache::new(cfg, Arc::new(sizes));
+    // Counts: 1 → 0, 2 → 1, 3 → 1, 4 → 2, 5 → 3.
+    for s in [&[2, 5][..], &[3, 4, 5], &[4, 5, 6], &[0, 7]] {
+        c.insert_fresh(&spec(s));
+    }
+    c.check_invariants();
+    // 12 bytes, bound just under 6: 1 and 2 leave 12, 3 leaves 8, 4
+    // leaves 4 — below the bound, so 5 stays out.
+    let s = spec(&[1, 2, 3, 4, 5]);
+    assert_eq!(prefix_of(&c, &s), Some(vec![1, 2, 3, 4]));
+    assert_eq!(prefix_of(&c, &spec(&[1, 2])), None, "zero bytes: full scan");
+    let entries: Vec<(u64, &Spec, u64)> = c
+        .images()
+        .map(|img| (img.id.0, &img.spec, img.bytes))
+        .collect();
+    for s in [spec(&[1, 2, 3, 4, 5]), spec(&[1, 2]), spec(&[1, 5])] {
+        let want = plan_over(
+            &entries,
+            &s,
+            0.5,
+            c.config().merge_order,
+            DistanceMetric::Bytes,
+            c.sizes.as_ref(),
+            &NoConflicts,
+        );
+        assert_eq!(c.plan(&s).op, want, "{s:?}");
+    }
+}
+
+/// The hit goes to the least `(bytes, id)` whatever the slots: a
+/// reused low slot holding a higher id loses a byte tie, and merges
+/// that grow an image move the winner, then tie it again.
+#[test]
+fn hit_tie_breaks_on_id_across_reused_slots_after_merges() {
+    let mut c = cache(0.5, u64::MAX);
+    let a = c.insert_fresh(&spec(&[1, 2, 3])).image();
+    let b = c.insert_fresh(&spec(&[1, 2, 4])).image();
+    assert!(c.remove_image(a));
+    // The new image reuses `a`'s slot, below `b`'s, with a higher id.
+    let d = c.insert_fresh(&spec(&[1, 2, 5])).image();
+    assert!(d > b);
+    c.check_invariants();
+    let probe = spec(&[1, 2]);
+    assert_eq!(c.request(&probe).image(), b, "byte tie: least id");
+    // Merges grow `b`, then `d`, to four packages each.
+    assert!(matches!(
+        c.request(&spec(&[1, 2, 4, 6])),
+        Outcome::Merged { image, image_bytes: 4, .. } if image == b
+    ));
+    c.check_invariants();
+    assert_eq!(c.request(&probe).image(), d, "b grew past d");
+    assert!(matches!(
+        c.request(&spec(&[1, 2, 5, 7])),
+        Outcome::Merged { image, image_bytes: 4, .. } if image == d
+    ));
+    c.check_invariants();
+    assert_eq!(c.request(&probe).image(), b, "tied again at four bytes");
 }
