@@ -7,6 +7,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use landlord_core::cache::{CacheConfig, ImageCache};
 use landlord_core::jaccard::jaccard_distance;
 use landlord_core::minhash::{LshIndex, LshShape, MinHasher};
+use landlord_core::policy::{CandidateStrategy, DistanceMetric};
 use landlord_core::spec::{PackageId, Spec};
 use landlord_repo::{ClosureComputer, Repository};
 use landlord_shrinkwrap::filetree::FileTreeConfig;
@@ -176,16 +177,18 @@ fn touch_path(c: &mut Criterion) {
     group.finish();
 }
 
+/// The LSH shape the `ablation-candidates` experiment runs.
+const LSH_32X4: CandidateStrategy = CandidateStrategy::MinHashLsh { bands: 32, rows: 4 };
+
 /// Resident images from `uniques` (admitted with `insert_fresh`, so
-/// none merges) under `alpha`, with no byte limit, plus up to 64 misses:
-/// unions of neighbouring specs that no single image holds, so each
-/// plans a full merge-candidate search.
-fn resident_cache(repo: &Repository, uniques: &[Spec], alpha: f64) -> (ImageCache, Vec<Spec>) {
-    let cfg = CacheConfig {
-        alpha,
-        limit_bytes: u64::MAX,
-        ..CacheConfig::default()
-    };
+/// none merges) under `cfg`, plus up to 64 misses: unions of
+/// neighbouring specs that no single image holds, so each plans a full
+/// merge-candidate search.
+fn resident_cache(
+    repo: &Repository,
+    uniques: &[Spec],
+    cfg: CacheConfig,
+) -> (ImageCache, Vec<Spec>) {
     let mut cache = ImageCache::new(cfg, Arc::new(repo.size_table()));
     for spec in uniques {
         cache.insert_fresh(spec);
@@ -206,12 +209,14 @@ fn resident_cache(repo: &Repository, uniques: &[Spec], alpha: f64) -> (ImageCach
 }
 
 /// Plan and evict cost against the number of resident images: the
-/// hit test, a miss's merge-candidate search (α = 0.75, package-count
-/// metric) and an insert that evicts one image, at 1e2 … 1e5 images
-/// whose specs are dependency closures over the 2,000-package benchmark
-/// universe; then hit and miss at 1e2 … 1e4 images shaped like the
-/// `hot_sharded` benchmark's (α = 0.2). Images are admitted with
-/// `insert_fresh`, so none merges and all `n` stay resident.
+/// hit test, a miss's merge-candidate search (α = 0.75) under the exact
+/// strategy with the package-count metric, with the byte metric
+/// (`_bytes`) and under MinHash/LSH 32×4 (`_lsh`), and an insert that
+/// evicts one image, at 1e2 … 1e5 images whose specs are dependency
+/// closures over the 2,000-package benchmark universe; then hit and
+/// the three misses at 1e2 … 1e4 images shaped like the `hot_sharded`
+/// benchmark's (α = 0.2). Images are admitted with `insert_fresh` and
+/// no byte limit, so none merges and all `n` stay resident.
 fn plan_scaling(c: &mut Criterion) {
     let repo = bench_repo();
     let mut group = c.benchmark_group("plan_scaling");
@@ -226,7 +231,28 @@ fn plan_scaling(c: &mut Criterion) {
                 seed: 0x5ca1e,
             },
         );
-        let (cache, misses) = resident_cache(&repo, &uniques, 0.75);
+        let exact = CacheConfig {
+            alpha: 0.75,
+            limit_bytes: u64::MAX,
+            ..CacheConfig::default()
+        };
+        let (cache, misses) = resident_cache(&repo, &uniques, exact);
+        let (by_bytes, _) = resident_cache(
+            &repo,
+            &uniques,
+            CacheConfig {
+                metric: DistanceMetric::Bytes,
+                ..exact
+            },
+        );
+        let (lsh, _) = resident_cache(
+            &repo,
+            &uniques,
+            CacheConfig {
+                candidates: LSH_32X4,
+                ..exact
+            },
+        );
         let mut next = 0usize;
         group.bench_with_input(BenchmarkId::new("hit", n), &n, |bench, _| {
             bench.iter(|| {
@@ -238,6 +264,18 @@ fn plan_scaling(c: &mut Criterion) {
             bench.iter(|| {
                 next = (next + 1) % misses.len();
                 black_box(cache.plan(&misses[next]))
+            })
+        });
+        group.bench_with_input(BenchmarkId::new("miss_bytes", n), &n, |bench, _| {
+            bench.iter(|| {
+                next = (next + 1) % misses.len();
+                black_box(by_bytes.plan(&misses[next]))
+            })
+        });
+        group.bench_with_input(BenchmarkId::new("miss_lsh", n), &n, |bench, _| {
+            bench.iter(|| {
+                next = (next + 1) % misses.len();
+                black_box(lsh.plan(&misses[next]))
             })
         });
         // Evict: at the byte limit, each fresh insert evicts the LRU
@@ -260,8 +298,7 @@ fn plan_scaling(c: &mut Criterion) {
         });
     }
     // `hot_sharded`-shaped rows: closures of one or two seed packages
-    // over a 4,000-package universe, α = 0.2. The rarest-first prefix is
-    // a few packages here, so misses verify a small share of the images.
+    // over a 4,000-package universe, α = 0.2.
     let hot = hot_repo();
     for n in [100usize, 1_000, 10_000] {
         let uniques = workload::unique_specs(
@@ -274,7 +311,28 @@ fn plan_scaling(c: &mut Criterion) {
                 seed: 0x5ca1e,
             },
         );
-        let (cache, misses) = resident_cache(&hot, &uniques, 0.2);
+        let exact = CacheConfig {
+            alpha: 0.2,
+            limit_bytes: u64::MAX,
+            ..CacheConfig::default()
+        };
+        let (cache, misses) = resident_cache(&hot, &uniques, exact);
+        let (by_bytes, _) = resident_cache(
+            &hot,
+            &uniques,
+            CacheConfig {
+                metric: DistanceMetric::Bytes,
+                ..exact
+            },
+        );
+        let (lsh, _) = resident_cache(
+            &hot,
+            &uniques,
+            CacheConfig {
+                candidates: LSH_32X4,
+                ..exact
+            },
+        );
         let mut next = 0usize;
         group.bench_with_input(BenchmarkId::new("hot_hit", n), &n, |bench, _| {
             bench.iter(|| {
@@ -286,6 +344,18 @@ fn plan_scaling(c: &mut Criterion) {
             bench.iter(|| {
                 next = (next + 1) % misses.len();
                 black_box(cache.plan(&misses[next]))
+            })
+        });
+        group.bench_with_input(BenchmarkId::new("hot_miss_bytes", n), &n, |bench, _| {
+            bench.iter(|| {
+                next = (next + 1) % misses.len();
+                black_box(by_bytes.plan(&misses[next]))
+            })
+        });
+        group.bench_with_input(BenchmarkId::new("hot_miss_lsh", n), &n, |bench, _| {
+            bench.iter(|| {
+                next = (next + 1) % misses.len();
+                black_box(lsh.plan(&misses[next]))
             })
         });
     }

@@ -9,7 +9,7 @@
 //! same decision it planned.
 
 use super::plan::{Plan, PlannedOp};
-use super::{add_members, ImageCache, Resident};
+use super::{ImageCache, Resident};
 use crate::events::CacheEvent;
 use crate::image::{Image, ImageId};
 use crate::spec::Spec;
@@ -176,15 +176,10 @@ impl ImageCache {
     ) -> Option<Outcome> {
         let split_threshold = self.config.split_threshold;
         let sizes = Arc::clone(&self.sizes);
-        let Resident {
-            image: img,
-            members,
-            slot,
-        } = self.images.get_mut(&id.0)?;
+        let Resident { image: img, slot } = self.images.get_mut(&id.0)?;
 
         // Account the packages newly introduced by the request.
         let added = spec.difference(&img.spec);
-        add_members(members, &added);
         let old_bytes = img.bytes;
         let new_spec = img.spec.union(spec);
         let new_bytes = sizes.spec_bytes(&new_spec);

@@ -3,14 +3,14 @@
 //! trait.
 //!
 //! [`ExactScan`] keeps no index: the engine then finds every image
-//! within α exactly, by prefix filter over its posting table (the
-//! paper's simulated configuration). [`MinHashLshIndex`] keeps a
-//! MinHash signature per
-//! image in a banded LSH table and proposes only probable near
-//! neighbours — the scaling trade the paper describes for very large
-//! specification collections. Either way the engine confirms every
-//! proposal with the exact distance, so the index can only *miss*
-//! merges, never create wrong ones.
+//! within α exactly, by counting each image's overlap with the request
+//! on its posting table (the paper's simulated configuration).
+//! [`MinHashLshIndex`] keeps a MinHash signature per image in a banded
+//! LSH table and proposes only probable near neighbours — the scaling
+//! trade the paper describes for very large specification collections.
+//! Either way the engine confirms every proposal with the exact
+//! distance, counting the proposals' overlaps on the posting table, so
+//! the index can only *miss* merges, never create wrong ones.
 
 use crate::image::Image;
 use crate::minhash::{LshIndex, LshShape, MinHasher, Signature};
@@ -31,8 +31,8 @@ pub trait CandidateIndex: Send {
     /// Image `id` left the cache.
     fn on_remove(&mut self, id: u64);
     /// Candidate image ids for `spec`, or `None` meaning "no index:
-    /// find the exact candidate set" (by prefix filter over the
-    /// engine's posting table).
+    /// find the exact candidate set" (by counting every image's overlap
+    /// on the engine's posting table).
     fn candidates(&self, spec: &Spec) -> Option<Vec<u64>>;
     /// Verify the index against the resident images (each exactly
     /// once); panics on inconsistency.

@@ -32,7 +32,7 @@
 //! | `apply` | sole mutator: [`ImageCache::apply`] executes a [`Plan`] |
 //! | `evictor` | [`Evictor`] seam: ordered indexes, S3-FIFO queues, sampled LHD |
 //! | `candidates` | [`CandidateIndex`] seam: exact scan vs MinHash/LSH |
-//! | `postings` | package → resident-slot bitmaps: hit test and exact merge candidates |
+//! | `postings` | package → resident-slot bitmaps: hit test and overlap counts |
 //! | `ledger` | [`Ledger`]: accounting shared with every baseline |
 //!
 //! `request()` is literally `settle(); apply(spec, &plan(spec))`: the
@@ -71,7 +71,6 @@ pub use sharded::{shard_limit_bytes, ShardedImageCache};
 
 use postings::Postings;
 
-use crate::bitset::BitSet;
 use crate::conflict::{ConflictPolicy, NoConflicts};
 use crate::events::{CacheEvent, EventSink};
 use crate::image::{Image, ImageId};
@@ -95,7 +94,7 @@ pub struct ImageCache {
     ledger: Ledger,
     refcounts: PackageRefs,
     /// Package → bitmap over the resident images' slots: the hit test
-    /// and the exact merge-candidate set (see `postings`).
+    /// and every image's overlap with a request (see `postings`).
     postings: Postings,
     evictor: Box<dyn Evictor>,
     /// Evictor counter values already flushed to the metrics registry;
@@ -115,40 +114,14 @@ pub struct ImageCache {
     pending_split: Option<ImageId>,
 }
 
-/// One entry of the image map: the image, a packed bitmap of its
-/// spec's package ids sized to its largest id, and its slot in the
-/// posting table. The sorted `Spec` stays the canonical set
-/// (serialization, iteration, union); the bitmap answers the overlap
-/// with one image in one word operation per request word; the posting
-/// table's rows answer which images hold a package.
-/// [`ImageCache::check_invariants`] holds all three equal.
+/// One entry of the image map: the image and its slot in the posting
+/// table. The sorted `Spec` stays the canonical set (serialization,
+/// iteration, union); the posting table's rows answer which images hold
+/// a package and how much of a request each holds.
+/// [`ImageCache::check_invariants`] holds the two equal.
 struct Resident {
     image: Image,
-    members: BitSet,
     slot: u32,
-}
-
-impl Resident {
-    fn new(image: Image, slot: u32) -> Self {
-        let mut members = BitSet::new(0);
-        add_members(&mut members, &image.spec);
-        Resident {
-            image,
-            members,
-            slot,
-        }
-    }
-}
-
-/// Set the bits of `spec`'s package ids in `members`, first growing it
-/// to `spec`'s largest id.
-fn add_members(members: &mut BitSet, spec: &Spec) {
-    if let Some(last) = spec.ids().last() {
-        members.grow(last.index() + 1);
-    }
-    for id in spec {
-        members.insert(id.index());
-    }
 }
 
 impl ImageCache {
@@ -218,7 +191,7 @@ impl ImageCache {
 
     /// Make `image` resident: reference its packages, count its bytes,
     /// register it with the evictor and the candidate index, and store
-    /// it with its bitmap and posting slot. The one admission path of
+    /// it with its posting slot. The one admission path of
     /// insert, split pieces and checkpoint restore.
     fn admit_image(&mut self, image: Image) {
         self.refcounts
@@ -227,7 +200,7 @@ impl ImageCache {
         self.candidate_index.on_insert(image.id.0, &image.spec);
         self.evictor.on_insert(&image);
         let slot = self.postings.admit(image.id.0, image.bytes, &image.spec);
-        self.images.insert(image.id.0, Resident::new(image, slot));
+        self.images.insert(image.id.0, Resident { image, slot });
     }
 
     /// Current logical clock (for checkpointing).
@@ -468,34 +441,7 @@ impl ImageCache {
         let stats = self.ledger.stats();
         let mut total = 0u64;
         let mut refcounts: Vec<u32> = Vec::new();
-        for Resident {
-            image: img,
-            members,
-            ..
-        } in self.images.values()
-        {
-            // The bitmap holds exactly the spec's members, sized to its
-            // largest id: a missed update at insert, merge, split or
-            // restore shows here.
-            assert!(
-                members
-                    .iter_ones()
-                    .eq(img.spec.iter().map(PackageId::index)),
-                "image {} bitmap out of sync with spec",
-                img.id
-            );
-            assert_eq!(
-                members.count_ones(),
-                img.spec.len(),
-                "image {} bitmap popcount",
-                img.id
-            );
-            assert_eq!(
-                members.len(),
-                img.spec.ids().last().map_or(0, |p| p.index() + 1),
-                "image {} bitmap not sized to its largest id",
-                img.id
-            );
+        for img in self.images() {
             assert_eq!(
                 img.bytes,
                 self.sizes.spec_bytes(&img.spec),
@@ -576,7 +522,8 @@ impl ImageCache {
         self.evictor.check(&resident);
         self.candidate_index.check(&resident);
         // The posting table equals one recomputed from the images, each
-        // occupied slot's `(bytes, id)` record is its image's, and each
+        // occupied slot's record (bytes, id, package count) is its
+        // image's, and each
         // package's refcount is its row's popcount.
         self.postings.check(
             self.images

@@ -24,10 +24,11 @@ pub mod names {
     pub const PLAN_TICKS: &str = "core.plan_ticks";
     /// Span histogram: ticks spent in `apply`.
     pub const APPLY_TICKS: &str = "core.apply_ticks";
-    /// Histogram: merge candidates verified against α per planning
-    /// pass — the images holding a package of the request's prefix
-    /// under the exact strategy, or the index's live proposals under
-    /// MinHash/LSH. Images outside that set are never visited.
+    /// Histogram: merge candidates scored against α per planning pass
+    /// — under the exact strategy the slots read out of the posting
+    /// table's count, those whose overlap with the request is large
+    /// enough to be within α; under MinHash/LSH the index's live
+    /// proposals. No other image's distance is computed.
     pub const CANDIDATE_SCAN: &str = "core.candidate_scan";
     /// Histogram: evictions performed per `evict_to_limit` call.
     pub const EVICT_CHAIN: &str = "core.evict_chain";

@@ -9,9 +9,8 @@
 //!
 //! # Cost
 //!
-//! With `n` resident images, `W = ⌈slots / 64⌉` words per posting row
-//! (slots ≈ the peak resident count), and `w` the request's nonzero
-//! bitmap words (at most `|s|`):
+//! With `W = ⌈slots / 64⌉` words per posting row (slots ≈ the peak
+//! resident count):
 //!
 //! - hit test: `O(|s| · W)` at most — one word of slots at a time, the
 //!   AND of that word of the request's posting rows, stopped as soon as
@@ -19,22 +18,29 @@
 //!   survivors from the table's slot records, and one image-map lookup
 //!   for the winner. No allocation; it never visits an image that lacks
 //!   one of the request's packages.
-//! - merge candidates (exact strategy): `O(|s|)` to pick the prefix —
-//!   the request's `k` rarest packages by `PackageRefs` count (see
-//!   `ImageCache::candidate_prefix`) — and `O(k · W)` to OR their rows,
-//!   then `O(w)` per image in that union for the intersection popcount,
-//!   plus the common packages' sizes under the byte metric. Images
-//!   outside the union cannot be within α, so they are never verified.
-//!   When `k > ⌊n / W⌋` the OR would cost about as much as it could
-//!   save, and all `n` images are verified instead; under the package
-//!   count that is decided before any refcount is read.
+//! - merge candidates (exact strategy): `O(|s| · W)` word operations
+//!   to count every slot's overlap with the request at once — under the
+//!   package count, bit-sliced counters fed by a carry-save adder tree
+//!   eight rows at a time; under the byte metric, a per-slot byte sum
+//!   with one addition per `(package, holder)` pair — then `O(1)` per
+//!   image whose overlap reaches the least any image within α has (see
+//!   `ImageCache::least_overlap`): its distance comes from the slot's
+//!   `(bytes, id, package count)` record and the count, with no
+//!   image-map lookup. No other image is scored.
+//! - merge candidates (MinHash/LSH): the same count over only the words
+//!   of slots that hold a proposal, `O(|s|)` word operations per such
+//!   word, reading out only the proposals' lanes.
+//! - the choice among the `c` candidates within α: a sort in the merge
+//!   order, `O(c log c)`, then conflict checks in that order until one
+//!   passes. At α = 0.75 a closure workload's misses have thousands of
+//!   candidates, and the sort is most of such a miss's cost.
 //!
-//! Neither depends on the images' sizes. [`plan_over`] keeps the
+//! None depends on the images' sizes. [`plan_over`] keeps the
 //! sorted-slice merges over every entry, `O(|s| + |image|)` per image,
 //! and is the reference the engine's planner is tested against.
 
-use super::{ImageCache, Resident};
-use crate::bitset::SparseBits;
+use super::postings::Record;
+use super::ImageCache;
 use crate::conflict::ConflictPolicy;
 use crate::image::{Image, ImageId};
 use crate::jaccard::{
@@ -43,7 +49,7 @@ use crate::jaccard::{
 };
 use crate::policy::{DistanceMetric, MergeOrder};
 use crate::sizes::SizeModel;
-use crate::spec::{PackageId, Spec};
+use crate::spec::Spec;
 
 /// What [`ImageCache::request`] would decide for a spec. Computed by
 /// [`ImageCache::plan`] on a settled cache; consumed by
@@ -141,67 +147,75 @@ impl ImageCache {
         }
     }
 
-    /// Enumerate merge candidates (via the candidate index, or exactly
-    /// by prefix filter over the posting table), compute exact
-    /// distances, filter by α, order per policy, and return the first
-    /// non-conflicting one. `requested_bytes` is `spec`'s size in
-    /// bytes.
+    /// Enumerate merge candidates — count on the posting table the
+    /// overlap of the candidate index's proposals, or, under the exact
+    /// strategy, of every image — compute exact distances, filter by α,
+    /// order per policy, and return the first non-conflicting one.
+    /// `requested_bytes` is `spec`'s size in bytes.
     fn pick_merge_candidate(&self, spec: &Spec, requested_bytes: u64) -> Option<(ImageId, f64)> {
         let alpha = self.config.alpha;
         let metric = self.config.metric;
         let sizes = self.sizes.as_ref();
-        // Packed once for every candidate's overlap count.
-        let words = spec.sparse_bits();
-        let score = |r: &Resident| -> Option<(ImageId, f64)> {
-            // Cheap size-ratio bound prunes most far candidates without
-            // touching the bitmap.
-            if metric == DistanceMetric::PackageCount
-                && size_lower_bound(spec.len(), r.image.spec.len()) >= alpha
-            {
-                return None;
-            }
-            let d = r.distance(metric, spec.len(), &words, requested_bytes, sizes);
-            (d < alpha).then_some((r.image.id, d))
-        };
-
         let mut examined: u64 = 0;
-        let mut scored: Vec<(ImageId, f64)> = Vec::new();
+        let mut scored: Vec<Scored> = Vec::new();
+        // The distance from the slot's record and the overlap, through
+        // the formulas of the sorted-slice kernels. As in `plan_over`,
+        // an image outside the package count's cheap size-ratio bound
+        // is not scored.
+        let mut keep = |record: Record, overlap: u64| {
+            let d = match metric {
+                DistanceMetric::PackageCount => {
+                    if size_lower_bound(spec.len(), record.packages) >= alpha {
+                        return;
+                    }
+                    let overlap = usize::try_from(overlap).unwrap_or(usize::MAX);
+                    distance_from_counts(spec.len(), record.packages, overlap)
+                }
+                DistanceMetric::Bytes => {
+                    distance_from_bytes(requested_bytes, record.bytes, overlap)
+                }
+            };
+            if d < alpha {
+                scored.push((ImageId(record.id), d, record.bytes));
+            }
+        };
         match self.candidate_index.candidates(spec) {
             Some(keys) => {
-                for key in keys {
-                    if let Some(r) = self.images.get(&key) {
-                        examined += 1;
-                        scored.extend(score(r));
-                    }
-                }
+                let among = self.postings.mask_of(
+                    keys.iter()
+                        .filter_map(|key| self.images.get(key))
+                        .inspect(|_| examined += 1)
+                        .map(|r| r.slot),
+                );
+                self.postings
+                    .overlaps(spec, metric, sizes, 0, Some(&among), keep);
             }
             None => {
-                match self.candidate_prefix(spec, requested_bytes) {
-                    Some(prefix) => {
-                        for id in self.postings.holders_of_any(&prefix) {
-                            examined += 1;
-                            scored.extend(score(&self.images[&id]));
-                        }
-                    }
-                    None => {
-                        for r in self.images.values() {
-                            examined += 1;
-                            scored.extend(score(r));
-                        }
-                    }
-                }
+                let least = self.least_overlap(spec, requested_bytes);
+                self.postings
+                    .overlaps(spec, metric, sizes, least, None, |record, overlap| {
+                        examined += 1;
+                        keep(record, overlap)
+                    });
                 debug_assert!(
                     {
-                        let mut full: Vec<(ImageId, f64)> =
-                            self.images.values().filter_map(score).collect();
-                        full.sort_by_key(|&(id, _)| id);
-                        let mut got = scored.clone();
-                        got.sort_by_key(|&(id, _)| id);
-                        full.iter()
-                            .map(|&(id, d)| (id, d.to_bits()))
-                            .eq(got.iter().map(|&(id, d)| (id, d.to_bits())))
+                        let entries: Vec<(u64, &Spec, u64)> = self
+                            .images()
+                            .map(|img| (img.id.0, &img.spec, img.bytes))
+                            .collect();
+                        let mut full: Vec<(u64, u64)> =
+                            within_alpha(&entries, spec, alpha, metric, sizes)
+                                .map(|(id, d, ..)| (id, d.to_bits()))
+                                .collect();
+                        full.sort_unstable();
+                        let mut got: Vec<(u64, u64)> = scored
+                            .iter()
+                            .map(|&(id, d, _)| (id.0, d.to_bits()))
+                            .collect();
+                        got.sort_unstable();
+                        full == got
                     },
-                    "prefix filter disagrees with the full scan's merge candidates"
+                    "the posting-table count disagrees with the sorted-slice merge candidates"
                 );
             }
         }
@@ -209,148 +223,61 @@ impl ImageCache {
             obs.candidate_scan.record(examined);
         }
 
-        match self.config.merge_order {
-            MergeOrder::NearestFirst => {
-                scored.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
-            }
-            MergeOrder::ArrivalOrder => scored.sort_by_key(|&(id, _)| id),
-            MergeOrder::LargestFirst => scored
-                .sort_by_key(|&(id, _)| (std::cmp::Reverse(self.images[&id.0].image.bytes), id)),
-            MergeOrder::SmallestFirst => {
-                scored.sort_by_key(|&(id, _)| (self.images[&id.0].image.bytes, id))
-            }
-        }
-
-        scored.into_iter().find(|&(id, _)| {
-            !self
-                .conflicts
-                .conflicts(spec, &self.images[&id.0].image.spec)
-        })
+        // The policy's order over `(id, distance, bytes)`: total, as ids
+        // are unique, and the same as `plan_over`'s.
+        scored.sort_by(|a, b| match self.config.merge_order {
+            MergeOrder::NearestFirst => a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)),
+            MergeOrder::ArrivalOrder => a.0.cmp(&b.0),
+            MergeOrder::LargestFirst => b.2.cmp(&a.2).then(a.0.cmp(&b.0)),
+            MergeOrder::SmallestFirst => (a.2, a.0).cmp(&(b.2, b.0)),
+        });
+        scored
+            .into_iter()
+            .find(|&(id, ..)| {
+                !self
+                    .conflicts
+                    .conflicts(spec, &self.images[&id.0].image.spec)
+            })
+            .map(|(image, distance, _)| (image, distance))
     }
 
-    /// The packages of `spec` every image within distance α of it must
-    /// share at least one of — the prefix filter of AllPairs and PPJoin,
-    /// taking the request's rarest packages by [`super::PackageRefs`]
-    /// count (ties to the lower id) — or `None` when every resident
-    /// image is to be verified instead: when the bound does not apply,
-    /// or when `k > ⌊images / stride⌋`, so that OR-ing the prefix's rows
-    /// (`k × stride` words) would touch about as many words as there
-    /// are resident images to verify.
+    /// The least overlap with `spec` — in packages, or in bytes under
+    /// the byte metric — that an image within distance α of it can
+    /// have; `0` when every resident image is to be scored.
     ///
-    /// With `|·|` counting packages or bytes per the metric, a candidate
-    /// at distance `d < α` has intersection `I` and union `U ≥ |s|` with
-    /// `I > (1 − α)·|s|`. An image sharing nothing with the prefix
-    /// overlaps `s` in the rest of it at most, so a prefix whose rest
-    /// stays below `(1 − α)·|s|` misses no candidate. Any subset of `s`
-    /// may serve as the prefix, because every package of every resident
-    /// image has its posting bit; the rarest packages have the shortest
-    /// rows, so their OR verifies the fewest images. At α = 1 the bound
-    /// is zero and the prefix is all of `s`.
-    ///
-    /// Under the package count the prefix length `k` follows from `|s|`
-    /// alone, so the full-scan fallback is decided before any refcount
-    /// is read, and the `k` rarest are selected in `O(|s|)`. Under the
-    /// byte metric packages are taken rarest first until the bytes left
-    /// fall below the bound. The bound carries a 2⁻⁴⁰ relative margin,
-    /// so float rounding can only lengthen the prefix; under the package
-    /// count an integral bound thus keeps one spare package. Every
-    /// integer in the distance formula is below 2⁵³, exact in `f64`, so
-    /// a computed `d < α` implies the real one.
-    pub(super) fn candidate_prefix(
-        &self,
-        spec: &Spec,
-        requested_bytes: u64,
-    ) -> Option<Vec<PackageId>> {
-        // Past 2^52 bytes the distance formula rounds.
+    /// With `|·|` counting packages or bytes per the metric, an image
+    /// at distance `d < α` has intersection `I` and union `U ≥ |s|`
+    /// with `I > (1 − α)·|s|`. The bound carries a 2⁻⁴⁰ relative
+    /// margin, so float rounding can only lower it, and `I` is an
+    /// integer, so the least is the bound rounded up. Every integer in
+    /// the distance formula is below 2⁵³, exact in `f64`, so a computed
+    /// `d < α` implies the real one; past 2⁵² bytes in the cache the
+    /// formula rounds, and every image is scored. At α = 1, and for the
+    /// empty request or a zero-byte one under the byte metric, the
+    /// bound is zero: such a request is at distance 0 from an image
+    /// with which it shares nothing but emptiness.
+    pub(super) fn least_overlap(&self, spec: &Spec, requested_bytes: u64) -> u64 {
         const EXACT: u64 = 1 << 52;
-        let (whole, by_bytes) = match self.config.metric {
-            DistanceMetric::PackageCount => (spec.len() as u64, false),
-            DistanceMetric::Bytes if self.ledger.stats().total_bytes < EXACT => {
-                (requested_bytes, true)
-            }
-            DistanceMetric::Bytes => return None,
+        let whole = match self.config.metric {
+            DistanceMetric::PackageCount => spec.len() as u64,
+            DistanceMetric::Bytes if self.ledger.stats().total_bytes < EXACT => requested_bytes,
+            DistanceMetric::Bytes => return 0,
         };
-        // The empty set, and zero-byte sets under the byte metric, are
-        // at distance 0 from every other such set, overlap or not.
-        if whole == 0 || whole >= EXACT {
-            return None;
+        if whole >= EXACT {
+            return 0;
         }
         let bound = (1.0 - self.config.alpha) * whole as f64 * (1.0 - f64::powi(2.0, -40));
-        let longest = self.images.len() / self.postings.stride().max(1);
-        let counts = self.refcounts.counts();
-        let rarity = |p: &PackageId| (counts.get(p.index()).copied().unwrap_or(0), *p);
-        if !by_bytes {
-            // The most packages that may stay out: the largest integer
-            // `m` with `m < bound`.
-            let rest = if bound > 0.0 {
-                (bound.ceil() as u64 - 1).min(whole)
-            } else {
-                0
-            };
-            let k = (whole - rest) as usize;
-            if k > longest {
-                return None;
-            }
-            let mut order = spec.ids().to_vec();
-            if k < order.len() {
-                order.select_nth_unstable_by_key(k, rarity);
-                order.truncate(k);
-            }
-            return Some(order);
+        if bound > 0.0 {
+            bound.ceil() as u64
+        } else {
+            0
         }
-        let mut order = spec.ids().to_vec();
-        order.sort_unstable_by_key(rarity);
-        let mut rest = whole;
-        let mut k = 0;
-        for &p in &order {
-            if (rest as f64) < bound {
-                break;
-            }
-            if k == longest {
-                return None;
-            }
-            rest = rest.saturating_sub(self.sizes.package_size(p));
-            k += 1;
-        }
-        order.truncate(k);
-        Some(order)
     }
 }
 
-impl Resident {
-    /// The distance under `metric` from a request of `spec_len`
-    /// packages and `requested_bytes` bytes, packed as `words`, to this
-    /// image, with the intersection counted on the bitmap. Equal to the
-    /// bit to [`jaccard_distance`] / [`weighted_jaccard_distance`] of
-    /// the two specs: the intersection is exact, and the formula is the
-    /// same function.
-    pub(super) fn distance(
-        &self,
-        metric: DistanceMetric,
-        spec_len: usize,
-        words: &SparseBits,
-        requested_bytes: u64,
-        sizes: &dyn SizeModel,
-    ) -> f64 {
-        let img = &self.image;
-        match metric {
-            DistanceMetric::PackageCount => {
-                let inter = self.members.intersection_count(words);
-                distance_from_counts(spec_len, img.spec.len(), inter)
-            }
-            DistanceMetric::Bytes => {
-                // `img.bytes` is the image spec's size in bytes
-                // (checked by `check_invariants`).
-                let inter_bytes: u64 = self
-                    .members
-                    .intersection_ones(words)
-                    .map(|bit| sizes.package_size(PackageId::from_index(bit)))
-                    .sum();
-                distance_from_bytes(requested_bytes, img.bytes, inter_bytes)
-            }
-        }
-    }
-}
+/// A merge candidate within α: the image, its distance from the request
+/// and its bytes.
+type Scored = (ImageId, f64, u64);
 
 /// Run Algorithm 1's decision over an arbitrary collection of
 /// `(id, spec, bytes)` images — the same hit selection, distance
@@ -360,7 +287,7 @@ impl Resident {
 ///
 /// Always scans every entry (exact-scan semantics), with the
 /// sorted-slice set kernels: this is the reference the engine's
-/// bitmap planner must agree with, decision for decision.
+/// posting-table planner must agree with, decision for decision.
 #[allow(clippy::too_many_arguments)]
 pub fn plan_over(
     entries: &[(u64, &Spec, u64)],
@@ -419,21 +346,8 @@ pub fn plan_over_with_peek(
         return PlannedOp::Hit { image: ImageId(id) };
     }
     if alpha > 0.0 {
-        let mut scored: Vec<(u64, f64, u64, &Spec)> = Vec::new();
-        for &(id, s, bytes) in entries {
-            let d = match metric {
-                DistanceMetric::PackageCount => {
-                    if size_lower_bound(spec.len(), s.len()) >= alpha {
-                        continue;
-                    }
-                    jaccard_distance(spec, s)
-                }
-                DistanceMetric::Bytes => weighted_jaccard_distance(spec, s, sizes),
-            };
-            if d < alpha {
-                scored.push((id, d, bytes, s));
-            }
-        }
+        let mut scored: Vec<(u64, f64, u64, &Spec)> =
+            within_alpha(entries, spec, alpha, metric, sizes).collect();
         match merge_order {
             MergeOrder::NearestFirst => {
                 scored.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
@@ -455,4 +369,29 @@ pub fn plan_over_with_peek(
         }
     }
     PlannedOp::Insert
+}
+
+/// The entries within distance α of `spec`, as `(id, distance, bytes,
+/// spec)` in entry order, by the sorted-slice kernels: the candidate
+/// set of [`plan_over`], and the one the engine's posting-table count
+/// must reproduce to the bit.
+fn within_alpha<'a>(
+    entries: &'a [(u64, &'a Spec, u64)],
+    spec: &'a Spec,
+    alpha: f64,
+    metric: DistanceMetric,
+    sizes: &'a dyn SizeModel,
+) -> impl Iterator<Item = (u64, f64, u64, &'a Spec)> + 'a {
+    entries.iter().filter_map(move |&(id, s, bytes)| {
+        let d = match metric {
+            DistanceMetric::PackageCount => {
+                if size_lower_bound(spec.len(), s.len()) >= alpha {
+                    return None;
+                }
+                jaccard_distance(spec, s)
+            }
+            DistanceMetric::Bytes => weighted_jaccard_distance(spec, s, sizes),
+        };
+        (d < alpha).then_some((id, d, bytes, s))
+    })
 }

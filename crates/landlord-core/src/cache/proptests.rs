@@ -1,13 +1,12 @@
 use super::*;
-use crate::conflict::NoConflicts;
-use crate::jaccard::{jaccard_distance, weighted_jaccard_distance};
+use crate::conflict::{NoConflicts, SingleVersionPerName};
 use crate::policy::{CandidateStrategy, DistanceMetric, EvictionPolicy, MergeOrder};
 use crate::sizes::{SizeModel, TableSizes};
 use proptest::prelude::*;
 
 /// Request package ids come from three clusters of 20, each straddling
 /// a 64-bit word boundary: 54..74, 118..138 and 182..202. Specs thus
-/// span up to four bitmap words, and the planner's bitmap kernels meet
+/// span up to four words of package ids, and the posting table meets
 /// multi-word sets and ids on both sides of every boundary, while the
 /// 60 ids keep the overlap (hits and merges) of a small universe.
 const CLUSTER: u32 = 20;
@@ -76,20 +75,36 @@ fn size_table() -> Vec<u64> {
     (0..UNIVERSE as u64).map(|i| 1 + i % 7).collect()
 }
 
-/// Specs for the kernel property: ids up to 300 (five words), with the
-/// word-boundary ids 63, 64, 127 and 128 drawn often, and empty specs.
-fn arb_kernel_spec() -> impl Strategy<Value = Spec> {
-    proptest::collection::vec(
-        prop_oneof![
-            Just(63u32),
-            Just(64u32),
-            Just(127u32),
-            Just(128u32),
-            0u32..300,
-        ],
-        0..40,
+/// Fill images whose refcounts are skewed against id order: each holds
+/// 4–11 ids of the highest cluster and at most two of the lower ones,
+/// so the high ids are the common ones and counts tie often.
+fn arb_skewed_spec() -> impl Strategy<Value = Spec> {
+    (
+        proptest::collection::vec(2 * CLUSTER..3 * CLUSTER, 4..12),
+        proptest::collection::vec(0..2 * CLUSTER, 0..3),
     )
-    .prop_map(|v| Spec::from_ids(v.into_iter().map(PackageId)))
+        .prop_map(|(common, rare)| {
+            Spec::from_ids(
+                common
+                    .into_iter()
+                    .chain(rare)
+                    .map(|i| PackageId((i / CLUSTER + 1) * 64 - 10 + i % CLUSTER)),
+            )
+        })
+}
+
+/// `len` distinct ids out of `0..universe`, drawn by a Fisher–Yates
+/// shuffle seeded with `seed`.
+fn distinct_ids(len: usize, universe: u32, seed: u64) -> Spec {
+    let mut ids: Vec<u32> = (0..universe).collect();
+    let mut x = seed | 1;
+    for i in (1..ids.len()).rev() {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        ids.swap(i, (x % (i as u64 + 1)) as usize);
+    }
+    Spec::from_ids(ids[..len].iter().map(|&i| PackageId(i)))
 }
 
 proptest! {
@@ -181,7 +196,10 @@ proptest! {
     /// are resident (so the posting rows have regrown twice) and while
     /// evictions and bloat splits free slots for reuse; under both
     /// metrics, every merge order, and α at 0.05, 0.2, 0.75 and 1.0.
-    /// Ids straddle 64-bit words, and some requests are empty.
+    /// Ids straddle 64-bit words, and some requests are empty. In half
+    /// the cases the fill's refcounts are skewed against id order, in
+    /// half every fifth package weighs nothing, and in half pairs of ids
+    /// are versions of one name, so candidates conflict.
     #[test]
     fn posting_planner_matches_plan_over_with_many_images(
         alpha in prop_oneof![Just(0.05), Just(0.2), Just(0.75), Just(1.0)],
@@ -193,16 +211,26 @@ proptest! {
             Just(MergeOrder::SmallestFirst),
         ],
         split in any::<bool>(),
-        fill in proptest::collection::vec(
-            proptest::collection::vec(arb_id(), 1..12).prop_map(Spec::from_ids),
-            130..180,
-        ),
+        zero_sizes in any::<bool>(),
+        versions in any::<bool>(),
+        fill in prop_oneof![
+            proptest::collection::vec(
+                proptest::collection::vec(arb_id(), 1..12).prop_map(Spec::from_ids),
+                130..180,
+            ),
+            proptest::collection::vec(arb_skewed_spec(), 130..180),
+        ],
         stream in proptest::collection::vec(
             proptest::collection::vec(arb_id(), 0..12).prop_map(Spec::from_ids),
             1..60,
         ),
     ) {
-        let sizes = Arc::new(TableSizes::new(size_table()));
+        // Every fifth package weighs nothing in half the cases.
+        let sizes = Arc::new(TableSizes::new(if zero_sizes {
+            (0..UNIVERSE as u64).map(|i| i % 5).collect()
+        } else {
+            size_table()
+        }));
         // The fill exactly fits, so the stream's inserts and merges
         // evict, and the freed slots are reused.
         let limit: u64 = fill.iter().map(|s| sizes.spec_bytes(s)).sum();
@@ -214,7 +242,19 @@ proptest! {
             split_threshold: split.then_some(2),
             ..CacheConfig::default()
         };
-        let mut cache = ImageCache::new(cfg, Arc::clone(&sizes) as Arc<dyn SizeModel>);
+        // In half the cases ids 2k and 2k + 1 are two versions of one
+        // name, so the nearest candidate often conflicts and the planner
+        // falls back to the next one in the merge order.
+        let conflicts: Arc<dyn ConflictPolicy> = if versions {
+            Arc::new(SingleVersionPerName::new((0..UNIVERSE).map(|i| i / 2).collect()))
+        } else {
+            Arc::new(NoConflicts)
+        };
+        let mut cache = ImageCache::with_conflicts(
+            cfg,
+            Arc::clone(&sizes) as Arc<dyn SizeModel>,
+            Arc::clone(&conflicts),
+        );
         for s in &fill {
             cache.insert_fresh(s);
         }
@@ -234,7 +274,7 @@ proptest! {
                     merge_order,
                     metric,
                     sizes.as_ref(),
-                    &NoConflicts,
+                    conflicts.as_ref(),
                 );
                 prop_assert_eq!(cache.plan(s).op, free);
             }
@@ -243,112 +283,88 @@ proptest! {
         cache.check_invariants();
     }
 
-    /// Refcounts skewed against id order: every fill image holds 4–11
-    /// ids of the highest cluster and at most two of the lower ones, so
-    /// the high ids are the common ones and counts tie often. The prefix
-    /// is exactly the request's `k` least `(count, id)` packages, and
-    /// every plan is `plan_over`'s, under both metrics with zero-size
-    /// packages (every fifth id weighs nothing) and α up to 1.
+    /// Every resident image's overlap with a request, as the posting
+    /// table counts it — bit-sliced under the package count, summed per
+    /// slot under the byte metric, over every slot or over a given few
+    /// — equals the sorted-slice intersection; and the images read out
+    /// at α's least overlap are exactly those reaching it. Requests of 8k ± 1 and
+    /// 2^k ± 1 packages (and empty ones) meet more than 128 slots, some
+    /// freed and reused, images up to id 300 and request ids past the
+    /// last row, with every fifth package weighing nothing.
     #[test]
-    fn rarest_first_prefix_with_skewed_refcounts(
-        alpha in prop_oneof![Just(0.05), Just(0.2), Just(0.5), Just(0.75), Just(1.0)],
-        metric in prop_oneof![Just(DistanceMetric::PackageCount), Just(DistanceMetric::Bytes)],
+    fn posting_counts_match_sorted_kernels(
+        alpha in prop_oneof![Just(0.05), Just(0.2), Just(0.75), Just(1.0)],
         fill in proptest::collection::vec(
-            (
-                proptest::collection::vec(2 * CLUSTER..3 * CLUSTER, 4..12),
-                proptest::collection::vec(0..2 * CLUSTER, 0..3),
-            )
-                .prop_map(|(common, rare)| {
-                    Spec::from_ids(common.into_iter().chain(rare).map(|i| {
-                        PackageId((i / CLUSTER + 1) * 64 - 10 + i % CLUSTER)
-                    }))
-                }),
-            70..140,
+            proptest::collection::vec(0u32..300, 0..40)
+                .prop_map(|v| Spec::from_ids(v.into_iter().map(PackageId))),
+            130..200,
         ),
-        stream in proptest::collection::vec(
-            proptest::collection::vec(arb_id(), 0..12).prop_map(Spec::from_ids),
-            1..40,
-        ),
+        freed in proptest::collection::vec(0u8..6, 200),
+        refill in 0usize..20,
+        len in prop_oneof![
+            Just(0usize), Just(1), Just(7), Just(8), Just(9), Just(15), Just(16), Just(17),
+            Just(31), Just(32), Just(33), Just(63), Just(64), Just(65), Just(127), Just(128),
+            Just(129),
+        ],
+        seed in any::<u64>(),
     ) {
-        let sizes = Arc::new(TableSizes::new((0..UNIVERSE as u64).map(|i| i % 5).collect()));
-        let cfg = CacheConfig {
-            alpha,
-            limit_bytes: u64::MAX,
-            metric,
-            ..CacheConfig::default()
-        };
-        let mut cache = ImageCache::new(cfg, Arc::clone(&sizes) as Arc<dyn SizeModel>);
-        for s in &fill {
-            cache.insert_fresh(s);
-        }
-        for s in &stream {
-            let counts = cache.refcounts.counts();
-            let rarity = |p: &PackageId| (counts.get(p.index()).copied().unwrap_or(0), *p);
-            if let Some(prefix) = cache.candidate_prefix(s, sizes.spec_bytes(s)) {
-                prop_assert!(prefix.iter().all(|p| s.contains(*p)), "prefix outside the spec");
-                let rarest = prefix.iter().map(rarity).max();
-                let rest = s.iter().filter(|p| !prefix.contains(p)).map(|p| rarity(&p)).min();
-                if let (Some(rarest), Some(rest)) = (rarest, rest) {
-                    prop_assert!(rarest < rest, "prefix is not the rarest packages");
-                }
-                if alpha == 1.0 {
-                    prop_assert_eq!(prefix.len(), s.len(), "α = 1 takes the whole spec");
-                }
-            }
-            {
-                let entries: Vec<(u64, &Spec, u64)> = cache
-                    .images()
-                    .map(|img| (img.id.0, &img.spec, img.bytes))
-                    .collect();
-                let free = plan_over(
-                    &entries,
-                    s,
-                    alpha,
-                    MergeOrder::NearestFirst,
-                    metric,
-                    sizes.as_ref(),
-                    &NoConflicts,
-                );
-                prop_assert_eq!(cache.plan(s).op, free);
-            }
-            cache.request(s);
-        }
-        cache.check_invariants();
-    }
-
-    /// The bitmap kernels the planner uses agree with the sorted-slice
-    /// ones: intersection size, and both distances to the bit. Request
-    /// ids above the image's last word are covered by the draws (an
-    /// image's bitmap ends at its own largest id).
-    #[test]
-    fn bitmap_kernels_match_sorted_kernels(
-        image in arb_kernel_spec(),
-        request in arb_kernel_spec(),
-    ) {
-        let sizes = TableSizes::new((0..300u64).map(|i| 1 + i % 7).collect());
-        let resident = Resident::new(Image::new(ImageId(0), image.clone(), sizes.spec_bytes(&image), 1), 0);
-        let words = request.sparse_bits();
-        prop_assert_eq!(
-            resident.members.intersection_count(&words),
-            request.intersection_len(&image)
-        );
+        let sizes: Arc<dyn SizeModel> =
+            Arc::new(TableSizes::new((0..320u64).map(|i| i % 5).collect()));
+        let request = distinct_ids(len, 320, seed);
         let requested_bytes = sizes.spec_bytes(&request);
-        let count = resident.distance(
-            DistanceMetric::PackageCount, request.len(), &words, requested_bytes, &sizes,
-        );
-        prop_assert_eq!(count.to_bits(), jaccard_distance(&request, &image).to_bits());
-        let bytes = resident.distance(
-            DistanceMetric::Bytes, request.len(), &words, requested_bytes, &sizes,
-        );
-        prop_assert_eq!(
-            bytes.to_bits(),
-            weighted_jaccard_distance(&request, &image, &sizes).to_bits()
-        );
+        for metric in [DistanceMetric::PackageCount, DistanceMetric::Bytes] {
+            let cfg = CacheConfig { alpha, limit_bytes: u64::MAX, metric, ..CacheConfig::default() };
+            let mut cache = ImageCache::new(cfg, Arc::clone(&sizes));
+            for s in &fill {
+                cache.insert_fresh(s);
+            }
+            for (id, &f) in (0u64..).zip(&freed) {
+                if f == 0 {
+                    cache.remove_image(ImageId(id));
+                }
+            }
+            for s in &fill[..refill] {
+                cache.insert_fresh(s);
+            }
+            cache.check_invariants();
+            let want = |img: &Image| -> u64 {
+                match metric {
+                    DistanceMetric::PackageCount => request.intersection_len(&img.spec) as u64,
+                    DistanceMetric::Bytes => sizes.spec_bytes(&request.intersection(&img.spec)),
+                }
+            };
+            let read = |least: u64, among: Option<&[u64]>| {
+                let mut got = Vec::new();
+                cache.postings.overlaps(&request, metric, sizes.as_ref(), least, among, |r, n| {
+                    got.push((r.id, n))
+                });
+                got.sort_unstable();
+                got
+            };
+            let mut every: Vec<(u64, u64)> =
+                cache.images().map(|img| (img.id.0, want(img))).collect();
+            every.sort_unstable();
+            prop_assert_eq!(read(0, None), every.clone());
+            // Every third slot, as the candidate index proposes them.
+            let slots = cache.images.values().map(|r| r.slot).filter(|s| s % 3 == 0);
+            let among = cache.postings.mask_of(slots);
+            let mut some: Vec<(u64, u64)> = cache
+                .images
+                .values()
+                .filter(|r| r.slot % 3 == 0)
+                .map(|r| (r.image.id.0, want(&r.image)))
+                .collect();
+            some.sort_unstable();
+            prop_assert_eq!(read(0, Some(&among)), some);
+            let least = cache.least_overlap(&request, requested_bytes);
+            every.retain(|&(_, n)| n >= least);
+            prop_assert_eq!(read(least, None), every);
+        }
     }
 
     /// A cache restored from its snapshot (serialized and read back)
-    /// plans exactly like the live cache: `from_parts` rebuilds every
-    /// bitmap, so each request of the stream gets the same plan from
+    /// plans exactly like the live cache: `from_parts` rebuilds the
+    /// posting table, so each request of the stream gets the same plan from
     /// both, and keeps getting it while both serve the rest of the
     /// stream. LRU eviction, whose order restore rebuilds exactly,
     /// keeps the two caches in step.

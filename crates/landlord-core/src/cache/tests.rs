@@ -643,59 +643,75 @@ fn cache_policy_trait_drives_the_engine() {
     boxed.check_invariants();
 }
 
-/// The prefix the planner ORs, as a sorted id list.
-fn prefix_of(c: &ImageCache, s: &Spec) -> Option<Vec<u32>> {
-    let bytes = c.sizes.spec_bytes(s);
-    c.candidate_prefix(s, bytes).map(|prefix| {
-        let mut ids: Vec<u32> = prefix.into_iter().map(|p| p.0).collect();
-        ids.sort_unstable();
-        ids
-    })
+/// The images the exact strategy reads out for `s` — those whose
+/// overlap reaches the least an image within α can have — as
+/// `(id, overlap)` ascending by id.
+fn read_out(c: &ImageCache, s: &Spec) -> Vec<(u64, u64)> {
+    let least = c.least_overlap(s, c.sizes.spec_bytes(s));
+    let mut got = Vec::new();
+    c.postings
+        .overlaps(s, c.config.metric, c.sizes.as_ref(), least, None, |r, n| {
+            got.push((r.id, n))
+        });
+    got.sort_unstable();
+    got
 }
 
-/// Eight images that all hold the high ids 10..=13, while the low ids
-/// are rare: the prefix must take the rarest packages, not the highest
-/// ids, and break count ties on the lower id.
-#[test]
-fn prefix_takes_the_rarest_packages_not_the_highest_ids() {
-    let mut c = cache(0.5, u64::MAX);
-    for extra in [1, 2, 20, 21, 22, 23, 24, 25] {
-        c.insert_fresh(&spec(&[10, 11, 12, 13, extra]));
-    }
-    c.check_invariants();
-    // |s| = 8 at α = 0.5: fewer than 4 may stay out, so k = 5. Counts:
-    // 3 and 4 held by none, 1 and 2 by one image, 10..=13 by eight.
-    let s = spec(&[1, 2, 3, 4, 10, 11, 12, 13]);
-    assert_eq!(prefix_of(&c, &s), Some(vec![1, 2, 3, 4, 10]));
-    // |s| = 6: k = 4. 20 and 21 (one image each) come first, and the
-    // tie among 10..=13 goes to the lowest ids.
-    let s = spec(&[10, 11, 12, 13, 20, 21]);
-    assert_eq!(prefix_of(&c, &s), Some(vec![10, 11, 20, 21]));
-    // The decision is the full scan's.
+/// `c`'s plan for each of `specs` is `plan_over`'s over its images.
+fn assert_plans_match_plan_over(c: &ImageCache, specs: &[Spec]) {
     let entries: Vec<(u64, &Spec, u64)> = c
         .images()
         .map(|img| (img.id.0, &img.spec, img.bytes))
         .collect();
-    for s in [
-        spec(&[1, 2, 3, 4, 10, 11, 12, 13]),
-        spec(&[10, 11, 12, 13, 20, 21]),
-    ] {
+    for s in specs {
         let want = plan_over(
             &entries,
-            &s,
-            0.5,
-            c.config().merge_order,
-            c.config().metric,
+            s,
+            c.config.alpha,
+            c.config.merge_order,
+            c.config.metric,
             c.sizes.as_ref(),
             &NoConflicts,
         );
-        assert_eq!(c.plan(&s).op, want);
+        assert_eq!(c.plan(s).op, want, "{s:?}");
     }
 }
 
-/// At α = 1 nothing may stay out of the prefix, under either metric.
+/// Under the package count only images sharing more than `(1 − α)·|s|`
+/// of the request are read out: at α = 0.5 and `|s| = 8`, four.
 #[test]
-fn alpha_one_prefix_is_the_whole_spec() {
+fn count_reads_out_only_images_that_can_be_within_alpha() {
+    let mut c = cache(0.5, u64::MAX);
+    for extra in [1, 2, 20, 21, 22, 23, 24, 25] {
+        c.insert_fresh(&spec(&[10, 11, 12, 13, extra]));
+    }
+    c.insert_fresh(&spec(&[1, 2, 3]));
+    c.check_invariants();
+    let s = spec(&[1, 2, 3, 4, 10, 11, 12, 13]);
+    assert_eq!(c.least_overlap(&s, 8), 4);
+    assert_eq!(
+        read_out(&c, &s),
+        vec![
+            (0, 5),
+            (1, 5),
+            (2, 4),
+            (3, 4),
+            (4, 4),
+            (5, 4),
+            (6, 4),
+            (7, 4)
+        ]
+    );
+    let s = spec(&[10, 11, 20, 21, 30, 31]);
+    assert_eq!(c.least_overlap(&s, 6), 3);
+    assert_eq!(read_out(&c, &s), vec![(2, 3), (3, 3)]);
+    assert_plans_match_plan_over(&c, &[spec(&[1, 2, 3, 4, 10, 11, 12, 13]), s]);
+}
+
+/// At α = 1 the least overlap is zero under either metric: every image
+/// is read out, and one sharing nothing is still not merged.
+#[test]
+fn alpha_one_reads_out_every_image() {
     for metric in [DistanceMetric::PackageCount, DistanceMetric::Bytes] {
         let cfg = CacheConfig {
             alpha: 1.0,
@@ -708,16 +724,30 @@ fn alpha_one_prefix_is_the_whole_spec() {
             c.insert_fresh(&spec(&[i, i + 1]));
         }
         let s = spec(&[0, 5, 9, 30]);
-        assert_eq!(prefix_of(&c, &s), Some(vec![0, 5, 9, 30]), "{metric:?}");
+        let unit = if metric == DistanceMetric::Bytes {
+            3
+        } else {
+            1
+        };
+        assert_eq!(c.least_overlap(&s, 12), 0, "{metric:?}");
+        let got = read_out(&c, &s);
+        assert_eq!(got.len(), 12, "{metric:?}");
+        for (id, n) in got {
+            let shared = [0, 5, 9]
+                .iter()
+                .filter(|&&p| p == id || p == id + 1)
+                .count();
+            assert_eq!(n, shared as u64 * unit, "{metric:?} image {id}");
+        }
+        assert_plans_match_plan_over(&c, &[s, spec(&[40, 41])]);
     }
 }
 
-/// Under the byte metric zero-size packages cost nothing to leave out
-/// and free nothing to take in: the rarest-first walk takes them and
-/// goes on until the bytes left fall below the bound, and an all-zero
-/// request falls back to the full scan.
+/// Under the byte metric a zero-size package adds nothing to a slot's
+/// sum, and an all-zero request reads out every image: it is at
+/// distance 0 from a zero-byte image it shares nothing with.
 #[test]
-fn byte_prefix_walks_past_zero_size_packages() {
+fn byte_count_adds_nothing_for_zero_size_packages() {
     let cfg = CacheConfig {
         alpha: 0.5,
         limit_bytes: u64::MAX,
@@ -727,32 +757,28 @@ fn byte_prefix_walks_past_zero_size_packages() {
     // Packages 1 and 2 weigh nothing; 3, 4 and 5 weigh 4 bytes each.
     let sizes = TableSizes::new(vec![1, 0, 0, 4, 4, 4, 1, 1]);
     let mut c = ImageCache::new(cfg, Arc::new(sizes));
-    // Counts: 1 → 0, 2 → 1, 3 → 1, 4 → 2, 5 → 3.
-    for s in [&[2, 5][..], &[3, 4, 5], &[4, 5, 6], &[0, 7]] {
+    for s in [&[2, 5][..], &[3, 4, 5], &[4, 5, 6], &[0, 7], &[1]] {
         c.insert_fresh(&spec(s));
     }
     c.check_invariants();
-    // 12 bytes, bound just under 6: 1 and 2 leave 12, 3 leaves 8, 4
-    // leaves 4 — below the bound, so 5 stays out.
+    // 12 bytes, bound just under 6: at least 6 shared bytes.
     let s = spec(&[1, 2, 3, 4, 5]);
-    assert_eq!(prefix_of(&c, &s), Some(vec![1, 2, 3, 4]));
-    assert_eq!(prefix_of(&c, &spec(&[1, 2])), None, "zero bytes: full scan");
-    let entries: Vec<(u64, &Spec, u64)> = c
-        .images()
-        .map(|img| (img.id.0, &img.spec, img.bytes))
-        .collect();
-    for s in [spec(&[1, 2, 3, 4, 5]), spec(&[1, 2]), spec(&[1, 5])] {
-        let want = plan_over(
-            &entries,
-            &s,
-            0.5,
-            c.config().merge_order,
-            DistanceMetric::Bytes,
-            c.sizes.as_ref(),
-            &NoConflicts,
-        );
-        assert_eq!(c.plan(&s).op, want, "{s:?}");
-    }
+    assert_eq!(c.least_overlap(&s, 12), 6);
+    assert_eq!(read_out(&c, &s), vec![(1, 12), (2, 8)]);
+    let zero = spec(&[1, 2]);
+    assert_eq!(c.least_overlap(&zero, 0), 0);
+    assert_eq!(
+        read_out(&c, &zero),
+        vec![(0, 0), (1, 0), (2, 0), (3, 0), (4, 0)]
+    );
+    assert_eq!(
+        c.plan(&zero).op,
+        PlannedOp::Merge {
+            image: ImageId(4),
+            distance: 0.0
+        }
+    );
+    assert_plans_match_plan_over(&c, &[s, spec(&[1, 5]), zero]);
 }
 
 /// The hit goes to the least `(bytes, id)` whatever the slots: a

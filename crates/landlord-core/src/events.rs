@@ -67,19 +67,6 @@ impl CacheEvent {
             CacheEvent::Split { .. } => "split",
         }
     }
-
-    /// Request-lifecycle phase the event belongs to: the per-request
-    /// outcome events are `"apply"`, while evictions and splits are
-    /// maintenance that may trail a request.
-    pub fn phase(&self) -> &'static str {
-        match self {
-            CacheEvent::Hit { .. } | CacheEvent::Merge { .. } | CacheEvent::Insert { .. } => {
-                "apply"
-            }
-            CacheEvent::Evict { .. } => "evict",
-            CacheEvent::Split { .. } => "split",
-        }
-    }
 }
 
 impl fmt::Display for CacheEvent {
@@ -273,35 +260,6 @@ mod tests {
             let back: SequencedEvent = serde_json::from_str(&json).unwrap();
             assert_eq!(back, original, "round-trip mismatch for {json}");
         }
-    }
-
-    #[test]
-    fn phases_are_stable() {
-        assert_eq!(
-            CacheEvent::Hit {
-                image: ImageId(1),
-                requested_bytes: 1,
-                image_bytes: 1
-            }
-            .phase(),
-            "apply"
-        );
-        assert_eq!(
-            CacheEvent::Evict {
-                image: ImageId(1),
-                bytes: 1
-            }
-            .phase(),
-            "evict"
-        );
-        assert_eq!(
-            CacheEvent::Split {
-                image: ImageId(1),
-                pieces: 2
-            }
-            .phase(),
-            "split"
-        );
     }
 
     #[test]

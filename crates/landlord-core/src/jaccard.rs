@@ -25,7 +25,7 @@ pub fn jaccard_distance(a: &Spec, b: &Spec) -> f64 {
 /// The Jaccard distance of two sets from their sizes and the size of
 /// their intersection. Every distance the cache compares goes through
 /// this one formula, whichever kernel counted the intersection, so the
-/// sorted-merge and bitmap paths agree to the bit.
+/// sorted-merge and posting-table paths agree to the bit.
 pub(crate) fn distance_from_counts(len_a: usize, len_b: usize, inter: usize) -> f64 {
     let union = len_a + len_b - inter;
     if union == 0 {

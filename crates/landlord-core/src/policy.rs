@@ -189,11 +189,11 @@ impl DistanceMetric {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum CandidateStrategy {
     /// Every cached image within distance α, exactly (the paper's
-    /// simulated configuration). The engine finds them by prefix
-    /// filter over its package → image posting table, not by visiting
-    /// every image: any image within α shares a package with a prefix
-    /// of the request, and each image holding one is verified with the
-    /// exact Jaccard distance.
+    /// simulated configuration). The engine counts every image's
+    /// overlap with the request on its package → image posting table,
+    /// in one pass over the request's rows, and scores with the exact
+    /// Jaccard distance only the images whose overlap is large enough
+    /// to be within α.
     #[default]
     ExactScan,
     /// MinHash + banded LSH pre-filter, then exact confirmation. Never

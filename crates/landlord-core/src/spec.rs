@@ -22,15 +22,11 @@
 //! no hashing or allocation beyond the output.
 //!
 //! The cache's planner does not use those merges on its hot path. It
-//! finds supersets and merge candidates in a package → image posting
-//! table, keeps a packed [`crate::bitset::BitSet`] of each resident
-//! image's members, and packs each request once with
-//! `Spec::sparse_bits`; an intersection count then costs one word
-//! operation per request word, independent of the image's size. The
-//! merges remain the reference those structures are tested against,
-//! and the path of [`crate::cache::plan_over`].
+//! finds supersets, and counts every resident image's overlap with a
+//! request, in one package → image posting table, independent of the
+//! images' sizes. The merges remain the reference that table is tested
+//! against, and the path of [`crate::cache::plan_over`].
 
-use crate::bitset::SparseBits;
 use serde::{DeError, Deserialize, Serialize, Value};
 use std::fmt;
 use std::sync::Arc;
@@ -54,8 +50,8 @@ impl PackageId {
     }
 
     /// The id whose [`PackageId::index`] is `index`. Only for indices
-    /// that came from a `PackageId`, such as the bits of a spec's
-    /// bitmap.
+    /// that came from a `PackageId`, such as the rows of the posting
+    /// table.
     #[inline]
     pub(crate) fn from_index(index: usize) -> Self {
         debug_assert!(
@@ -168,12 +164,6 @@ impl Spec {
         true
     }
 
-    /// The members packed into bitmap words, ascending: the form the
-    /// planner probes each merge candidate's bitmap with.
-    pub(crate) fn sparse_bits(&self) -> SparseBits {
-        SparseBits::from_sorted(self.members.iter().map(|p| p.index()))
-    }
-
     /// `|self ∩ other|` via a linear merge of the sorted member slices.
     pub fn intersection_len(&self, other: &Spec) -> usize {
         intersection_len_sorted(&self.members, &other.members)
@@ -267,7 +257,7 @@ impl Serialize for Spec {
 impl Deserialize for Spec {
     /// Decodes a JSON array of ids, rejecting any that is not strictly
     /// ascending: an unsorted or duplicated spec would break every
-    /// merge and bitmap kernel that relies on the invariant.
+    /// merge and posting-table kernel that relies on the invariant.
     fn from_value(v: &Value) -> Result<Self, DeError> {
         let members = Arc::<[PackageId]>::from_value(v)?;
         if let Some(w) = members.windows(2).find(|w| w[0] >= w[1]) {
@@ -313,7 +303,7 @@ impl fmt::Display for Spec {
 /// `|a ∩ b|` for two sorted, deduplicated slices.
 pub(crate) fn intersection_len_sorted(a: &[PackageId], b: &[PackageId]) -> usize {
     // Galloping would win for very lopsided sizes. The engine's planner
-    // counts overlaps on bitmaps instead (see `crate::bitset`); this
+    // counts overlaps on its posting table instead (see `cache`); this
     // merge serves `plan_over` and the reference checks.
     let mut n = 0;
     let (mut i, mut j) = (0, 0);
