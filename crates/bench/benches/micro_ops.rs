@@ -132,15 +132,30 @@ fn victim_selection(c: &mut Criterion) {
     group.finish();
 }
 
-/// The hit/touch path at 10k cached images, per eviction policy. Plans
-/// are precomputed outside the timed loop so the measurement isolates
-/// `apply` — i.e. the evictor's re-rank on a hit. Ordered-index
-/// policies pay an O(log n) BTreeSet remove + re-insert per touch;
-/// S3-FIFO and sampled LHD update per-image metadata in O(1).
+/// The hit/touch path at 10k cached images and at 512 (one shard of the
+/// `hot_sharded` benchmark), per eviction policy. Plans are precomputed
+/// outside the timed loop, so each policy's row isolates `apply` — the
+/// slot lookup and the evictor's update on a hit. LRU relinks one node
+/// of its list, O(1); the other ordered policies pay an O(log n)
+/// `BTreeSet` remove + re-insert per touch; S3-FIFO and sampled LHD
+/// update per-slot metadata in O(1). The `lru_plan_apply` row times
+/// the whole hit, `plan` and `apply` together.
 fn touch_path(c: &mut Criterion) {
+    for (label, n) in [("10k", 10_000u32), ("512", 512)] {
+        touch_rows(c, label, n);
+    }
+}
+
+fn touch_rows(c: &mut Criterion, label: &str, n: u32) {
     use landlord_core::policy::EvictionPolicy;
     use landlord_core::sizes::UniformSizes;
-    let mut group = c.benchmark_group("touch_path_10k");
+    let mut group = c.benchmark_group(&format!("touch_path_{label}"));
+    let specs: Vec<landlord_core::spec::Spec> = (0..n)
+        .map(|i| landlord_core::spec::Spec::from_ids((i * 4..i * 4 + 4).map(PackageId)))
+        .collect();
+    // 64 strided hits; a hit never changes membership, so plans made
+    // once stay valid across repeated applies.
+    let picks: Vec<usize> = (0..64usize).map(|k| k * 151 % specs.len()).collect();
     for policy in EvictionPolicy::ALL {
         let cfg = CacheConfig {
             alpha: 0.0,
@@ -149,21 +164,14 @@ fn touch_path(c: &mut Criterion) {
             ..CacheConfig::default()
         };
         let mut cache = ImageCache::new(cfg, Arc::new(UniformSizes::new(1_000_000)));
-        let specs: Vec<landlord_core::spec::Spec> = (0..10_000u32)
-            .map(|i| landlord_core::spec::Spec::from_ids((i * 4..i * 4 + 4).map(PackageId)))
-            .collect();
         for spec in &specs {
             cache.request(spec);
         }
-        assert_eq!(cache.len(), 10_000);
+        assert_eq!(cache.len(), specs.len());
         cache.settle();
-        // 64 strided hit plans; a hit never changes membership, so the
-        // plans stay valid across repeated applies.
-        let hits: Vec<(usize, landlord_core::cache::Plan)> = (0..64usize)
-            .map(|k| {
-                let idx = k * 151;
-                (idx, cache.plan(&specs[idx]))
-            })
+        let hits: Vec<(usize, landlord_core::cache::Plan)> = picks
+            .iter()
+            .map(|&idx| (idx, cache.plan(&specs[idx])))
             .collect();
         let mut next = 0usize;
         group.bench_function(policy.token(), |bench| {
@@ -173,6 +181,16 @@ fn touch_path(c: &mut Criterion) {
                 black_box(cache.apply(&specs[*idx], plan))
             })
         });
+        if policy == EvictionPolicy::Lru {
+            group.bench_function("lru_plan_apply", |bench| {
+                bench.iter(|| {
+                    next = (next + 1) % picks.len();
+                    let spec = &specs[picks[next]];
+                    let plan = cache.plan(spec);
+                    black_box(cache.apply(spec, &plan))
+                })
+            });
+        }
     }
     group.finish();
 }

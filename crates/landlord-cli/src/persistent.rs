@@ -76,7 +76,7 @@ use landlord_store::fault::{FaultMode, FaultyStore};
 use landlord_store::{ContentHash, DiskStore, KillPoint, KillSwitch};
 use landlord_wal::Wal;
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::io;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -478,7 +478,7 @@ pub struct PersistentCache {
     /// only by acknowledged operations. Victim decisions made from it
     /// are logged in the WAL's evict lists, so replay never consults
     /// it — byte-identical recovery holds for stateful policies too.
-    evictor: Box<dyn Evictor>,
+    evictor: Eviction,
     /// Static membership filter over every package id live at the last
     /// checkpoint, plus the exact overlay of ids added since.
     filter: XorFilter,
@@ -665,7 +665,7 @@ impl PersistentCache {
         }
 
         let filter = build_filter(&state);
-        let evictor = rebuild_evictor(eviction, eviction_seed, limit_logical_bytes, &state);
+        let evictor = Eviction::rebuild(eviction, eviction_seed, limit_logical_bytes, &state);
         let mut cache = PersistentCache {
             dir: dir.to_path_buf(),
             alpha,
@@ -785,7 +785,7 @@ impl PersistentCache {
         if report.quarantined_images > 0 {
             // The eviction state tracked the quarantined images; rebuild
             // it from the surviving index, exactly as a fresh open would.
-            self.evictor = rebuild_evictor(
+            self.evictor = Eviction::rebuild(
                 self.eviction,
                 self.eviction_seed,
                 self.limit_logical_bytes,
@@ -899,32 +899,30 @@ impl PersistentCache {
         &self,
         incoming: &StoredImage,
         absorbed: Option<u64>,
-    ) -> (Vec<u64>, Box<dyn Evictor>) {
-        let mut evictor = self.evictor.clone_box();
-        let mut live: std::collections::HashMap<u64, &StoredImage> =
+    ) -> (Vec<u64>, Eviction) {
+        let mut evictor = self.evictor.clone();
+        let mut live: HashMap<u64, &StoredImage> =
             self.state.images.iter().map(|img| (img.id, img)).collect();
         let mut total: u64 = self.state.images.iter().map(|img| img.logical_bytes).sum();
         if let Some(absorbed) = absorbed {
             if let Some(img) = live.remove(&absorbed) {
-                evictor.on_remove(&transient_image(img));
+                evictor.remove(img, false);
                 total -= img.logical_bytes;
             }
         }
-        evictor.on_insert(&transient_image(incoming));
+        evictor.insert(incoming);
         total += incoming.logical_bytes;
 
         let mut evict = Vec::new();
         let protect = ImageId(incoming.id);
         while total > self.limit_logical_bytes {
-            let Some(victim) = evictor.select_victim(Some(protect)) else {
+            let Some(victim) = evictor.select_victim(protect) else {
                 break;
             };
             let Some(img) = live.remove(&victim.0) else {
                 break;
             };
-            let gone = transient_image(img);
-            evictor.note_eviction(&gone);
-            evictor.on_remove(&gone);
+            evictor.remove(img, true);
             total -= img.logical_bytes;
             evict.push(victim.0);
         }
@@ -1042,8 +1040,7 @@ impl PersistentCache {
                     .expect("planned hit image is indexed");
                 img.last_used = now;
                 img.use_count = img.use_count.saturating_add(1);
-                let touched = transient_image(img);
-                self.evictor.on_touch(&touched);
+                self.evictor.touch(img);
                 self.note_packages(spec);
                 self.maybe_checkpoint()?;
                 if let Some(obs) = &self.obs {
@@ -1147,30 +1144,88 @@ fn transient_image(img: &StoredImage) -> Image {
     t
 }
 
-/// Rebuild the in-memory eviction state from a recovered index: every
-/// surviving image is replayed into a fresh evictor in id order.
-/// Deterministic, so two opens of the same directory agree on future
-/// victims; past decisions never depend on it (replay reads the evict
-/// lists the WAL recorded).
-fn rebuild_evictor(
-    eviction: EvictionPolicy,
-    eviction_seed: u64,
-    limit_logical_bytes: u64,
-    state: &State,
-) -> Box<dyn Evictor> {
-    let config = CacheConfig {
-        eviction,
-        eviction_seed,
-        limit_bytes: limit_logical_bytes,
-        ..CacheConfig::default()
-    };
-    let mut evictor = make_evictor(&config);
-    let mut images: Vec<&StoredImage> = state.images.iter().collect();
-    images.sort_by_key(|img| img.id);
-    for img in images {
-        evictor.on_insert(&transient_image(img));
+/// The eviction state over the indexed images: the configured policy's
+/// evictor, and the slot it knows each image by. The evictor keys its
+/// per-image state by a dense slot, so the store hands slots out itself
+/// — one per image id, freed slots reused last-freed first.
+#[derive(Clone)]
+struct Eviction {
+    evictor: Box<dyn Evictor>,
+    slots: HashMap<u64, u32>,
+    free: Vec<u32>,
+}
+
+impl Eviction {
+    /// Rebuild the in-memory eviction state from a recovered index:
+    /// every surviving image is replayed into a fresh evictor in id
+    /// order. Deterministic, so two opens of the same directory agree
+    /// on future victims; past decisions never depend on it (replay
+    /// reads the evict lists the WAL recorded).
+    fn rebuild(
+        eviction: EvictionPolicy,
+        eviction_seed: u64,
+        limit_logical_bytes: u64,
+        state: &State,
+    ) -> Self {
+        let config = CacheConfig {
+            eviction,
+            eviction_seed,
+            limit_bytes: limit_logical_bytes,
+            ..CacheConfig::default()
+        };
+        let mut rebuilt = Eviction {
+            evictor: make_evictor(&config),
+            slots: HashMap::new(),
+            free: Vec::new(),
+        };
+        let mut images: Vec<&StoredImage> = state.images.iter().collect();
+        images.sort_by_key(|img| img.id);
+        for img in images {
+            rebuilt.insert(img);
+        }
+        rebuilt
     }
-    evictor
+
+    /// Give `img` a slot and register it with the evictor.
+    fn insert(&mut self, img: &StoredImage) {
+        // With no slot free, every slot opened so far is taken.
+        let slot = self.free.pop().unwrap_or_else(|| {
+            u32::try_from(self.slots.len()).expect("fewer than 2^32 indexed images")
+        });
+        self.slots.insert(img.id, slot);
+        self.evictor.on_insert(slot, &transient_image(img));
+    }
+
+    /// Number of images the evictor tracks.
+    fn len(&self) -> usize {
+        self.evictor.len()
+    }
+
+    /// Choose and commit the next victim, never `protect`.
+    fn select_victim(&mut self, protect: ImageId) -> Option<ImageId> {
+        self.evictor.select_victim(Some(protect))
+    }
+
+    /// Tell the evictor `img` was used again.
+    fn touch(&mut self, img: &StoredImage) {
+        if let Some(&slot) = self.slots.get(&img.id) {
+            self.evictor.on_touch(slot, &transient_image(img));
+        }
+    }
+
+    /// Drop `img` and free its slot; `evicted` when the byte limit
+    /// removes it (the evictor is told first).
+    fn remove(&mut self, img: &StoredImage, evicted: bool) {
+        let Some(slot) = self.slots.remove(&img.id) else {
+            return;
+        };
+        let gone = transient_image(img);
+        if evicted {
+            self.evictor.note_eviction(slot, &gone);
+        }
+        self.evictor.on_remove(slot, &gone);
+        self.free.push(slot);
+    }
 }
 
 /// Build the membership filter over every package id live in `state`.

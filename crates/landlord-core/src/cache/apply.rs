@@ -9,7 +9,7 @@
 //! same decision it planned.
 
 use super::plan::{Plan, PlannedOp};
-use super::{ImageCache, Resident};
+use super::ImageCache;
 use crate::events::CacheEvent;
 use crate::image::{Image, ImageId};
 use crate::spec::Spec;
@@ -85,7 +85,7 @@ impl ImageCache {
         // deterministic under any thread interleaving.
         if let Some(obs) = &self.obs {
             obs.resident_images
-                .raise(u64::try_from(self.images.len()).unwrap_or(u64::MAX));
+                .raise(u64::try_from(self.len()).unwrap_or(u64::MAX));
             // Flush evictor-internal counters (ghost hits, sample
             // draws) as deltas; counters fold by sum, so shards
             // sharing a registry stay exact.
@@ -111,13 +111,21 @@ impl ImageCache {
         let requested_bytes = plan.requested_bytes;
         self.ledger.begin_request(requested_bytes);
 
+        // The plan names its target by id; resolve it to a slot once.
+        let target = match plan.op {
+            PlannedOp::Hit { image } | PlannedOp::Merge { image, .. } => self.slot_of(image),
+            PlannedOp::Insert => None,
+        };
         match plan.op {
             PlannedOp::Hit { image } => {
-                if let Some(r) = self.images.get_mut(&image.0) {
-                    r.image.last_used = now;
-                    r.image.use_count += 1;
-                    self.evictor.on_touch(&r.image);
-                    let image_bytes = r.image.bytes;
+                let hit = target.and_then(|slot| {
+                    Some((slot, self.residents.get_mut(slot as usize)?.as_mut()?))
+                });
+                if let Some((slot, img)) = hit {
+                    img.last_used = now;
+                    img.use_count += 1;
+                    self.evictor.on_touch(slot, img);
+                    let image_bytes = img.bytes;
                     self.ledger.count_hit();
                     self.ledger.serve(requested_bytes, image_bytes);
                     self.emit(CacheEvent::Hit {
@@ -131,8 +139,9 @@ impl ImageCache {
                 self.do_insert(spec, requested_bytes, now)
             }
             PlannedOp::Merge { image, distance } => {
-                if let Some(outcome) = self.merge_into(image, spec, distance, requested_bytes, now)
-                {
+                let merged = target
+                    .and_then(|slot| self.merge_into(slot, spec, distance, requested_bytes, now));
+                if let Some(outcome) = merged {
                     self.evict_to_limit(image);
                     return outcome;
                 }
@@ -163,12 +172,12 @@ impl ImageCache {
         }
     }
 
-    /// Replace image `id` with `merge(s, j)` in place, exactly as the
-    /// plan decided. Returns `None` when `id` is not cached (stale
+    /// Replace the image in `slot` with `merge(s, j)` in place, exactly
+    /// as the plan decided. Returns `None` when the slot is free (stale
     /// plan; the caller then falls back to insert).
     fn merge_into(
         &mut self,
-        id: ImageId,
+        slot: u32,
         spec: &Spec,
         distance: f64,
         requested_bytes: u64,
@@ -176,14 +185,15 @@ impl ImageCache {
     ) -> Option<Outcome> {
         let split_threshold = self.config.split_threshold;
         let sizes = Arc::clone(&self.sizes);
-        let Resident { image: img, slot } = self.images.get_mut(&id.0)?;
+        let img = self.residents.get_mut(slot as usize)?.as_mut()?;
+        let id = img.id;
 
         // Account the packages newly introduced by the request.
         let added = spec.difference(&img.spec);
         let old_bytes = img.bytes;
         let new_spec = img.spec.union(spec);
         let new_bytes = sizes.spec_bytes(&new_spec);
-        self.postings.grow(*slot, &added, new_bytes);
+        self.postings.grow(slot, &added, new_bytes);
         img.spec = new_spec;
         img.bytes = new_bytes;
         img.last_used = now;
@@ -195,7 +205,7 @@ impl ImageCache {
         if wants_split {
             self.pending_split = Some(id);
         }
-        self.evictor.on_touch(img);
+        self.evictor.on_touch(slot, img);
         self.candidate_index.on_merge(id.0, spec);
         self.refcounts
             .add_spec(&added, self.sizes.as_ref(), &mut self.ledger);

@@ -5,15 +5,31 @@
 //! (`on_insert`/`on_touch`/`on_remove`/`note_eviction`) notifies the
 //! evictor of every image event. The **selection half** answers "who
 //! goes next": [`Evictor::select_victim`] may advance internal state
-//! (queue rotation, seeded sample draws), while
+//! (queue rotation, seeded sample draws, a deferred sort), while
 //! [`Evictor::peek_victim`] is a side-effect-free preview guaranteed to
 //! name the same victim the next `select_victim` would.
 //!
-//! Three families implement the seam:
+//! Every lifecycle callback gets the image's *slot* beside the image: a
+//! dense `u32` the caller assigns to each resident image and reuses
+//! once the image has left (the engine passes its posting-table slot).
+//! Each evictor keeps its per-image state in a vector indexed by slot,
+//! never in a map keyed by image id; victims are still named by
+//! [`ImageId`].
 //!
-//! * **Ordered indexes** ([`IndexedEvictor`], the original five
-//!   policies): a `BTreeSet` of `(key, id)` pairs — exactly the tuple
-//!   the pre-seam O(n) scans minimized, so victim choices are
+//! Four families implement the seam:
+//!
+//! * **Exact LRU** ([`LruEvictor`], the paper's policy): an intrusive
+//!   doubly-linked list over slots in `(last_used, id)` order. Insert
+//!   and touch append at the tail in O(1); when a caller passes the
+//!   same `now` twice, the append walks back over the same-tick entries
+//!   so the lower id stays first. An image older than the tail (bulk
+//!   admission in arbitrary order: checkpoint restore, the persistent
+//!   store's rebuild) is appended too, and marks the list unsorted; the
+//!   next selection sorts and relinks it once, O(n log n). Selection
+//!   reads the head.
+//! * **Ordered indexes** ([`IndexedEvictor`]: lfu, largest-first,
+//!   cost-density, gdsf): a `BTreeSet` of `(key, id)` pairs — exactly
+//!   the tuple the pre-seam O(n) scans minimized, so victim choices are
 //!   bit-identical — maintained in O(log n) per touch. Selection is a
 //!   stateless ordered read, so `select_victim == peek_victim`.
 //! * **Queue rotation** ([`S3FifoEvictor`]): S3-FIFO's static
@@ -36,7 +52,7 @@ use crate::bitset::BitSet;
 use crate::image::{Image, ImageId};
 use crate::policy::EvictionPolicy;
 use crate::spec::Spec;
-use crate::util::{FxHashMap, FxHasher};
+use crate::util::FxHasher;
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, VecDeque};
 use std::fmt::Debug;
@@ -74,23 +90,24 @@ pub struct EvictorCounters {
 }
 
 /// Tracks the cached images and answers "who goes next". The engine
-/// notifies the evictor of every image lifecycle event; selection may
-/// be stateful and randomized (seeded), so committing a victim goes
-/// through `&mut self`.
+/// notifies the evictor of every image lifecycle event, with the
+/// image's slot (see the module docs); selection may be stateful and
+/// randomized (seeded), so committing a victim goes through
+/// `&mut self`.
 pub trait Evictor: Send {
     /// The policy this evictor implements.
     fn policy(&self) -> EvictionPolicy;
-    /// A new image entered the cache.
-    fn on_insert(&mut self, img: &Image);
-    /// An image's ordering-relevant fields changed (hit or merge
-    /// already applied to `img`).
-    fn on_touch(&mut self, img: &Image);
-    /// An image left the cache (already removed from the image map).
-    fn on_remove(&mut self, img: &Image);
-    /// An image is about to be evicted *by the byte limit* (still
-    /// cached). Lets aging policies (GDSF) advance their clock and
-    /// ghost queues (S3-FIFO) remember the identity.
-    fn note_eviction(&mut self, _img: &Image) {}
+    /// A new image entered the cache in `slot`.
+    fn on_insert(&mut self, slot: u32, img: &Image);
+    /// The image in `slot` changed its ordering-relevant fields (hit or
+    /// merge already applied to `img`).
+    fn on_touch(&mut self, slot: u32, img: &Image);
+    /// The image in `slot` left the cache; the slot may be reused.
+    fn on_remove(&mut self, slot: u32, img: &Image);
+    /// The image in `slot` is about to be evicted *by the byte limit*
+    /// (still cached). Lets aging policies (GDSF) advance their clock
+    /// and ghost queues (S3-FIFO) remember the identity.
+    fn note_eviction(&mut self, _slot: u32, _img: &Image) {}
     /// Choose and commit the next victim, never `protect`, advancing
     /// any queue/sampling state. `None` when nothing (else) is cached.
     fn select_victim(&mut self, protect: Option<ImageId>) -> Option<ImageId>;
@@ -113,9 +130,274 @@ pub trait Evictor: Send {
     /// planning eviction chains transactionally (the persistent store
     /// plans on a clone and feeds the live evictor only acked events).
     fn clone_box(&self) -> Box<dyn Evictor>;
-    /// Verify internal consistency against the resident images (each
-    /// exactly once); panics on inconsistency.
-    fn check(&self, images: &[&Image]);
+    /// Verify internal consistency against the resident images, given
+    /// as `(slot, image)` each exactly once; panics on inconsistency.
+    fn check(&self, images: &[(u32, &Image)]);
+}
+
+impl Clone for Box<dyn Evictor> {
+    fn clone(&self) -> Self {
+        self.clone_box()
+    }
+}
+
+/// The entry for `slot` in a slot-indexed vector, growing the vector
+/// with defaults to reach it.
+fn at_slot<T: Default>(entries: &mut Vec<T>, slot: u32) -> &mut T {
+    let i = slot as usize;
+    if i >= entries.len() {
+        entries.resize_with(i + 1, T::default);
+    }
+    &mut entries[i]
+}
+
+/// The end of an [`LruEvictor`] list: no slot.
+const NIL: u32 = u32::MAX;
+
+/// One slot's node of the LRU list.
+#[derive(Debug, Clone, Copy)]
+struct LruNode {
+    last_used: u64,
+    id: ImageId,
+    prev: u32,
+    next: u32,
+    /// Whether the slot's image is in the list.
+    linked: bool,
+}
+
+impl Default for LruNode {
+    fn default() -> Self {
+        LruNode {
+            last_used: 0,
+            id: ImageId(0),
+            prev: NIL,
+            next: NIL,
+            linked: false,
+        }
+    }
+}
+
+impl LruNode {
+    /// The list's order: least recently used first, ties to the lower id.
+    fn key(&self) -> (u64, ImageId) {
+        (self.last_used, self.id)
+    }
+}
+
+/// Exact LRU: an intrusive doubly-linked list over slots, head first in
+/// `(last_used, id)` order, so the victim is the head (or the next node
+/// when the head is protected).
+#[derive(Clone)]
+struct LruEvictor {
+    nodes: Vec<LruNode>,
+    head: u32,
+    tail: u32,
+    len: usize,
+    /// False once an image older than the tail was appended; the next
+    /// [`Evictor::select_victim`] sorts and relinks the list.
+    sorted: bool,
+    /// Link work done: one per node walked back over, and per sort one
+    /// per node relinked and per comparison. Bounds the cost of bulk
+    /// admission in tests without timing it.
+    steps: u64,
+}
+
+impl LruEvictor {
+    fn new() -> Self {
+        LruEvictor {
+            nodes: Vec::new(),
+            head: NIL,
+            tail: NIL,
+            len: 0,
+            sorted: true,
+            steps: 0,
+        }
+    }
+
+    fn node(&self, slot: u32) -> &LruNode {
+        &self.nodes[slot as usize]
+    }
+
+    /// The linked nodes, head first.
+    fn walk(&self) -> impl Iterator<Item = (u32, &LruNode)> {
+        let mut at = self.head;
+        std::iter::from_fn(move || {
+            (at != NIL).then(|| {
+                let slot = at;
+                at = self.node(slot).next;
+                (slot, self.node(slot))
+            })
+        })
+    }
+
+    /// Link `slot` right after `after`, or at the head for [`NIL`].
+    fn link_after(&mut self, slot: u32, after: u32) {
+        let next = if after == NIL {
+            self.head
+        } else {
+            self.node(after).next
+        };
+        let node = &mut self.nodes[slot as usize];
+        (node.prev, node.next, node.linked) = (after, next, true);
+        match after {
+            NIL => self.head = slot,
+            _ => self.nodes[after as usize].next = slot,
+        }
+        match next {
+            NIL => self.tail = slot,
+            _ => self.nodes[next as usize].prev = slot,
+        }
+        self.len += 1;
+    }
+
+    /// Take `slot` out of the list, if it is in it.
+    fn unlink(&mut self, slot: u32) {
+        let Some(&LruNode {
+            prev,
+            next,
+            linked: true,
+            ..
+        }) = self.nodes.get(slot as usize)
+        else {
+            return;
+        };
+        match prev {
+            NIL => self.head = next,
+            _ => self.nodes[prev as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            _ => self.nodes[next as usize].prev = prev,
+        }
+        self.nodes[slot as usize] = LruNode::default();
+        self.len -= 1;
+        if self.len == 0 {
+            self.sorted = true;
+        }
+    }
+
+    /// (Re)link the image in `slot` at its place: after the tail, or,
+    /// when the tail holds the same tick and a higher id, after walking
+    /// back over such entries. An image older than the tail is appended
+    /// and leaves the list unsorted.
+    fn place(&mut self, slot: u32, img: &Image) {
+        self.unlink(slot);
+        let node = at_slot(&mut self.nodes, slot);
+        (node.last_used, node.id) = (img.last_used, img.id);
+        let mut after = self.tail;
+        if after != NIL && self.node(after).last_used > img.last_used {
+            self.sorted = false;
+        }
+        if self.sorted {
+            // In a sorted list every entry above the key shares its tick.
+            while after != NIL && self.node(after).key() > (img.last_used, img.id) {
+                self.steps += 1;
+                after = self.node(after).prev;
+            }
+        }
+        self.link_after(slot, after);
+    }
+
+    /// Sort an unsorted list by `(last_used, id)` and relink it.
+    fn sort(&mut self) {
+        if self.sorted {
+            return;
+        }
+        let mut order: Vec<(u64, ImageId, u32)> = self
+            .walk()
+            .map(|(slot, n)| (n.last_used, n.id, slot))
+            .collect();
+        let mut steps = order.len() as u64;
+        order.sort_unstable_by(|a, b| {
+            steps += 1;
+            a.cmp(b)
+        });
+        self.steps += steps;
+        (self.head, self.tail, self.len) = (NIL, NIL, 0);
+        for (.., slot) in order {
+            self.link_after(slot, self.tail);
+        }
+        self.sorted = true;
+    }
+}
+
+impl Evictor for LruEvictor {
+    fn policy(&self) -> EvictionPolicy {
+        EvictionPolicy::Lru
+    }
+
+    fn on_insert(&mut self, slot: u32, img: &Image) {
+        self.place(slot, img);
+    }
+
+    fn on_touch(&mut self, slot: u32, img: &Image) {
+        self.place(slot, img);
+    }
+
+    fn on_remove(&mut self, slot: u32, _img: &Image) {
+        self.unlink(slot);
+    }
+
+    fn select_victim(&mut self, protect: Option<ImageId>) -> Option<ImageId> {
+        self.sort();
+        self.peek_victim(protect)
+    }
+
+    /// The head, or the next node when the head is protected; on an
+    /// unsorted list, the least `(last_used, id)` by a scan.
+    fn peek_victim(&self, protect: Option<ImageId>) -> Option<ImageId> {
+        let mut rest = self.walk().filter(|(_, n)| Some(n.id) != protect);
+        if self.sorted {
+            rest.next().map(|(_, n)| n.id)
+        } else {
+            rest.map(|(_, n)| n.key()).min().map(|(_, id)| id)
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn clone_box(&self) -> Box<dyn Evictor> {
+        Box::new(self.clone())
+    }
+
+    fn check(&self, images: &[(u32, &Image)]) {
+        assert_eq!(self.len, images.len(), "lru list length");
+        let mut prev = NIL;
+        let mut walked = 0usize;
+        for (slot, n) in self.walk() {
+            assert!(
+                n.linked,
+                "lru slot {slot} in the list but not marked linked"
+            );
+            assert_eq!(n.prev, prev, "lru back link of slot {slot}");
+            if self.sorted && prev != NIL {
+                assert!(
+                    self.node(prev).key() < n.key(),
+                    "lru list out of (last_used, id) order at slot {slot}"
+                );
+            }
+            prev = slot;
+            walked += 1;
+        }
+        assert_eq!(self.tail, prev, "lru tail");
+        assert_eq!(walked, self.len, "lru walk length");
+        for &(slot, img) in images {
+            let n = self.nodes.get(slot as usize);
+            assert!(
+                n.is_some_and(|n| n.linked && n.key() == (img.last_used, img.id)),
+                "lru node of image {} in slot {slot} missing or stale",
+                img.id
+            );
+        }
+        let brute = images.iter().map(|(_, img)| (img.last_used, img.id)).min();
+        assert_eq!(
+            self.peek_victim(None),
+            brute.map(|(_, id)| id),
+            "victim disagrees with scan"
+        );
+    }
 }
 
 /// How one policy ranks an image. Victims are *minimal* in `(Key, id)`
@@ -135,15 +417,17 @@ trait VictimKey: Send + Clone + 'static {
 }
 
 /// Shared implementation of the ordered-index family: a
-/// `BTreeSet<(Key, ImageId)>` plus an id → key map so stale entries
-/// can be removed on update. Selection is a pure ordered read, so
+/// `BTreeSet<(Key, ImageId)>` plus each slot's stored key, so the stale
+/// entry can be removed on update. Selection is a pure ordered read, so
 /// `select_victim` and `peek_victim` are the same lookup.
 #[derive(Clone)]
 struct IndexedEvictor<P: VictimKey> {
     policy: EvictionPolicy,
     keyer: P,
     order: BTreeSet<(P::Key, ImageId)>,
-    keys: FxHashMap<u64, P::Key>,
+    /// The key each slot's image is ordered under; `None` for a slot no
+    /// indexed image holds.
+    keys: Vec<Option<P::Key>>,
 }
 
 impl<P: VictimKey> IndexedEvictor<P> {
@@ -152,16 +436,15 @@ impl<P: VictimKey> IndexedEvictor<P> {
             policy,
             keyer,
             order: BTreeSet::new(),
-            keys: FxHashMap::default(),
+            keys: Vec::new(),
         }
     }
 
-    fn reindex(&mut self, img: &Image) {
-        if let Some(old) = self.keys.remove(&img.id.0) {
+    fn reindex(&mut self, slot: u32, img: &Image) {
+        let key = self.keyer.key(img);
+        if let Some(old) = at_slot(&mut self.keys, slot).replace(key) {
             self.order.remove(&(old, img.id));
         }
-        let key = self.keyer.key(img);
-        self.keys.insert(img.id.0, key);
         self.order.insert((key, img.id));
     }
 }
@@ -171,22 +454,22 @@ impl<P: VictimKey> Evictor for IndexedEvictor<P> {
         self.policy
     }
 
-    fn on_insert(&mut self, img: &Image) {
-        self.reindex(img);
+    fn on_insert(&mut self, slot: u32, img: &Image) {
+        self.reindex(slot, img);
     }
 
-    fn on_touch(&mut self, img: &Image) {
-        self.reindex(img);
+    fn on_touch(&mut self, slot: u32, img: &Image) {
+        self.reindex(slot, img);
     }
 
-    fn on_remove(&mut self, img: &Image) {
-        if let Some(old) = self.keys.remove(&img.id.0) {
+    fn on_remove(&mut self, slot: u32, img: &Image) {
+        if let Some(old) = self.keys.get_mut(slot as usize).and_then(Option::take) {
             self.order.remove(&(old, img.id));
         }
     }
 
-    fn note_eviction(&mut self, img: &Image) {
-        if let Some(key) = self.keys.get(&img.id.0) {
+    fn note_eviction(&mut self, slot: u32, _img: &Image) {
+        if let Some(Some(key)) = self.keys.get(slot as usize) {
             self.keyer.on_eviction(key);
         }
     }
@@ -210,21 +493,25 @@ impl<P: VictimKey> Evictor for IndexedEvictor<P> {
         Box::new(self.clone())
     }
 
-    fn check(&self, images: &[&Image]) {
+    fn check(&self, images: &[(u32, &Image)]) {
         assert_eq!(self.order.len(), images.len(), "evictor order size");
-        assert_eq!(self.keys.len(), images.len(), "evictor key-map size");
-        for img in images {
-            let stored = self.keys.get(&img.id.0);
+        assert_eq!(
+            self.keys.iter().flatten().count(),
+            images.len(),
+            "evictor slot-key count"
+        );
+        for &(slot, img) in images {
+            let stored = self.keys.get(slot as usize).copied().flatten();
             assert!(stored.is_some(), "image {} missing from evictor", img.id);
             let Some(stored) = stored else { continue };
             assert!(
-                self.order.contains(&(*stored, img.id)),
+                self.order.contains(&(stored, img.id)),
                 "evictor key for image {} missing from order",
                 img.id
             );
             if self.keyer.keys_are_current() {
                 assert_eq!(
-                    *stored,
+                    stored,
                     self.keyer.key(img),
                     "stale evictor key for image {}",
                     img.id
@@ -235,20 +522,11 @@ impl<P: VictimKey> Evictor for IndexedEvictor<P> {
             // The ordered index must agree with a brute-force scan.
             let brute = images
                 .iter()
-                .map(|img| (self.keyer.key(img), img.id))
+                .map(|(_, img)| (self.keyer.key(img), img.id))
                 .min()
                 .map(|(_, id)| id);
             assert_eq!(self.peek_victim(None), brute, "victim disagrees with scan");
         }
-    }
-}
-
-#[derive(Clone)]
-struct LruKey;
-impl VictimKey for LruKey {
-    type Key = u64;
-    fn key(&self, img: &Image) -> u64 {
-        img.last_used
     }
 }
 
@@ -335,6 +613,9 @@ enum S3Queue {
 
 #[derive(Debug, Clone, Copy)]
 struct S3Meta {
+    /// The image in the slot: a queue occurrence naming another id is
+    /// stale (its image left, and the slot was reused).
+    id: ImageId,
     queue: S3Queue,
     /// Touches since admission, capped at 3 (the S3-FIFO paper's
     /// two-bit counter).
@@ -355,20 +636,29 @@ struct S3Meta {
 /// second chance per positive frequency count. Touches never reorder
 /// anything — O(1), no ordered-index maintenance.
 ///
-/// Removals that bypass selection (splits, administrative deletes)
-/// leave their queue occurrence in place; occurrences whose meta entry
-/// is gone are dropped lazily when they reach the queue head.
+/// Queue occurrences are `(slot, id)` pairs. Removals that bypass
+/// selection (splits, administrative deletes) leave their occurrence in
+/// place; an occurrence whose id is not its slot's live image — the
+/// image left, and the slot may hold a new one — is dropped lazily when
+/// it reaches the queue head.
 #[derive(Clone)]
 struct S3FifoEvictor {
     /// Byte budget of the small queue (a tenth of the cache limit).
     small_target: u64,
-    small: VecDeque<ImageId>,
-    main: VecDeque<ImageId>,
-    meta: FxHashMap<u64, S3Meta>,
+    small: VecDeque<(u32, ImageId)>,
+    main: VecDeque<(u32, ImageId)>,
+    /// Each slot's live image's state; `None` for a free slot.
+    meta: Vec<Option<S3Meta>>,
+    /// Live images.
+    live: usize,
     small_bytes: u64,
     main_bytes: u64,
     /// Evicted-identity fingerprints in eviction order.
     ghost: VecDeque<u64>,
+    /// The length the ghost was last trimmed to: the live count (at
+    /// least [`GHOST_FLOOR`]) at the last push. Removals lower the live
+    /// count without trimming, so the ghost may exceed the current one.
+    ghost_cap: usize,
     /// Slot occupancy for O(1) ghost membership tests.
     ghost_bits: BitSet,
     /// Per-slot occupancy counts so collisions clear exactly.
@@ -382,10 +672,12 @@ impl S3FifoEvictor {
             small_target: (limit_bytes / 10).max(1),
             small: VecDeque::new(),
             main: VecDeque::new(),
-            meta: FxHashMap::default(),
+            meta: Vec::new(),
+            live: 0,
             small_bytes: 0,
             main_bytes: 0,
             ghost: VecDeque::new(),
+            ghost_cap: GHOST_FLOOR,
             ghost_bits: BitSet::new(GHOST_SLOTS),
             ghost_refs: vec![0; GHOST_SLOTS],
             counters: EvictorCounters::default(),
@@ -405,7 +697,8 @@ impl S3FifoEvictor {
         self.ghost.push_back(fp);
         // The ghost remembers about as many identities as there are
         // live images (the classic sizing: ghost ≈ main, in entries).
-        let cap = self.meta.len().max(GHOST_FLOOR);
+        let cap = self.live.max(GHOST_FLOOR);
+        self.ghost_cap = cap;
         while self.ghost.len() > cap {
             let Some(old) = self.ghost.pop_front() else {
                 break;
@@ -416,6 +709,14 @@ impl S3FifoEvictor {
                 self.ghost_bits.remove(slot);
             }
         }
+    }
+
+    /// The state of `slot` if it still holds image `id`.
+    fn live_meta(&mut self, slot: u32, id: ImageId) -> Option<&mut S3Meta> {
+        self.meta
+            .get_mut(slot as usize)?
+            .as_mut()
+            .filter(|m| m.id == id)
     }
 
     fn queue_bytes_mut(&mut self, q: S3Queue) -> &mut u64 {
@@ -431,7 +732,7 @@ impl Evictor for S3FifoEvictor {
         EvictionPolicy::S3Fifo
     }
 
-    fn on_insert(&mut self, img: &Image) {
+    fn on_insert(&mut self, slot: u32, img: &Image) {
         let fp = spec_fingerprint(&img.spec);
         let queue = if self.ghost_contains(fp) {
             self.counters.ghost_hits += 1;
@@ -440,23 +741,22 @@ impl Evictor for S3FifoEvictor {
             S3Queue::Small
         };
         match queue {
-            S3Queue::Small => self.small.push_back(img.id),
-            S3Queue::Main => self.main.push_back(img.id),
+            S3Queue::Small => self.small.push_back((slot, img.id)),
+            S3Queue::Main => self.main.push_back((slot, img.id)),
         }
         *self.queue_bytes_mut(queue) += img.bytes;
-        let prev = self.meta.insert(
-            img.id.0,
-            S3Meta {
-                queue,
-                freq: 0,
-                bytes: img.bytes,
-            },
-        );
-        debug_assert!(prev.is_none(), "duplicate insert of image {}", img.id);
+        let prev = at_slot(&mut self.meta, slot).replace(S3Meta {
+            id: img.id,
+            queue,
+            freq: 0,
+            bytes: img.bytes,
+        });
+        debug_assert!(prev.is_none(), "slot {slot} taken at insert of {}", img.id);
+        self.live += 1;
     }
 
-    fn on_touch(&mut self, img: &Image) {
-        let Some(m) = self.meta.get_mut(&img.id.0) else {
+    fn on_touch(&mut self, slot: u32, img: &Image) {
+        let Some(m) = self.live_meta(slot, img.id) else {
             return;
         };
         m.freq = (m.freq + 1).min(3);
@@ -469,13 +769,18 @@ impl Evictor for S3FifoEvictor {
         }
     }
 
-    fn on_remove(&mut self, img: &Image) {
-        if let Some(m) = self.meta.remove(&img.id.0) {
+    fn on_remove(&mut self, slot: u32, img: &Image) {
+        let gone = self
+            .meta
+            .get_mut(slot as usize)
+            .and_then(|m| m.take_if(|m| m.id == img.id));
+        if let Some(m) = gone {
             *self.queue_bytes_mut(m.queue) -= m.bytes;
+            self.live -= 1;
         }
     }
 
-    fn note_eviction(&mut self, img: &Image) {
+    fn note_eviction(&mut self, _slot: u32, img: &Image) {
         self.ghost_push(spec_fingerprint(&img.spec));
     }
 
@@ -485,7 +790,7 @@ impl Evictor for S3FifoEvictor {
         // progress: it drops a stale occurrence, promotes a small entry
         // (at most once each), decrements a positive freq (at most 3
         // each), or returns a victim. The budget is a safety net only.
-        let mut stashed: Option<(S3Queue, ImageId)> = None;
+        let mut stashed: Option<(S3Queue, (u32, ImageId))> = None;
         let mut budget = (self.small.len() + self.main.len() + 1) * 8;
         let victim = loop {
             if budget == 0 {
@@ -502,10 +807,10 @@ impl Evictor for S3FifoEvictor {
                 break None;
             };
             if from_small {
-                let Some(id) = self.small.pop_front() else {
+                let Some((slot, id)) = self.small.pop_front() else {
                     break None;
                 };
-                let Some(m) = self.meta.get_mut(&id.0) else {
+                let Some(m) = self.live_meta(slot, id) else {
                     continue; // stale occurrence of a removed image
                 };
                 if m.queue != S3Queue::Small {
@@ -517,11 +822,11 @@ impl Evictor for S3FifoEvictor {
                     let bytes = m.bytes;
                     self.small_bytes -= bytes;
                     self.main_bytes += bytes;
-                    self.main.push_back(id);
+                    self.main.push_back((slot, id));
                     continue;
                 }
                 if Some(id) == protect {
-                    stashed = Some((S3Queue::Small, id));
+                    stashed = Some((S3Queue::Small, (slot, id)));
                     // Its bytes still count toward small_bytes; if it
                     // is the only small entry the next iteration sees
                     // an empty small queue and falls through to main.
@@ -529,33 +834,33 @@ impl Evictor for S3FifoEvictor {
                 }
                 break Some(id);
             } else {
-                let Some(id) = self.main.pop_front() else {
+                let Some((slot, id)) = self.main.pop_front() else {
                     break None;
                 };
-                let Some(m) = self.meta.get_mut(&id.0) else {
+                let Some(m) = self.live_meta(slot, id) else {
                     continue;
                 };
                 if m.queue != S3Queue::Main {
                     continue;
                 }
                 if Some(id) == protect {
-                    stashed = Some((S3Queue::Main, id));
+                    stashed = Some((S3Queue::Main, (slot, id)));
                     continue;
                 }
                 if m.freq > 0 {
                     // Second chance: decay and recirculate.
                     m.freq -= 1;
-                    self.main.push_back(id);
+                    self.main.push_back((slot, id));
                     continue;
                 }
                 break Some(id);
             }
         };
         // Restore the protected occurrence where it was (head-most).
-        if let Some((queue, id)) = stashed {
+        if let Some((queue, occurrence)) = stashed {
             match queue {
-                S3Queue::Small => self.small.push_front(id),
-                S3Queue::Main => self.main.push_front(id),
+                S3Queue::Small => self.small.push_front(occurrence),
+                S3Queue::Main => self.main.push_front(occurrence),
             }
         }
         if victim.is_none() && budget == 0 {
@@ -564,9 +869,9 @@ impl Evictor for S3FifoEvictor {
             // eviction loop can always make progress.
             return self
                 .meta
-                .keys()
-                .copied()
-                .map(ImageId)
+                .iter()
+                .flatten()
+                .map(|m| m.id)
                 .filter(|&id| Some(id) != protect)
                 .min();
         }
@@ -579,7 +884,7 @@ impl Evictor for S3FifoEvictor {
     }
 
     fn len(&self) -> usize {
-        self.meta.len()
+        self.live
     }
 
     fn counters(&self) -> EvictorCounters {
@@ -590,13 +895,22 @@ impl Evictor for S3FifoEvictor {
         Box::new(self.clone())
     }
 
-    fn check(&self, images: &[&Image]) {
-        assert_eq!(self.meta.len(), images.len(), "s3-fifo meta size");
+    fn check(&self, images: &[(u32, &Image)]) {
+        assert_eq!(self.live, images.len(), "s3-fifo live count");
+        assert_eq!(
+            self.meta.iter().flatten().count(),
+            images.len(),
+            "s3-fifo meta size"
+        );
         let mut small_bytes = 0u64;
         let mut main_bytes = 0u64;
-        for img in images {
-            let m = self.meta.get(&img.id.0);
-            assert!(m.is_some(), "image {} missing from s3-fifo meta", img.id);
+        for &(slot, img) in images {
+            let m = self.meta.get(slot as usize).copied().flatten();
+            assert!(
+                m.is_some_and(|m| m.id == img.id),
+                "image {} missing from s3-fifo meta of slot {slot}",
+                img.id
+            );
             let Some(m) = m else { continue };
             assert_eq!(m.bytes, img.bytes, "s3-fifo stale bytes for {}", img.id);
             match m.queue {
@@ -608,24 +922,30 @@ impl Evictor for S3FifoEvictor {
         assert_eq!(self.main_bytes, main_bytes, "s3-fifo main_bytes");
         // Every live image occurs exactly once, in the queue its meta
         // names; stale occurrences (removed images) are allowed.
-        let mut occurrences: FxHashMap<u64, (usize, usize)> = FxHashMap::default();
-        for id in &self.small {
-            occurrences.entry(id.0).or_default().0 += 1;
+        let mut occurrences = vec![(0usize, 0usize); self.meta.len()];
+        let is_live = |&(slot, id): &(u32, ImageId)| {
+            self.meta
+                .get(slot as usize)
+                .copied()
+                .flatten()
+                .is_some_and(|m| m.id == id)
+        };
+        for &(slot, _) in self.small.iter().filter(|o| is_live(o)) {
+            occurrences[slot as usize].0 += 1;
         }
-        for id in &self.main {
-            occurrences.entry(id.0).or_default().1 += 1;
+        for &(slot, _) in self.main.iter().filter(|o| is_live(o)) {
+            occurrences[slot as usize].1 += 1;
         }
-        for (&id, m) in &self.meta {
-            let (in_small, in_main) = occurrences.get(&id).copied().unwrap_or((0, 0));
+        for (m, &found) in self.meta.iter().zip(&occurrences) {
+            let Some(m) = m else { continue };
             let want = match m.queue {
                 S3Queue::Small => (1, 0),
                 S3Queue::Main => (0, 1),
             };
             assert_eq!(
-                (in_small, in_main),
-                want,
-                "image {id} occurrences disagree with its queue tag {:?}",
-                m.queue
+                found, want,
+                "image {} occurrences disagree with its queue tag {:?}",
+                m.id, m.queue
             );
         }
         // Ghost refcounts and bits are exact functions of the deque.
@@ -642,7 +962,7 @@ impl Evictor for S3FifoEvictor {
             );
         }
         assert!(
-            self.ghost.len() <= self.meta.len().max(GHOST_FLOOR),
+            self.ghost.len() <= self.ghost_cap,
             "s3-fifo ghost over capacity"
         );
     }
@@ -683,6 +1003,7 @@ fn log2_bucket(v: u64, cap: usize) -> usize {
 
 #[derive(Debug, Clone, Copy)]
 struct LhdMeta {
+    id: ImageId,
     /// Evictor tick of the last insert/touch.
     last_access: u64,
     /// Reuse-gap class at that access.
@@ -750,9 +1071,10 @@ struct LhdSampleEvictor {
     /// Internal event clock: advances on insert and touch.
     tick: u64,
     next_reconfigure: u64,
-    /// Live image ids, swap-removed on removal, for O(1) sampling.
-    ids: Vec<u64>,
-    meta: FxHashMap<u64, LhdMeta>,
+    /// Live images' slots, swap-removed on removal, for O(1) sampling.
+    slots: Vec<u32>,
+    /// Each slot's live image's state; `None` for a free slot.
+    meta: Vec<Option<LhdMeta>>,
     classes: Vec<LhdClassStats>,
     counters: EvictorCounters,
 }
@@ -763,8 +1085,8 @@ impl LhdSampleEvictor {
             rng: SplitMix64(seed),
             tick: 0,
             next_reconfigure: LHD_RECONFIGURE_EVERY,
-            ids: Vec::new(),
-            meta: FxHashMap::default(),
+            slots: Vec::new(),
+            meta: Vec::new(),
             classes: vec![LhdClassStats::new(); LHD_CLASSES],
             counters: EvictorCounters::default(),
         }
@@ -780,6 +1102,14 @@ impl LhdSampleEvictor {
         }
     }
 
+    /// The state of `slot` if it holds image `id`.
+    fn live_meta(&mut self, slot: u32, id: ImageId) -> Option<&mut LhdMeta> {
+        self.meta
+            .get_mut(slot as usize)?
+            .as_mut()
+            .filter(|m| m.id == id)
+    }
+
     /// Predicted hit density per byte for one image right now.
     fn score(&self, m: &LhdMeta) -> f64 {
         let age = log2_bucket(self.tick.saturating_sub(m.last_access), LHD_AGE_BUCKETS);
@@ -792,25 +1122,23 @@ impl Evictor for LhdSampleEvictor {
         EvictionPolicy::LhdSample
     }
 
-    fn on_insert(&mut self, img: &Image) {
+    fn on_insert(&mut self, slot: u32, img: &Image) {
         self.advance_tick();
-        let prev = self.meta.insert(
-            img.id.0,
-            LhdMeta {
-                last_access: self.tick,
-                class: 0,
-                bytes: img.bytes,
-                pos: self.ids.len(),
-            },
-        );
-        debug_assert!(prev.is_none(), "duplicate insert of image {}", img.id);
-        self.ids.push(img.id.0);
+        let prev = at_slot(&mut self.meta, slot).replace(LhdMeta {
+            id: img.id,
+            last_access: self.tick,
+            class: 0,
+            bytes: img.bytes,
+            pos: self.slots.len(),
+        });
+        debug_assert!(prev.is_none(), "slot {slot} taken at insert of {}", img.id);
+        self.slots.push(slot);
     }
 
-    fn on_touch(&mut self, img: &Image) {
+    fn on_touch(&mut self, slot: u32, img: &Image) {
         self.advance_tick();
         let tick = self.tick;
-        let Some(m) = self.meta.get_mut(&img.id.0) else {
+        let Some(m) = self.live_meta(slot, img.id) else {
             return;
         };
         let gap = tick.saturating_sub(m.last_access);
@@ -821,23 +1149,27 @@ impl Evictor for LhdSampleEvictor {
         self.classes[class].hits[age] += 1.0;
     }
 
-    fn on_remove(&mut self, img: &Image) {
-        let Some(m) = self.meta.remove(&img.id.0) else {
+    fn on_remove(&mut self, slot: u32, img: &Image) {
+        let gone = self
+            .meta
+            .get_mut(slot as usize)
+            .and_then(|m| m.take_if(|m| m.id == img.id));
+        let Some(m) = gone else {
             return;
         };
-        let Some(last) = self.ids.pop() else {
+        let Some(last) = self.slots.pop() else {
             return;
         };
-        if last != img.id.0 {
-            self.ids[m.pos] = last;
-            if let Some(moved) = self.meta.get_mut(&last) {
+        if last != slot {
+            self.slots[m.pos] = last;
+            if let Some(Some(moved)) = self.meta.get_mut(last as usize) {
                 moved.pos = m.pos;
             }
         }
     }
 
-    fn note_eviction(&mut self, img: &Image) {
-        let Some(m) = self.meta.get(&img.id.0) else {
+    fn note_eviction(&mut self, slot: u32, img: &Image) {
+        let Some(m) = self.live_meta(slot, img.id).copied() else {
             return;
         };
         let age = log2_bucket(self.tick.saturating_sub(m.last_access), LHD_AGE_BUCKETS);
@@ -845,7 +1177,7 @@ impl Evictor for LhdSampleEvictor {
     }
 
     fn select_victim(&mut self, protect: Option<ImageId>) -> Option<ImageId> {
-        if self.ids.is_empty() {
+        if self.slots.is_empty() {
             return None;
         }
         let mut best: Option<(OrdF64, ImageId)> = None;
@@ -853,15 +1185,14 @@ impl Evictor for LhdSampleEvictor {
             self.counters.sample_draws += 1;
             // The draw is already reduced modulo the vector length, so
             // the narrowing cast cannot lose bits.
-            let draw = self.rng.next() % self.ids.len() as u64;
-            let id = ImageId(self.ids[draw as usize]);
-            if Some(id) == protect {
-                continue;
-            }
-            let Some(m) = self.meta.get(&id.0) else {
+            let draw = self.rng.next() % self.slots.len() as u64;
+            let Some(Some(m)) = self.meta.get(self.slots[draw as usize] as usize) else {
                 continue;
             };
-            let candidate = (OrdF64(self.score(m)), id);
+            if Some(m.id) == protect {
+                continue;
+            }
+            let candidate = (OrdF64(self.score(m)), m.id);
             if best.is_none_or(|b| candidate < b) {
                 best = Some(candidate);
             }
@@ -871,11 +1202,11 @@ impl Evictor for LhdSampleEvictor {
             // to a deterministic full scan so eviction always makes
             // progress when a victim exists.
             best = self
-                .ids
+                .slots
                 .iter()
-                .map(|&id| ImageId(id))
-                .filter(|&id| Some(id) != protect)
-                .map(|id| (OrdF64(self.score(&self.meta[&id.0])), id))
+                .filter_map(|&slot| self.meta.get(slot as usize).copied().flatten())
+                .filter(|m| Some(m.id) != protect)
+                .map(|m| (OrdF64(self.score(&m)), m.id))
                 .min();
         }
         best.map(|(_, id)| id)
@@ -887,7 +1218,7 @@ impl Evictor for LhdSampleEvictor {
     }
 
     fn len(&self) -> usize {
-        self.meta.len()
+        self.slots.len()
     }
 
     fn counters(&self) -> EvictorCounters {
@@ -898,12 +1229,20 @@ impl Evictor for LhdSampleEvictor {
         Box::new(self.clone())
     }
 
-    fn check(&self, images: &[&Image]) {
-        assert_eq!(self.meta.len(), images.len(), "lhd meta size");
-        assert_eq!(self.ids.len(), images.len(), "lhd sampling-vector size");
-        for img in images {
-            let m = self.meta.get(&img.id.0);
-            assert!(m.is_some(), "image {} missing from lhd meta", img.id);
+    fn check(&self, images: &[(u32, &Image)]) {
+        assert_eq!(
+            self.meta.iter().flatten().count(),
+            images.len(),
+            "lhd meta size"
+        );
+        assert_eq!(self.slots.len(), images.len(), "lhd sampling-vector size");
+        for &(slot, img) in images {
+            let m = self.meta.get(slot as usize).copied().flatten();
+            assert!(
+                m.is_some_and(|m| m.id == img.id),
+                "image {} missing from lhd meta of slot {slot}",
+                img.id
+            );
             let Some(m) = m else { continue };
             assert_eq!(m.bytes, img.bytes, "lhd stale bytes for {}", img.id);
             assert!(
@@ -913,8 +1252,8 @@ impl Evictor for LhdSampleEvictor {
             );
             assert!(m.class < LHD_CLASSES, "lhd class out of range");
             assert_eq!(
-                self.ids.get(m.pos),
-                Some(&img.id.0),
+                self.slots.get(m.pos),
+                Some(&slot),
                 "lhd sampling position for {} out of sync",
                 img.id
             );
@@ -943,7 +1282,7 @@ impl Evictor for LhdSampleEvictor {
 pub fn make_evictor(config: &CacheConfig) -> Box<dyn Evictor> {
     let policy = config.eviction;
     match policy {
-        EvictionPolicy::Lru => Box::new(IndexedEvictor::new(policy, LruKey)),
+        EvictionPolicy::Lru => Box::new(LruEvictor::new()),
         EvictionPolicy::Lfu => Box::new(IndexedEvictor::new(policy, LfuKey)),
         EvictionPolicy::LargestFirst => Box::new(IndexedEvictor::new(policy, LargestFirstKey)),
         EvictionPolicy::CostDensity => Box::new(IndexedEvictor::new(policy, CostDensityKey)),
@@ -969,6 +1308,29 @@ mod tests {
         i
     }
 
+    /// Lifecycle calls with each image in the slot numbered like its id.
+    trait BySlot {
+        fn insert(&mut self, img: &Image);
+        fn touch(&mut self, img: &Image);
+        fn remove(&mut self, img: &Image);
+        fn evicted(&mut self, img: &Image);
+    }
+
+    impl BySlot for Box<dyn Evictor> {
+        fn insert(&mut self, img: &Image) {
+            self.on_insert(img.id.0 as u32, img);
+        }
+        fn touch(&mut self, img: &Image) {
+            self.on_touch(img.id.0 as u32, img);
+        }
+        fn remove(&mut self, img: &Image) {
+            self.on_remove(img.id.0 as u32, img);
+        }
+        fn evicted(&mut self, img: &Image) {
+            self.note_eviction(img.id.0 as u32, img);
+        }
+    }
+
     fn evictor(policy: EvictionPolicy) -> Box<dyn Evictor> {
         let config = CacheConfig {
             eviction: policy,
@@ -981,9 +1343,9 @@ mod tests {
     #[test]
     fn lru_picks_oldest_and_respects_protect() {
         let mut e = evictor(EvictionPolicy::Lru);
-        e.on_insert(&img(1, 10, 5, 1));
-        e.on_insert(&img(2, 10, 3, 1));
-        e.on_insert(&img(3, 10, 9, 1));
+        e.insert(&img(1, 10, 5, 1));
+        e.insert(&img(2, 10, 3, 1));
+        e.insert(&img(3, 10, 9, 1));
         assert_eq!(e.peek_victim(None), Some(ImageId(2)));
         assert_eq!(e.peek_victim(Some(ImageId(2))), Some(ImageId(1)));
     }
@@ -991,34 +1353,34 @@ mod tests {
     #[test]
     fn lru_ties_break_by_id() {
         let mut e = evictor(EvictionPolicy::Lru);
-        e.on_insert(&img(7, 10, 4, 1));
-        e.on_insert(&img(3, 10, 4, 1));
+        e.insert(&img(7, 10, 4, 1));
+        e.insert(&img(3, 10, 4, 1));
         assert_eq!(e.peek_victim(None), Some(ImageId(3)));
     }
 
     #[test]
     fn touch_moves_image_to_the_back() {
         let mut e = evictor(EvictionPolicy::Lru);
-        e.on_insert(&img(1, 10, 1, 1));
-        e.on_insert(&img(2, 10, 2, 1));
-        e.on_touch(&img(1, 10, 8, 2));
+        e.insert(&img(1, 10, 1, 1));
+        e.insert(&img(2, 10, 2, 1));
+        e.touch(&img(1, 10, 8, 2));
         assert_eq!(e.peek_victim(None), Some(ImageId(2)));
     }
 
     #[test]
     fn largest_first_prefers_big_then_small_id() {
         let mut e = evictor(EvictionPolicy::LargestFirst);
-        e.on_insert(&img(1, 10, 1, 1));
-        e.on_insert(&img(2, 30, 2, 1));
-        e.on_insert(&img(3, 30, 3, 1));
+        e.insert(&img(1, 10, 1, 1));
+        e.insert(&img(2, 30, 2, 1));
+        e.insert(&img(3, 30, 3, 1));
         assert_eq!(e.peek_victim(None), Some(ImageId(2)), "ties → smallest id");
     }
 
     #[test]
     fn cost_density_evicts_fewest_uses_per_byte() {
         let mut e = evictor(EvictionPolicy::CostDensity);
-        e.on_insert(&img(1, 100, 1, 1)); // 0.01 uses/byte
-        e.on_insert(&img(2, 10, 2, 5)); // 0.5 uses/byte
+        e.insert(&img(1, 100, 1, 1)); // 0.01 uses/byte
+        e.insert(&img(2, 10, 2, 5)); // 0.5 uses/byte
         assert_eq!(e.peek_victim(None), Some(ImageId(1)));
     }
 
@@ -1027,26 +1389,26 @@ mod tests {
         let mut e = evictor(EvictionPolicy::Gdsf);
         // Old image, many uses: H = 0 + 10/10 = 1.0.
         let old = img(1, 10, 1, 10);
-        e.on_insert(&old);
+        e.insert(&old);
         // Cheap victim: H = 0 + 1/100 = 0.01. Evicting it raises L.
         let cheap = img(2, 100, 2, 1);
-        e.on_insert(&cheap);
+        e.insert(&cheap);
         assert_eq!(e.peek_victim(None), Some(ImageId(2)));
-        e.note_eviction(&cheap);
-        e.on_remove(&cheap);
+        e.evicted(&cheap);
+        e.remove(&cheap);
         // After many evictions the inflation exceeds 1.0 and freshly
         // inserted low-frequency images outrank the stale hot one.
         for k in 0..200u64 {
             let v = img(10 + k, 1, 3 + k, 2);
-            e.on_insert(&v);
+            e.insert(&v);
             let victim = e.peek_victim(None).unwrap();
             let vi = if victim == v.id {
                 v.clone()
             } else {
                 old.clone()
             };
-            e.note_eviction(&vi);
-            e.on_remove(&vi);
+            e.evicted(&vi);
+            e.remove(&vi);
             if victim == old.id {
                 return; // the hot-but-stale image aged out
             }
@@ -1058,8 +1420,8 @@ mod tests {
     fn remove_forgets_the_image() {
         let mut e = evictor(EvictionPolicy::Lru);
         let a = img(1, 10, 1, 1);
-        e.on_insert(&a);
-        e.on_remove(&a);
+        e.insert(&a);
+        e.remove(&a);
         assert_eq!(e.len(), 0);
         assert_eq!(e.peek_victim(None), None);
     }
@@ -1075,7 +1437,7 @@ mod tests {
         ] {
             let mut e = evictor(policy);
             for id in 0..10 {
-                e.on_insert(&img(id, 10 + id, id, 1 + id % 3));
+                e.insert(&img(id, 10 + id, id, 1 + id % 3));
             }
             let peeked = e.peek_victim(None);
             assert_eq!(e.select_victim(None), peeked, "{policy:?}");
@@ -1087,8 +1449,8 @@ mod tests {
     fn s3_fifo_evicts_untouched_probation_first() {
         // small_target = 100; fill small past it with one-hit wonders.
         let mut e = evictor(EvictionPolicy::S3Fifo);
-        e.on_insert(&img(1, 60, 1, 1));
-        e.on_insert(&img(2, 60, 2, 1));
+        e.insert(&img(1, 60, 1, 1));
+        e.insert(&img(2, 60, 2, 1));
         // FIFO within the small queue: the oldest untouched entry dies.
         assert_eq!(e.select_victim(None), Some(ImageId(1)));
     }
@@ -1096,12 +1458,12 @@ mod tests {
     #[test]
     fn s3_fifo_promotes_touched_probation_entries() {
         let mut e = evictor(EvictionPolicy::S3Fifo);
-        e.on_insert(&img(1, 60, 1, 1));
-        e.on_insert(&img(2, 60, 2, 1));
-        e.on_insert(&img(3, 60, 3, 1));
+        e.insert(&img(1, 60, 1, 1));
+        e.insert(&img(2, 60, 2, 1));
+        e.insert(&img(3, 60, 3, 1));
         // Touch image 1 twice: freq 2 > 1 → promoted instead of evicted.
-        e.on_touch(&img(1, 60, 4, 2));
-        e.on_touch(&img(1, 60, 5, 3));
+        e.touch(&img(1, 60, 4, 2));
+        e.touch(&img(1, 60, 5, 3));
         // Selection promotes 1 to main (small stays over its target)
         // and evicts the oldest untouched probation entry instead.
         assert_eq!(e.select_victim(None), Some(ImageId(2)));
@@ -1111,11 +1473,11 @@ mod tests {
     fn s3_fifo_ghost_hit_readmits_to_main() {
         let mut e = evictor(EvictionPolicy::S3Fifo);
         let a = img(1, 60, 1, 1);
-        e.on_insert(&a);
-        e.on_insert(&img(2, 60, 2, 1));
+        e.insert(&a);
+        e.insert(&img(2, 60, 2, 1));
         assert_eq!(e.select_victim(None), Some(ImageId(1)));
-        e.note_eviction(&a); // engine evicts: identity enters the ghost
-        e.on_remove(&a);
+        e.evicted(&a); // engine evicts: identity enters the ghost
+        e.remove(&a);
         assert_eq!(e.counters().ghost_hits, 0);
         // Same spec returns under a new id: ghost hit → straight to main.
         let reborn = img(1, 60, 5, 1); // same id→same spec fingerprint
@@ -1123,7 +1485,7 @@ mod tests {
             id: ImageId(9),
             ..reborn
         };
-        e.on_insert(&reborn);
+        e.insert(&reborn);
         assert_eq!(e.counters().ghost_hits, 1);
         // Image 2 (still on probation, untouched) dies before the
         // re-admitted image even though it arrived earlier.
@@ -1134,10 +1496,10 @@ mod tests {
     fn s3_fifo_protect_is_never_selected_and_survives_in_place() {
         let mut e = evictor(EvictionPolicy::S3Fifo);
         let only = img(1, 200, 1, 1);
-        e.on_insert(&only);
+        e.insert(&only);
         assert_eq!(e.select_victim(Some(ImageId(1))), None);
         assert_eq!(e.len(), 1, "protected image still tracked");
-        e.on_insert(&img(2, 200, 2, 1));
+        e.insert(&img(2, 200, 2, 1));
         assert_eq!(e.select_victim(Some(ImageId(1))), Some(ImageId(2)));
     }
 
@@ -1145,9 +1507,9 @@ mod tests {
     fn s3_fifo_select_matches_peek() {
         let mut e = evictor(EvictionPolicy::S3Fifo);
         for id in 0..20 {
-            e.on_insert(&img(id, 15, id, 1));
+            e.insert(&img(id, 15, id, 1));
             if id % 3 == 0 {
-                e.on_touch(&img(id, 15, id + 1, 2));
+                e.touch(&img(id, 15, id + 1, 2));
             }
         }
         for _ in 0..10 {
@@ -1156,8 +1518,8 @@ mod tests {
             assert_eq!(selected, peeked);
             let Some(v) = selected else { break };
             let vi = img(v.0, 15, 0, 1);
-            e.note_eviction(&vi);
-            e.on_remove(&vi);
+            e.evicted(&vi);
+            e.remove(&vi);
         }
     }
 
@@ -1172,10 +1534,10 @@ mod tests {
             let mut e = make_evictor(&config);
             let mut victims = Vec::new();
             for id in 0..50 {
-                e.on_insert(&img(id, 10 + id % 7, id, 1));
+                e.insert(&img(id, 10 + id % 7, id, 1));
             }
             for id in (0..50).step_by(3) {
-                e.on_touch(&img(id, 10 + id % 7, 60 + id, 2));
+                e.touch(&img(id, 10 + id % 7, 60 + id, 2));
             }
             for _ in 0..20 {
                 let Some(v) = e.select_victim(None) else {
@@ -1183,8 +1545,8 @@ mod tests {
                 };
                 victims.push(v);
                 let vi = img(v.0, 10 + v.0 % 7, 0, 1);
-                e.note_eviction(&vi);
-                e.on_remove(&vi);
+                e.evicted(&vi);
+                e.remove(&vi);
             }
             victims
         };
@@ -1196,7 +1558,7 @@ mod tests {
     fn lhd_select_matches_peek_then_advances_the_stream() {
         let mut e = evictor(EvictionPolicy::LhdSample);
         for id in 0..30 {
-            e.on_insert(&img(id, 10, id, 1));
+            e.insert(&img(id, 10, id, 1));
         }
         let peeked = e.peek_victim(None);
         assert_eq!(e.select_victim(None), peeked, "peek previews next select");
@@ -1210,9 +1572,9 @@ mod tests {
     #[test]
     fn lhd_protect_fallback_still_finds_the_other_image() {
         let mut e = evictor(EvictionPolicy::LhdSample);
-        e.on_insert(&img(1, 10, 1, 1));
+        e.insert(&img(1, 10, 1, 1));
         assert_eq!(e.select_victim(Some(ImageId(1))), None);
-        e.on_insert(&img(2, 10, 2, 1));
+        e.insert(&img(2, 10, 2, 1));
         // Even if every draw sampled the protected image, the fallback
         // scan must surface the only other candidate.
         assert_eq!(e.select_victim(Some(ImageId(1))), Some(ImageId(2)));
@@ -1226,17 +1588,17 @@ mod tests {
         };
         let mut e = make_evictor(&config);
         // Two long-lived images: 1 is re-touched constantly, 2 never.
-        e.on_insert(&img(1, 10, 1, 1));
-        e.on_insert(&img(2, 10, 2, 1));
+        e.insert(&img(1, 10, 1, 1));
+        e.insert(&img(2, 10, 2, 1));
         // Cold churn teaches the model: short-lived images get
         // inserted, evicted (never hit), feeding the evict histogram;
         // image 1's touches feed the hit histogram.
         for k in 0..3000u64 {
             let cold = img(100 + k, 10, 3 + k, 1);
-            e.on_insert(&cold);
-            e.on_touch(&img(1, 10, 4 + k, 2 + k));
-            e.note_eviction(&cold);
-            e.on_remove(&cold);
+            e.insert(&cold);
+            e.touch(&img(1, 10, 4 + k, 2 + k));
+            e.evicted(&cold);
+            e.remove(&cold);
         }
         // After reconfigures, the never-touched image 2 must score
         // below the hot image 1.
@@ -1260,5 +1622,84 @@ mod tests {
         assert_eq!(log2_bucket(3, 64), 2);
         assert_eq!(log2_bucket(u64::MAX, 64), 63);
         assert_eq!(log2_bucket(u64::MAX, 16), 15);
+    }
+
+    /// A slot freed by an administrative removal and reused by a new
+    /// image keeps the old image's queue occurrence; popping it must
+    /// drop it as stale, not evict (or revive) the slot's new image.
+    #[test]
+    fn s3_fifo_drops_a_stale_occurrence_whose_slot_holds_a_new_image() {
+        let mut e = evictor(EvictionPolicy::S3Fifo);
+        let (old, other, reborn) = (img(1, 60, 1, 1), img(2, 60, 2, 1), img(3, 60, 3, 1));
+        e.on_insert(0, &old);
+        e.on_insert(1, &other);
+        e.on_remove(0, &old); // a split: no eviction, the occurrence stays
+        e.on_insert(0, &reborn);
+        e.check(&[(1, &other), (0, &reborn)]);
+        // Small is over its 100-byte target: (0, 1) is stale and
+        // dropped, so the oldest live probation entry, image 2, dies.
+        assert_eq!(e.peek_victim(None), Some(ImageId(2)));
+        assert_eq!(e.select_victim(None), Some(ImageId(2)));
+        e.note_eviction(1, &other);
+        e.on_remove(1, &other);
+        e.check(&[(0, &reborn)]);
+        assert_eq!(e.select_victim(None), Some(ImageId(3)));
+    }
+
+    /// Same-tick entries stay in id order whichever arrives first, and
+    /// a touch at the tail's tick walks back past higher ids only.
+    #[test]
+    fn lru_same_tick_touches_keep_the_lower_id_first() {
+        let mut e = evictor(EvictionPolicy::Lru);
+        e.insert(&img(5, 10, 5, 1));
+        for id in [4, 9, 6] {
+            e.insert(&img(id, 10, 7, 1));
+        }
+        assert_eq!(e.peek_victim(None), Some(ImageId(5)));
+        e.touch(&img(5, 10, 7, 2));
+        assert_eq!(e.peek_victim(None), Some(ImageId(4)));
+        let order: Vec<ImageId> = std::iter::from_fn(|| {
+            let v = e.select_victim(None)?;
+            let gone = img(v.0, 10, 7, 1);
+            e.evicted(&gone);
+            e.remove(&gone);
+            Some(v)
+        })
+        .collect();
+        assert_eq!(order, [4, 5, 6, 9].map(ImageId));
+    }
+
+    /// Admitting images from the oldest tick downwards (a restore in id
+    /// order of a cache whose recency runs the other way) costs one
+    /// sort at the next selection, not a walk per admission.
+    #[test]
+    fn lru_bulk_admission_out_of_order_sorts_once() {
+        const N: u64 = 100_000;
+        let mut e = LruEvictor::new();
+        for id in 0..N {
+            e.on_insert(id as u32, &img(id, 10, N - id, 1));
+        }
+        assert!(!e.sorted);
+        assert_eq!(
+            e.peek_victim(None),
+            Some(ImageId(N - 1)),
+            "scan while unsorted"
+        );
+        assert_eq!(e.select_victim(None), Some(ImageId(N - 1)));
+        assert!(e.sorted);
+        assert_eq!(e.select_victim(Some(ImageId(N - 1))), Some(ImageId(N - 2)));
+        let log2 = u64::from(u64::BITS - N.leading_zeros());
+        assert!(
+            e.steps <= 4 * N * log2,
+            "{} link steps for {N} admissions: not O(n log n)",
+            e.steps
+        );
+        // Touches on the sorted list append in O(1).
+        let before = e.steps;
+        for id in 0..1000 {
+            e.on_touch(id as u32, &img(id, 10, N + 1 + id, 2));
+        }
+        assert_eq!(e.steps, before);
+        assert_eq!(e.peek_victim(None), Some(ImageId(N - 1)));
     }
 }

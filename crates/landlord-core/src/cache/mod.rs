@@ -26,14 +26,23 @@
 //!
 //! | module | role |
 //! |---|---|
-//! | [`mod@self`] | engine struct, lifecycle, `settle`/`request` composition |
+//! | [`mod@self`] | engine struct, slot slab, lifecycle, `settle`/`request` composition |
 //! | `config` | [`CacheConfig`], [`CacheStats`] |
 //! | `plan` | pure decision side: [`ImageCache::plan`] → [`Plan`] |
 //! | `apply` | sole mutator: [`ImageCache::apply`] executes a [`Plan`] |
-//! | `evictor` | [`Evictor`] seam: ordered indexes, S3-FIFO queues, sampled LHD |
+//! | `evictor` | [`Evictor`] seam, keyed by slot: LRU list, ordered indexes, S3-FIFO queues, sampled LHD |
 //! | `candidates` | [`CandidateIndex`] seam: exact scan vs MinHash/LSH |
-//! | `postings` | package → resident-slot bitmaps: hit test and overlap counts |
+//! | `postings` | slot allocator; package → resident-slot bitmaps: hit test and overlap counts |
 //! | `ledger` | [`Ledger`]: accounting shared with every baseline |
+//!
+//! Inside the engine an image is known by its *slot*: the dense `u32`
+//! the posting table gives each resident image and reuses once it
+//! leaves. Residents sit in a slab indexed by slot; the one map keyed
+//! by image id (`slots`) resolves an [`ImageId`] at the boundary —
+//! [`ImageCache::get`], a plan's target in [`ImageCache::apply`], a
+//! victim the evictor names. The planner, the evictor callbacks and
+//! the posting table work on slots alone. Events, snapshots and the
+//! public API keep [`ImageId`].
 //!
 //! `request()` is literally `settle(); apply(spec, &plan(spec))`: the
 //! pure planner decides, the applier mutates, and any other consumer
@@ -88,7 +97,14 @@ pub struct ImageCache {
     config: CacheConfig,
     sizes: Arc<dyn SizeModel>,
     conflicts: Arc<dyn ConflictPolicy>,
-    images: FxHashMap<u64, Resident>,
+    /// The resident images by posting slot; `None` for a free slot.
+    /// The sorted `Spec` of each stays the canonical set
+    /// (serialization, iteration, union); the posting table's rows
+    /// answer which images hold a package and how much of a request
+    /// each holds. [`ImageCache::check_invariants`] holds the two equal.
+    residents: Vec<Option<Image>>,
+    /// Image id → slot: the only map keyed by image id.
+    slots: FxHashMap<u64, u32>,
     clock: u64,
     next_id: u64,
     ledger: Ledger,
@@ -114,16 +130,6 @@ pub struct ImageCache {
     pending_split: Option<ImageId>,
 }
 
-/// One entry of the image map: the image and its slot in the posting
-/// table. The sorted `Spec` stays the canonical set (serialization,
-/// iteration, union); the posting table's rows answer which images hold
-/// a package and how much of a request each holds.
-/// [`ImageCache::check_invariants`] holds the two equal.
-struct Resident {
-    image: Image,
-    slot: u32,
-}
-
 impl ImageCache {
     /// Create a cache with the CVMFS-style no-conflict policy.
     pub fn new(config: CacheConfig, sizes: Arc<dyn SizeModel>) -> Self {
@@ -145,7 +151,8 @@ impl ImageCache {
             config,
             sizes,
             conflicts,
-            images: FxHashMap::default(),
+            residents: Vec::new(),
+            slots: FxHashMap::default(),
             clock: 0,
             next_id: 0,
             ledger: Ledger::new(),
@@ -189,18 +196,41 @@ impl ImageCache {
         cache
     }
 
-    /// Make `image` resident: reference its packages, count its bytes,
-    /// register it with the evictor and the candidate index, and store
-    /// it with its posting slot. The one admission path of
-    /// insert, split pieces and checkpoint restore.
+    /// Make `image` resident: give it a posting slot, reference its
+    /// packages, count its bytes, register it with the evictor and the
+    /// candidate index, and store it in the slab at its slot. The one
+    /// admission path of insert, split pieces and checkpoint restore.
     fn admit_image(&mut self, image: Image) {
+        let slot = self.postings.admit(image.id.0, image.bytes, &image.spec);
         self.refcounts
             .add_spec(&image.spec, self.sizes.as_ref(), &mut self.ledger);
         self.ledger.admit(image.bytes);
         self.candidate_index.on_insert(image.id.0, &image.spec);
-        self.evictor.on_insert(&image);
-        let slot = self.postings.admit(image.id.0, image.bytes, &image.spec);
-        self.images.insert(image.id.0, Resident { image, slot });
+        self.evictor.on_insert(slot, &image);
+        self.slots.insert(image.id.0, slot);
+        let at = slot as usize;
+        if at == self.residents.len() {
+            self.residents.push(Some(image));
+        } else {
+            self.residents[at] = Some(image);
+        }
+    }
+
+    /// The slot of image `id`, if it is resident.
+    fn slot_of(&self, id: ImageId) -> Option<u32> {
+        self.slots.get(&id.0).copied()
+    }
+
+    /// The resident image in `slot`; `None` for a free slot.
+    fn resident(&self, slot: u32) -> Option<&Image> {
+        self.residents.get(slot as usize)?.as_ref()
+    }
+
+    /// The resident images with their slots, in slot order.
+    fn residents_by_slot(&self) -> impl Iterator<Item = (u32, &Image)> {
+        (0u32..)
+            .zip(&self.residents)
+            .filter_map(|(slot, img)| Some((slot, img.as_ref()?)))
     }
 
     /// Current logical clock (for checkpointing).
@@ -276,30 +306,32 @@ impl ImageCache {
 
     /// Number of cached images.
     pub fn len(&self) -> usize {
-        self.images.len()
+        self.slots.len()
     }
 
     /// True when no images are cached.
     pub fn is_empty(&self) -> bool {
-        self.images.is_empty()
+        self.slots.is_empty()
     }
 
     /// Look up an image by id.
     pub fn get(&self, id: ImageId) -> Option<&Image> {
-        self.images.get(&id.0).map(|r| &r.image)
+        self.resident(self.slot_of(id)?)
     }
 
     /// Iterate over cached images in unspecified order.
     pub fn images(&self) -> impl Iterator<Item = &Image> {
-        self.images.values().map(|r| &r.image)
+        self.residents.iter().flatten()
     }
 
     /// The next eviction victim under the configured policy (with no
     /// image protected), without committing any selection state. For
-    /// the ordered-index policies this is an O(log n) lookup; stateful
-    /// policies (S3-FIFO, sampled LHD) preview on a clone of their
-    /// state so the answer always matches the next real selection.
-    /// `None` on an empty cache.
+    /// LRU this reads the head of the recency list, O(1) (a scan right
+    /// after a restore, until the next selection sorts the list); for
+    /// the other ordered policies it is the first entry of their
+    /// ordered index. Stateful policies (S3-FIFO, sampled LHD) preview
+    /// on a clone of their state so the answer always matches the next
+    /// real selection. `None` on an empty cache.
     pub fn peek_victim(&self) -> Option<ImageId> {
         self.evictor.peek_victim(None)
     }
@@ -341,19 +373,19 @@ impl ImageCache {
         self.apply(spec, &forced)
     }
 
-    /// Remove an image from all structures without deciding *why* —
-    /// shared by eviction (counted as a delete) and splitting (not).
-    fn detach(&mut self, id: ImageId) -> Option<Image> {
-        let Resident {
-            image: img, slot, ..
-        } = self.images.remove(&id.0)?;
+    /// Remove the image in `slot` from all structures without deciding
+    /// *why* — shared by eviction (counted as a delete) and splitting
+    /// (not).
+    fn detach(&mut self, slot: u32) -> Option<Image> {
+        let img = self.residents.get_mut(slot as usize)?.take()?;
+        self.slots.remove(&img.id.0);
         self.postings.release(slot, &img.spec);
         self.refcounts
             .release_spec(&img.spec, self.sizes.as_ref(), &mut self.ledger);
         self.ledger.drop_image(img.bytes);
-        self.evictor.on_remove(&img);
-        self.candidate_index.on_remove(id.0);
-        if self.pending_split == Some(id) {
+        self.evictor.on_remove(slot, &img);
+        self.candidate_index.on_remove(img.id.0);
+        if self.pending_split == Some(img.id) {
             self.pending_split = None;
         }
         Some(img)
@@ -361,10 +393,11 @@ impl ImageCache {
 
     /// Remove one image and release its package references.
     pub(super) fn evict(&mut self, id: ImageId) {
-        if let Some(r) = self.images.get(&id.0) {
-            self.evictor.note_eviction(&r.image);
+        let Some(slot) = self.slot_of(id) else { return };
+        if let Some(Some(img)) = self.residents.get(slot as usize) {
+            self.evictor.note_eviction(slot, img);
         }
-        let Some(img) = self.detach(id) else { return };
+        let Some(img) = self.detach(slot) else { return };
         self.ledger.count_delete();
         if let Some(obs) = &self.obs {
             obs.evictions.inc();
@@ -382,11 +415,16 @@ impl ImageCache {
     /// image ids; empty when the image is unknown or has a single
     /// constituent (nothing to split).
     pub fn split_image(&mut self, id: ImageId) -> Vec<ImageId> {
-        match self.get(id) {
-            Some(img) if img.constituents.len() > 1 => {}
-            _ => return Vec::new(),
+        let Some(slot) = self.slot_of(id) else {
+            return Vec::new();
+        };
+        if self
+            .resident(slot)
+            .is_none_or(|img| img.constituents.len() <= 1)
+        {
+            return Vec::new();
         }
-        let Some(img) = self.detach(id) else {
+        let Some(img) = self.detach(slot) else {
             return Vec::new();
         };
         self.clock += 1;
@@ -416,7 +454,7 @@ impl ImageCache {
     /// Drop a specific image (administrative delete, not counted as an
     /// eviction by the byte limit but recorded in `deletes`).
     pub fn remove_image(&mut self, id: ImageId) -> bool {
-        if self.images.contains_key(&id.0) {
+        if self.slots.contains_key(&id.0) {
             self.evict(id);
             true
         } else {
@@ -466,7 +504,7 @@ impl ImageCache {
             }
         }
         assert_eq!(stats.total_bytes, total, "total_bytes out of sync");
-        assert_eq!(stats.image_count, self.images.len() as u64, "image_count");
+        assert_eq!(stats.image_count, self.len() as u64, "image_count");
         // The dense table keeps zero entries past the last live id.
         let kept = self.refcounts.counts();
         refcounts.resize(refcounts.len().max(kept.len()), 0);
@@ -485,7 +523,7 @@ impl ImageCache {
         // Eviction runs until the total fits or a single (protected)
         // image remains; therefore any multi-image state respects the
         // limit exactly.
-        if self.images.len() > 1 {
+        if self.len() > 1 {
             assert!(
                 stats.total_bytes <= self.config.limit_bytes,
                 "multi-image cache over limit: {} > {}",
@@ -515,20 +553,31 @@ impl ImageCache {
             assert!(img.use_count >= 1, "image {} cached but never used", img.id);
         }
 
-        // Seam agreement: the ordered victim index and the candidate
-        // index both mirror the image map exactly; each verifies itself
-        // against a brute-force recomputation where possible.
-        let resident: Vec<&Image> = self.images().collect();
-        self.evictor.check(&resident);
+        // The id map names exactly the slab's images, each at its slot.
+        let by_slot: Vec<(u32, &Image)> = self.residents_by_slot().collect();
+        assert_eq!(self.slots.len(), by_slot.len(), "id map size");
+        for &(slot, img) in &by_slot {
+            assert_eq!(
+                self.slot_of(img.id),
+                Some(slot),
+                "id map disagrees with the slab for image {}",
+                img.id
+            );
+        }
+
+        // Seam agreement: the victim index and the candidate index both
+        // mirror the slab exactly; each verifies itself against a
+        // brute-force recomputation where possible.
+        self.evictor.check(&by_slot);
+        let resident: Vec<&Image> = by_slot.iter().map(|&(_, img)| img).collect();
         self.candidate_index.check(&resident);
         // The posting table equals one recomputed from the images, each
         // occupied slot's record (bytes, id, package count) is its
-        // image's, and each
-        // package's refcount is its row's popcount.
+        // image's, and each package's refcount is its row's popcount.
         self.postings.check(
-            self.images
-                .values()
-                .map(|r| (r.image.id.0, r.image.bytes, r.slot, &r.image.spec)),
+            by_slot
+                .iter()
+                .map(|&(slot, img)| (img.id.0, img.bytes, slot, &img.spec)),
             kept,
         );
 
@@ -650,7 +699,7 @@ impl std::fmt::Debug for ImageCache {
         f.debug_struct("ImageCache")
             .field("alpha", &self.config.alpha)
             .field("limit_bytes", &self.config.limit_bytes)
-            .field("images", &self.images.len())
+            .field("images", &self.len())
             .field("stats", &self.ledger.stats())
             .finish()
     }

@@ -15,9 +15,9 @@
 //! - hit test: `O(|s| · W)` at most — one word of slots at a time, the
 //!   AND of that word of the request's posting rows, stopped as soon as
 //!   the word has no survivor — then the least `(bytes, id)` among the
-//!   survivors from the table's slot records, and one image-map lookup
-//!   for the winner. No allocation; it never visits an image that lacks
-//!   one of the request's packages.
+//!   survivors from the table's slot records, whose record also names
+//!   the winner. No allocation, no image lookup; it never visits an
+//!   image that lacks one of the request's packages.
 //! - merge candidates (exact strategy): `O(|s| · W)` word operations
 //!   to count every slot's overlap with the request at once — under the
 //!   package count, bit-sliced counters fed by a carry-save adder tree
@@ -25,14 +25,15 @@
 //!   with one addition per `(package, holder)` pair — then `O(1)` per
 //!   image whose overlap reaches the least any image within α has (see
 //!   `ImageCache::least_overlap`): its distance comes from the slot's
-//!   `(bytes, id, package count)` record and the count, with no
-//!   image-map lookup. No other image is scored.
+//!   `(bytes, id, package count)` record and the count, with no image
+//!   lookup. No other image is scored.
 //! - merge candidates (MinHash/LSH): the same count over only the words
 //!   of slots that hold a proposal, `O(|s|)` word operations per such
 //!   word, reading out only the proposals' lanes.
 //! - the choice among the `c` candidates within α: a sort in the merge
 //!   order, `O(c log c)`, then conflict checks in that order until one
-//!   passes. At α = 0.75 a closure workload's misses have thousands of
+//!   passes, each reading the candidate's image from the slab by slot.
+//!   At α = 0.75 a closure workload's misses have thousands of
 //!   candidates, and the sort is most of such a miss's cost.
 //!
 //! None depends on the images' sizes. [`plan_over`] keeps the
@@ -90,12 +91,10 @@ impl ImageCache {
     ///
     /// The posting table ANDs the spec's rows from the occupied slots
     /// and ranks the survivors by the `(bytes, id)` records it keeps per
-    /// slot, so the answer does not depend on slots; only the winner is
-    /// looked up in the image map.
+    /// slot, so the answer does not depend on slots; the winner is read
+    /// from the slab at its slot.
     pub fn find_satisfying(&self, spec: &Spec) -> Option<&Image> {
-        self.postings
-            .smallest_superset(spec)
-            .map(|id| &self.images[&id].image)
+        self.resident(self.postings.smallest_superset(spec)?)
     }
 
     /// Decide what serving `spec` would do (Algorithm 1), without
@@ -123,7 +122,7 @@ impl ImageCache {
         let _span = self.obs.as_ref().map(|o| o.plan_span());
         let requested_bytes = self.sizes.spec_bytes(spec);
         let hit = if superset_possible {
-            self.find_satisfying(spec)
+            self.postings.smallest_superset(spec)
         } else {
             debug_assert!(
                 self.find_satisfying(spec).is_none(),
@@ -131,8 +130,10 @@ impl ImageCache {
             );
             None
         };
-        let op = if let Some(img) = hit {
-            PlannedOp::Hit { image: img.id }
+        let op = if let Some(slot) = hit {
+            PlannedOp::Hit {
+                image: ImageId(self.postings.id(slot)),
+            }
         } else if self.config.alpha > 0.0 {
             match self.pick_merge_candidate(spec, requested_bytes) {
                 Some((image, distance)) => PlannedOp::Merge { image, distance },
@@ -162,7 +163,7 @@ impl ImageCache {
         // the formulas of the sorted-slice kernels. As in `plan_over`,
         // an image outside the package count's cheap size-ratio bound
         // is not scored.
-        let mut keep = |record: Record, overlap: u64| {
+        let mut keep = |slot: u32, record: Record, overlap: u64| {
             let d = match metric {
                 DistanceMetric::PackageCount => {
                     if size_lower_bound(spec.len(), record.packages) >= alpha {
@@ -176,27 +177,32 @@ impl ImageCache {
                 }
             };
             if d < alpha {
-                scored.push((ImageId(record.id), d, record.bytes));
+                scored.push((ImageId(record.id), d, record.bytes, slot));
             }
         };
         match self.candidate_index.candidates(spec) {
             Some(keys) => {
                 let among = self.postings.mask_of(
                     keys.iter()
-                        .filter_map(|key| self.images.get(key))
-                        .inspect(|_| examined += 1)
-                        .map(|r| r.slot),
+                        .filter_map(|key| self.slots.get(key).copied())
+                        .inspect(|_| examined += 1),
                 );
                 self.postings
                     .overlaps(spec, metric, sizes, 0, Some(&among), keep);
             }
             None => {
                 let least = self.least_overlap(spec, requested_bytes);
-                self.postings
-                    .overlaps(spec, metric, sizes, least, None, |record, overlap| {
+                self.postings.overlaps(
+                    spec,
+                    metric,
+                    sizes,
+                    least,
+                    None,
+                    |slot, record, overlap| {
                         examined += 1;
-                        keep(record, overlap)
-                    });
+                        keep(slot, record, overlap)
+                    },
+                );
                 debug_assert!(
                     {
                         let entries: Vec<(u64, &Spec, u64)> = self
@@ -210,7 +216,7 @@ impl ImageCache {
                         full.sort_unstable();
                         let mut got: Vec<(u64, u64)> = scored
                             .iter()
-                            .map(|&(id, d, _)| (id.0, d.to_bits()))
+                            .map(|&(id, d, ..)| (id.0, d.to_bits()))
                             .collect();
                         got.sort_unstable();
                         full == got
@@ -233,12 +239,11 @@ impl ImageCache {
         });
         scored
             .into_iter()
-            .find(|&(id, ..)| {
-                !self
-                    .conflicts
-                    .conflicts(spec, &self.images[&id.0].image.spec)
+            .find(|&(.., slot)| {
+                self.resident(slot)
+                    .is_some_and(|img| !self.conflicts.conflicts(spec, &img.spec))
             })
-            .map(|(image, distance, _)| (image, distance))
+            .map(|(image, distance, ..)| (image, distance))
     }
 
     /// The least overlap with `spec` — in packages, or in bytes under
@@ -275,9 +280,9 @@ impl ImageCache {
     }
 }
 
-/// A merge candidate within α: the image, its distance from the request
-/// and its bytes.
-type Scored = (ImageId, f64, u64);
+/// A merge candidate within α: the image, its distance from the request,
+/// its bytes and its slot.
+type Scored = (ImageId, f64, u64, u32);
 
 /// Run Algorithm 1's decision over an arbitrary collection of
 /// `(id, spec, bytes)` images — the same hit selection, distance

@@ -7,7 +7,7 @@
 //! `ceil(slots / 64)` for the slots ever opened: the stride grows one
 //! word at a time, never doubles. Beside the rows, each slot keeps its
 //! image's [`Record`] — bytes, id and package count — so the table
-//! ranks and scores the images it finds without reading the image map.
+//! ranks and scores the images it finds without reading the images.
 //!
 //! The planner asks two questions of it. *Which is the smallest image
 //! holding every package of the request?* is the AND of the request's
@@ -153,16 +153,16 @@ impl Postings {
         &ids[..ids.partition_point(|p| p.index() < self.packages)]
     }
 
-    /// The id of the image holding every package of `spec` with the
+    /// The slot of the image holding every package of `spec` with the
     /// least `(bytes, id)`, or `None` when no image holds them all.
     ///
     /// One word of slots at a time: the occupied word AND-ed with that
     /// word of the spec's rows, highest id first, until nothing
     /// survives; then the survivors' records. A package no image ever
     /// held (no row) ends the search as soon as a word reaches it. No
-    /// allocation, and no image-map lookup.
-    pub(super) fn smallest_superset(&self, spec: &Spec) -> Option<u64> {
-        let mut best: Option<(u64, u64)> = None;
+    /// allocation, and no image lookup.
+    pub(super) fn smallest_superset(&self, spec: &Spec) -> Option<u32> {
+        let mut best: Option<(u64, u64, usize)> = None;
         for (word, &occupied) in self.occupied.iter().enumerate() {
             let mut bits = occupied;
             for &p in spec.ids().iter().rev() {
@@ -176,12 +176,17 @@ impl Postings {
             }
             for slot in ones_of_word(word, bits) {
                 let Record { bytes, id, .. } = self.records[slot];
-                if best.is_none_or(|b| (bytes, id) < b) {
-                    best = Some((bytes, id));
+                if best.is_none_or(|(b, i, _)| (bytes, id) < (b, i)) {
+                    best = Some((bytes, id, slot));
                 }
             }
         }
-        best.map(|(_, id)| id)
+        best.and_then(|(.., slot)| u32::try_from(slot).ok())
+    }
+
+    /// The id of the image in the occupied `slot`.
+    pub(super) fn id(&self, slot: u32) -> u64 {
+        self.records[slot as usize].id
     }
 
     /// A lane mask over the slots — one word per word of a row — with
@@ -196,10 +201,10 @@ impl Postings {
         mask
     }
 
-    /// Call `each` with the record and the overlap of every resident
-    /// image that holds at least `least` of `spec`, in slot order —
-    /// every resident image, or only those whose bits are set in
-    /// `among` (a [`Postings::mask_of`]) when it is given. The overlap
+    /// Call `each` with the slot, the record and the overlap of every
+    /// resident image that holds at least `least` of `spec`, in slot
+    /// order — every resident image, or only those whose bits are set
+    /// in `among` (a [`Postings::mask_of`]) when it is given. The overlap
     /// is `|spec ∩ image|` under [`DistanceMetric::PackageCount`] and
     /// the bytes of `spec ∩ image` under [`DistanceMetric::Bytes`]; with
     /// `least = 0` every image asked about is reported.
@@ -227,7 +232,7 @@ impl Postings {
         sizes: &dyn SizeModel,
         least: u64,
         among: Option<&[u64]>,
-        mut each: impl FnMut(Record, u64),
+        mut each: impl FnMut(u32, Record, u64),
     ) {
         let lanes = among.unwrap_or(&self.occupied);
         let held = self.with_rows(spec);
@@ -250,9 +255,10 @@ impl Postings {
                             sums[lane] += size;
                         }
                     }
-                    for lane in ones_of_word(0, mask) {
-                        if sums[lane] >= least {
-                            each(self.records[word * 64 + lane], sums[lane]);
+                    for slot in ones_of_word(word, mask) {
+                        let sum = sums[slot % 64];
+                        if sum >= least {
+                            self.report(slot, sum, &mut each);
                         }
                     }
                 }
@@ -268,7 +274,7 @@ impl Postings {
         len: usize,
         least: u64,
         lanes: &[u64],
-        mut each: impl FnMut(Record, u64),
+        mut each: impl FnMut(u32, Record, u64),
     ) {
         // Bits of the largest count, `len`; the adder tree's sums fill
         // planes 0 to 2 whatever `len` is.
@@ -315,8 +321,15 @@ impl Postings {
                     .enumerate()
                     .map(|(k, plane)| (plane >> lane & 1) << k)
                     .sum();
-                each(self.records[word * 64 + lane as usize], count);
+                self.report(word * 64 + lane as usize, count, &mut each);
             }
+        }
+    }
+
+    /// Hand `each` the slot, record and overlap of the image in `slot`.
+    fn report(&self, slot: usize, overlap: u64, each: &mut impl FnMut(u32, Record, u64)) {
+        if let Ok(at) = u32::try_from(slot) {
+            each(at, self.records[slot], overlap);
         }
     }
 
@@ -423,14 +436,24 @@ mod tests {
         Spec::from_ids(ids.iter().map(|&i| PackageId(i)))
     }
 
+    /// The id of the least `(bytes, id)` image holding all of `s`.
+    fn superset(p: &Postings, s: &Spec) -> Option<u64> {
+        p.smallest_superset(s).map(|slot| p.id(slot))
+    }
+
     /// The ids of the images holding any package of `s`, ascending: the
     /// slots whose package count reaches one.
     fn holders(p: &Postings, s: &Spec) -> Vec<u64> {
         let mut ids = Vec::new();
         let sizes = UniformSizes::new(1);
-        p.overlaps(s, DistanceMetric::PackageCount, &sizes, 1, None, |r, _| {
-            ids.push(r.id)
-        });
+        p.overlaps(
+            s,
+            DistanceMetric::PackageCount,
+            &sizes,
+            1,
+            None,
+            |_, r, _| ids.push(r.id),
+        );
         ids.sort_unstable();
         ids
     }
@@ -442,13 +465,13 @@ mod tests {
         let b = spec(&[63, 64, 200]);
         let sa = p.admit(10, 3, &a);
         let sb = p.admit(11, 3, &b);
-        assert_eq!(p.smallest_superset(&spec(&[63, 64])), Some(10));
-        assert_eq!(p.smallest_superset(&spec(&[1, 64])), Some(10));
-        assert_eq!(p.smallest_superset(&spec(&[64, 200])), Some(11));
-        assert_eq!(p.smallest_superset(&spec(&[1, 200])), None);
-        assert_eq!(p.smallest_superset(&spec(&[500])), None);
-        assert_eq!(p.smallest_superset(&spec(&[1, 500])), None);
-        assert_eq!(p.smallest_superset(&Spec::empty()), Some(10));
+        assert_eq!(superset(&p, &spec(&[63, 64])), Some(10));
+        assert_eq!(superset(&p, &spec(&[1, 64])), Some(10));
+        assert_eq!(superset(&p, &spec(&[64, 200])), Some(11));
+        assert_eq!(superset(&p, &spec(&[1, 200])), None);
+        assert_eq!(superset(&p, &spec(&[500])), None);
+        assert_eq!(superset(&p, &spec(&[1, 500])), None);
+        assert_eq!(superset(&p, &Spec::empty()), Some(10));
         assert_eq!(holders(&p, &spec(&[1, 200])), vec![10, 11]);
         assert_eq!(holders(&p, &spec(&[1, 500])), vec![10]);
         let mut got = Vec::new();
@@ -458,7 +481,7 @@ mod tests {
             &UniformSizes::new(1),
             0,
             Some(&p.mask_of([sb])),
-            |r, n| got.push((r.id, n)),
+            |_, r, n| got.push((r.id, n)),
         );
         assert_eq!(got, vec![(11, 3)]);
         p.check([(10, 3, sa, &a), (11, 3, sb, &b)], &refcounts(&[&a, &b]));
@@ -466,8 +489,8 @@ mod tests {
         let added = spec(&[7]);
         p.grow(sa, &added, 4);
         let a = a.union(&added);
-        assert_eq!(p.smallest_superset(&spec(&[63, 64])), Some(11));
-        assert_eq!(p.smallest_superset(&spec(&[7, 64])), Some(10));
+        assert_eq!(superset(&p, &spec(&[63, 64])), Some(11));
+        assert_eq!(superset(&p, &spec(&[7, 64])), Some(10));
         p.check([(10, 4, sa, &a), (11, 3, sb, &b)], &refcounts(&[&a, &b]));
     }
 
@@ -481,17 +504,17 @@ mod tests {
         let first = p.admit(1, 4, &s);
         let two = p.admit(2, 6, &s);
         let three = p.admit(3, 6, &s);
-        assert_eq!(p.smallest_superset(&s), Some(1));
+        assert_eq!(superset(&p, &s), Some(1));
         p.release(first, &s);
         let nine = p.admit(9, 6, &s);
         assert_eq!(nine, first, "the freed slot is reused");
-        assert_eq!(p.smallest_superset(&s), Some(2), "byte tie: least id");
+        assert_eq!(superset(&p, &s), Some(2), "byte tie: least id");
         p.grow(two, &Spec::empty(), 8);
-        assert_eq!(p.smallest_superset(&s), Some(3));
+        assert_eq!(superset(&p, &s), Some(3));
         p.grow(three, &Spec::empty(), 8);
-        assert_eq!(p.smallest_superset(&s), Some(9));
+        assert_eq!(superset(&p, &s), Some(9));
         p.grow(nine, &Spec::empty(), 8);
-        assert_eq!(p.smallest_superset(&s), Some(2), "all tied again");
+        assert_eq!(superset(&p, &s), Some(2), "all tied again");
         p.check(
             [(9, 8, nine, &s), (2, 8, two, &s), (3, 8, three, &s)],
             &refcounts(&[&s, &s, &s]),
@@ -528,8 +551,8 @@ mod tests {
             .chain([500])
             .collect();
         assert_eq!(holders(&p, &spec(&[3])), want);
-        assert_eq!(p.smallest_superset(&spec(&[3])), Some(500), "fewest bytes");
-        assert_eq!(p.smallest_superset(&spec(&[3, 110])), Some(10));
+        assert_eq!(superset(&p, &spec(&[3])), Some(500), "fewest bytes");
+        assert_eq!(superset(&p, &spec(&[3, 110])), Some(10));
     }
 
     fn refcounts(specs: &[&Spec]) -> Vec<u32> {

@@ -283,6 +283,79 @@ proptest! {
         cache.check_invariants();
     }
 
+    /// Requests of 16 to 200 packages — far larger than the streams
+    /// above draw — against more than 128 images of up to 80 packages,
+    /// some freed and their slots reused: overlaps reach well past 15,
+    /// so the posting table's bit-sliced counters carry into their high
+    /// planes. The engine plans every request exactly as `plan_over`
+    /// does, under both metrics, every merge order and α at 0.05, 0.2,
+    /// 0.75 and 1.0, while the requests' inserts and merges evict.
+    #[test]
+    fn posting_planner_matches_plan_over_on_large_requests(
+        alpha in prop_oneof![Just(0.05), Just(0.2), Just(0.75), Just(1.0)],
+        metric in prop_oneof![Just(DistanceMetric::PackageCount), Just(DistanceMetric::Bytes)],
+        merge_order in prop_oneof![
+            Just(MergeOrder::NearestFirst),
+            Just(MergeOrder::ArrivalOrder),
+            Just(MergeOrder::LargestFirst),
+            Just(MergeOrder::SmallestFirst),
+        ],
+        fill in proptest::collection::vec(
+            proptest::collection::vec(0u32..320, 0..80)
+                .prop_map(|v| Spec::from_ids(v.into_iter().map(PackageId))),
+            130..200,
+        ),
+        freed in proptest::collection::vec(0u8..6, 200),
+        refill in 0usize..20,
+        requests in proptest::collection::vec((16usize..201, any::<u64>()), 1..12),
+    ) {
+        let sizes: Arc<dyn SizeModel> =
+            Arc::new(TableSizes::new((0..320u64).map(|i| 1 + i % 7).collect()));
+        let limit: u64 = fill.iter().map(|s| sizes.spec_bytes(s)).sum();
+        let cfg = CacheConfig {
+            alpha,
+            limit_bytes: limit,
+            merge_order,
+            metric,
+            ..CacheConfig::default()
+        };
+        let mut cache = ImageCache::new(cfg, Arc::clone(&sizes));
+        for s in &fill {
+            cache.insert_fresh(s);
+        }
+        for (id, &f) in (0u64..).zip(&freed) {
+            if f == 0 {
+                cache.remove_image(ImageId(id));
+            }
+        }
+        for s in &fill[..refill] {
+            cache.insert_fresh(s);
+        }
+        cache.check_invariants();
+        for &(len, seed) in &requests {
+            let s = distinct_ids(len, 320, seed);
+            cache.settle();
+            {
+                let entries: Vec<(u64, &Spec, u64)> = cache
+                    .images()
+                    .map(|img| (img.id.0, &img.spec, img.bytes))
+                    .collect();
+                let free = plan_over(
+                    &entries,
+                    &s,
+                    alpha,
+                    merge_order,
+                    metric,
+                    sizes.as_ref(),
+                    &NoConflicts,
+                );
+                prop_assert_eq!(cache.plan(&s).op, free);
+            }
+            cache.request(&s);
+        }
+        cache.check_invariants();
+    }
+
     /// Every resident image's overlap with a request, as the posting
     /// table counts it — bit-sliced under the package count, summed per
     /// slot under the byte metric, over every slot or over a given few
@@ -335,7 +408,7 @@ proptest! {
             };
             let read = |least: u64, among: Option<&[u64]>| {
                 let mut got = Vec::new();
-                cache.postings.overlaps(&request, metric, sizes.as_ref(), least, among, |r, n| {
+                cache.postings.overlaps(&request, metric, sizes.as_ref(), least, among, |_, r, n| {
                     got.push((r.id, n))
                 });
                 got.sort_unstable();
@@ -346,14 +419,11 @@ proptest! {
             every.sort_unstable();
             prop_assert_eq!(read(0, None), every.clone());
             // Every third slot, as the candidate index proposes them.
-            let slots = cache.images.values().map(|r| r.slot).filter(|s| s % 3 == 0);
-            let among = cache.postings.mask_of(slots);
-            let mut some: Vec<(u64, u64)> = cache
-                .images
-                .values()
-                .filter(|r| r.slot % 3 == 0)
-                .map(|r| (r.image.id.0, want(&r.image)))
-                .collect();
+            let thirds: Vec<(u32, &Image)> =
+                cache.residents_by_slot().filter(|(slot, _)| slot % 3 == 0).collect();
+            let among = cache.postings.mask_of(thirds.iter().map(|&(slot, _)| slot));
+            let mut some: Vec<(u64, u64)> =
+                thirds.iter().map(|&(_, img)| (img.id.0, want(img))).collect();
             some.sort_unstable();
             prop_assert_eq!(read(0, Some(&among)), some);
             let least = cache.least_overlap(&request, requested_bytes);
@@ -423,15 +493,43 @@ proptest! {
         }
     }
 
-    /// Differential evictor test: drive every evictor (ordered-index,
-    /// queue-rotating, sampled) through random insert/touch/remove/
-    /// evict sequences. All seven must keep `check()` consistency at
-    /// every step; the five legacy policies must additionally agree,
-    /// victim for victim, with a naive O(n) `min_by_key` reference
-    /// scan over stored keys — the pre-seam selection semantics.
+    #[test]
+    fn hits_never_write(stream in arb_stream()) {
+        let cfg = CacheConfig { alpha: 0.7, limit_bytes: u64::MAX, ..CacheConfig::default() };
+        let sizes: Vec<u64> = vec![2; UNIVERSE as usize];
+        let mut cache = ImageCache::new(cfg, Arc::new(TableSizes::new(sizes)));
+        let mut last_written = 0;
+        for s in &stream {
+            let out = cache.request(s);
+            let written = cache.stats().bytes_written;
+            if matches!(out, Outcome::Hit { .. }) {
+                prop_assert_eq!(written, last_written, "hit must not write");
+            } else {
+                prop_assert!(written > last_written || s.is_empty());
+            }
+            last_written = written;
+        }
+        cache.check_invariants();
+    }
+}
+
+// Properties re-run at a higher case count by CI's paranoid job
+// (`PROPTEST_CASES`, which the default config reads).
+proptest! {
+    /// Differential evictor test: drive every evictor (LRU list,
+    /// ordered index, queue rotation, sampling) through random
+    /// insert/touch/remove/evict sequences, each image in a slot handed
+    /// out as the engine's posting table does (freed slots reused
+    /// last-freed first). An op advances the clock only when its flag
+    /// says so, so inserts and touches often share a tick, and some
+    /// inserts carry an older tick, as a restore admits images. All
+    /// seven must keep `check()` consistency at every step; the five
+    /// ordered policies must additionally agree, victim for victim and
+    /// ties included, with a naive O(n) `min_by_key` reference scan over
+    /// stored keys — for LRU, the `(last_used, id)` order.
     #[test]
     fn evictors_agree_with_naive_reference_scan(
-        ops in proptest::collection::vec((0u8..4, 0u64..50, 1u64..60), 1..120),
+        ops in proptest::collection::vec((0u8..5, 0u64..50, 1u64..60, any::<bool>()), 1..120),
     ) {
         for policy in EvictionPolicy::ALL {
             let cfg = CacheConfig {
@@ -441,13 +539,16 @@ proptest! {
                 ..CacheConfig::default()
             };
             let mut e = evictor::make_evictor(&cfg);
-            let mut images: FxHashMap<u64, Image> = FxHashMap::default();
+            // Live images by id, each with its slot; the slot allocator.
+            let mut images: FxHashMap<u64, (u32, Image)> = FxHashMap::default();
+            let mut free: Vec<u32> = Vec::new();
+            let mut opened = 0u32;
             // Reference model: stored (priority, last_used) per image
             // plus the GDSF inflation value, mirroring the stored-key
             // semantics of the pre-seam O(n) scans.
             let mut stored: FxHashMap<u64, (f64, u64)> = FxHashMap::default();
             let mut inflation = 0.0f64;
-            let legacy = !matches!(
+            let ordered = !matches!(
                 policy,
                 EvictionPolicy::S3Fifo | EvictionPolicy::LhdSample
             );
@@ -470,54 +571,57 @@ proptest! {
                     _ => (0.0, 0),
                 }
             };
+            let pick_live = |images: &FxHashMap<u64, (u32, Image)>, pick: u64| {
+                let mut ids: Vec<u64> = images.keys().copied().collect();
+                ids.sort_unstable();
+                ids[(pick as usize) % ids.len()]
+            };
 
-            for &(kind, pick, bytes) in &ops {
-                clock += 1;
+            for &(kind, pick, bytes, advance) in &ops {
+                if advance {
+                    clock += 1;
+                }
                 match kind {
-                    0 => {
-                        // Insert a fresh image.
+                    0 | 4 => {
+                        // Insert a fresh image at the current tick, or
+                        // (kind 4) at an older one.
                         let id = next_id;
                         next_id += 1;
+                        let last_used = if kind == 4 { pick % (clock + 1) } else { clock };
                         let img = Image::new(
                             ImageId(id),
                             Spec::from_ids([PackageId((id % 60) as u32)]),
                             bytes,
-                            clock,
+                            last_used,
                         );
+                        let slot = free.pop().unwrap_or_else(|| {
+                            opened += 1;
+                            opened - 1
+                        });
                         stored.insert(id, key_of(&img, inflation));
-                        e.on_insert(&img);
-                        images.insert(id, img);
+                        e.on_insert(slot, &img);
+                        images.insert(id, (slot, img));
                     }
                     1 if !images.is_empty() => {
                         // Touch a live image (hit semantics).
-                        let ids: Vec<u64> = {
-                            let mut v: Vec<u64> = images.keys().copied().collect();
-                            v.sort_unstable();
-                            v
-                        };
-                        let id = ids[(pick as usize) % ids.len()];
-                        let img = images.get_mut(&id).expect("picked live id");
+                        let id = pick_live(&images, pick);
+                        let (slot, img) = images.get_mut(&id).expect("picked live id");
                         img.last_used = clock;
                         img.use_count += 1;
                         if pick % 4 == 0 {
                             img.bytes += 1; // merge grew the image
                         }
-                        let snapshot = img.clone();
-                        stored.insert(id, key_of(&snapshot, inflation));
-                        e.on_touch(&snapshot);
+                        stored.insert(id, key_of(img, inflation));
+                        e.on_touch(*slot, img);
                     }
                     2 if !images.is_empty() => {
                         // Administrative removal (split path): no
                         // note_eviction, straight detach.
-                        let ids: Vec<u64> = {
-                            let mut v: Vec<u64> = images.keys().copied().collect();
-                            v.sort_unstable();
-                            v
-                        };
-                        let id = ids[(pick as usize) % ids.len()];
-                        let img = images.remove(&id).expect("picked live id");
+                        let id = pick_live(&images, pick);
+                        let (slot, img) = images.remove(&id).expect("picked live id");
                         stored.remove(&id);
-                        e.on_remove(&img);
+                        e.on_remove(slot, &img);
+                        free.push(slot);
                     }
                     3 if !images.is_empty() => {
                         // Byte-limit eviction through the seam.
@@ -525,10 +629,10 @@ proptest! {
                         let victim = e.select_victim(None);
                         prop_assert_eq!(victim, peeked, "{:?}: peek must preview select", policy);
                         let victim = victim.expect("nonempty cache yields a victim");
-                        if legacy {
+                        if ordered {
                             let reference = images
                                 .values()
-                                .map(|img| {
+                                .map(|(_, img)| {
                                     let &(pri, lu) = stored.get(&img.id.0).expect("stored key");
                                     ((evictor::OrdF64(pri), lu, img.id.0), img.id)
                                 })
@@ -549,35 +653,17 @@ proptest! {
                                 inflation = pri;
                             }
                         }
-                        let img = images.remove(&victim.0).expect("victim is live");
+                        let (slot, img) = images.remove(&victim.0).expect("victim is live");
                         stored.remove(&victim.0);
-                        e.note_eviction(&img);
-                        e.on_remove(&img);
+                        e.note_eviction(slot, &img);
+                        e.on_remove(slot, &img);
+                        free.push(slot);
                     }
                     _ => {}
                 }
-                e.check(&images.values().collect::<Vec<_>>());
+                e.check(&images.values().map(|(slot, img)| (*slot, img)).collect::<Vec<_>>());
                 prop_assert_eq!(e.len(), images.len());
             }
         }
-    }
-
-    #[test]
-    fn hits_never_write(stream in arb_stream()) {
-        let cfg = CacheConfig { alpha: 0.7, limit_bytes: u64::MAX, ..CacheConfig::default() };
-        let sizes: Vec<u64> = vec![2; UNIVERSE as usize];
-        let mut cache = ImageCache::new(cfg, Arc::new(TableSizes::new(sizes)));
-        let mut last_written = 0;
-        for s in &stream {
-            let out = cache.request(s);
-            let written = cache.stats().bytes_written;
-            if matches!(out, Outcome::Hit { .. }) {
-                prop_assert_eq!(written, last_written, "hit must not write");
-            } else {
-                prop_assert!(written > last_written || s.is_empty());
-            }
-            last_written = written;
-        }
-        cache.check_invariants();
     }
 }

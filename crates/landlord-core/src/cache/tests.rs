@@ -649,10 +649,14 @@ fn cache_policy_trait_drives_the_engine() {
 fn read_out(c: &ImageCache, s: &Spec) -> Vec<(u64, u64)> {
     let least = c.least_overlap(s, c.sizes.spec_bytes(s));
     let mut got = Vec::new();
-    c.postings
-        .overlaps(s, c.config.metric, c.sizes.as_ref(), least, None, |r, n| {
-            got.push((r.id, n))
-        });
+    c.postings.overlaps(
+        s,
+        c.config.metric,
+        c.sizes.as_ref(),
+        least,
+        None,
+        |_, r, n| got.push((r.id, n)),
+    );
     got.sort_unstable();
     got
 }

@@ -67,12 +67,17 @@ impl std::fmt::Display for SnapshotError {
 impl std::error::Error for SnapshotError {}
 
 impl ImageCache {
-    /// Capture the current state.
+    /// Capture the current state. Images are listed in id order, the
+    /// order [`ImageCache::restore`] admits them in, so a restored
+    /// evictor's queues and sampling order do not depend on how the
+    /// live cache happened to store its images.
     pub fn snapshot(&self) -> Snapshot {
+        let mut images: Vec<Image> = self.images().cloned().collect();
+        images.sort_unstable_by_key(|img| img.id);
         Snapshot {
             version: Snapshot::VERSION,
             config: *self.config(),
-            images: self.images().cloned().collect(),
+            images,
             clock: self.clock_value(),
             next_id: self.next_id_value(),
             stats: self.stats(),
@@ -354,6 +359,70 @@ mod proptests {
                     < 1e-9
             );
             second.check_invariants();
+        }
+    }
+
+    /// Collects the ids of the images the cache evicts.
+    struct Victims(Arc<std::sync::Mutex<Vec<u64>>>);
+
+    impl crate::events::EventSink for Victims {
+        fn on_event(&mut self, event: &crate::events::CacheEvent) {
+            if let crate::events::CacheEvent::Evict { image, .. } = event {
+                if let Ok(mut seen) = self.0.lock() {
+                    seen.push(image.0);
+                }
+            }
+        }
+    }
+
+    // Re-run by CI's paranoid job at a higher case count
+    // (`PROPTEST_CASES`, which the default config reads).
+    proptest! {
+        /// Under every eviction policy a snapshot survives JSON and a
+        /// restore byte for byte, and two restores of one snapshot then
+        /// make the same decisions and evict the same victims over the
+        /// rest of the stream.
+        #[test]
+        fn snapshot_round_trip_is_exact_under_every_policy(
+            stream in arb_stream(),
+            cut in any::<proptest::sample::Index>(),
+            alpha in 0.0f64..=1.0,
+            split in prop_oneof![Just(None), Just(Some(2u64))],
+        ) {
+            let sizes = || Arc::new(TableSizes::new((0..UNIVERSE as u64).map(|i| 1 + i % 5).collect()));
+            let cut = cut.index(stream.len());
+            for eviction in crate::policy::EvictionPolicy::ALL {
+                let cfg = CacheConfig {
+                    alpha,
+                    limit_bytes: 40,
+                    eviction,
+                    eviction_seed: 3,
+                    split_threshold: split,
+                    ..CacheConfig::default()
+                };
+                let mut live = ImageCache::new(cfg, sizes());
+                for s in &stream[..cut] {
+                    live.request(s);
+                }
+                let json = serde_json::to_string(&live.snapshot()).expect("snapshot serializes");
+                let restore = || {
+                    let snap: Snapshot = serde_json::from_str(&json).expect("snapshot reads back");
+                    ImageCache::restore(snap, sizes(), Arc::new(NoConflicts)).expect("snapshot restores")
+                };
+                let (mut a, mut b) = (restore(), restore());
+                let again = serde_json::to_string(&a.snapshot()).expect("snapshot serializes");
+                prop_assert_eq!(&again, &json, "{:?}: restore changed the snapshot", eviction);
+                let (seen_a, seen_b) = (Arc::default(), Arc::default());
+                a.set_sink(Box::new(Victims(Arc::clone(&seen_a))));
+                b.set_sink(Box::new(Victims(Arc::clone(&seen_b))));
+                for s in &stream[cut..] {
+                    prop_assert_eq!(a.request(s), b.request(s), "{:?}: restores diverged", eviction);
+                }
+                let (seen_a, seen_b) = (seen_a.lock().expect("sink lock"), seen_b.lock().expect("sink lock"));
+                prop_assert_eq!(&*seen_a, &*seen_b, "{:?}: restores evicted different images", eviction);
+                a.check_invariants();
+                b.check_invariants();
+            }
         }
     }
 }
