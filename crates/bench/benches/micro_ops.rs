@@ -9,11 +9,14 @@ use landlord_core::jaccard::jaccard_distance;
 use landlord_core::minhash::{LshIndex, LshShape, MinHasher};
 use landlord_core::policy::{CandidateStrategy, DistanceMetric};
 use landlord_core::spec::{PackageId, Spec};
-use landlord_repo::{ClosureComputer, Repository};
+use landlord_repo::sampler::{Sampler, SelectionScheme};
+use landlord_repo::{ClosureComputer, RepoConfig, Repository};
 use landlord_shrinkwrap::filetree::FileTreeConfig;
 use landlord_shrinkwrap::Shrinkwrap;
 use landlord_sim::workload::{self, WorkloadConfig, WorkloadScheme};
 use landlord_store::MemStore;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -73,6 +76,25 @@ fn closures(c: &mut Criterion) {
     c.bench_function("closure_20_seeds", |bench| {
         bench.iter(|| black_box(computer.closure_ids(repo.graph(), black_box(&seeds))))
     });
+    // The `paper` workload's resolve step: uniform selections of up to
+    // 100 seeds on the full 9,660-package universe, 64 per iteration.
+    let sft = Repository::generate(&RepoConfig::sft_like(0x5f7_c0de));
+    let sampler = Sampler::new(&sft);
+    let mut rng = StdRng::seed_from_u64(0x5e1ec7);
+    let selections: Vec<Vec<PackageId>> = (0..64)
+        .map(|_| sampler.sample_request_seeds(&mut rng, SelectionScheme::UniformRandom, 100))
+        .collect();
+    let mut computer = ClosureComputer::new(sft.package_count());
+    let mut group = c.benchmark_group("closure");
+    group.throughput(Throughput::Elements(selections.len() as u64));
+    group.bench_function("paper_selections", |bench| {
+        bench.iter(|| {
+            for seeds in &selections {
+                black_box(computer.closure(sft.graph(), black_box(seeds)));
+            }
+        })
+    });
+    group.finish();
 }
 
 fn cache_requests(c: &mut Criterion) {

@@ -30,11 +30,13 @@
 //! - merge candidates (MinHash/LSH): the same count over only the words
 //!   of slots that hold a proposal, `O(|s|)` word operations per such
 //!   word, reading out only the proposals' lanes.
-//! - the choice among the `c` candidates within α: a sort in the merge
-//!   order, `O(c log c)`, then conflict checks in that order until one
-//!   passes, each reading the candidate's image from the slab by slot.
-//!   At α = 0.75 a closure workload's misses have thousands of
-//!   candidates, and the sort is most of such a miss's cost.
+//! - the choice among the `c` candidates within α: one `O(c)` pass for
+//!   the least candidate in the merge order, whose image is read from
+//!   the slab by slot for the conflict check. Only when the conflict
+//!   policy rejects it are the rest sorted, `O(c log c)`, and checked in
+//!   that order until one passes. At α = 0.75 a closure workload's
+//!   misses have thousands of candidates, and without conflicts none is
+//!   sorted.
 //!
 //! None depends on the images' sizes. [`plan_over`] keeps the
 //! sorted-slice merges over every entry, `O(|s| + |image|)` per image,
@@ -51,6 +53,7 @@ use crate::jaccard::{
 use crate::policy::{DistanceMetric, MergeOrder};
 use crate::sizes::SizeModel;
 use crate::spec::Spec;
+use std::cmp::Ordering;
 
 /// What [`ImageCache::request`] would decide for a spec. Computed by
 /// [`ImageCache::plan`] on a settled cache; consumed by
@@ -229,21 +232,16 @@ impl ImageCache {
             obs.candidate_scan.record(examined);
         }
 
-        // The policy's order over `(id, distance, bytes)`: total, as ids
-        // are unique, and the same as `plan_over`'s.
-        scored.sort_by(|a, b| match self.config.merge_order {
-            MergeOrder::NearestFirst => a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)),
-            MergeOrder::ArrivalOrder => a.0.cmp(&b.0),
-            MergeOrder::LargestFirst => b.2.cmp(&a.2).then(a.0.cmp(&b.0)),
-            MergeOrder::SmallestFirst => (a.2, a.0).cmp(&(b.2, b.0)),
-        });
-        scored
-            .into_iter()
-            .find(|&(.., slot)| {
+        let order = self.config.merge_order;
+        least_accepted(
+            scored,
+            |a, b| merge_cmp(order, (a.0 .0, a.1, a.2), (b.0 .0, b.1, b.2)),
+            |&(.., slot)| {
                 self.resident(slot)
                     .is_some_and(|img| !self.conflicts.conflicts(spec, &img.spec))
-            })
-            .map(|(image, distance, ..)| (image, distance))
+            },
+        )
+        .map(|(image, distance, ..)| (image, distance))
     }
 
     /// The least overlap with `spec` — in packages, or in bytes under
@@ -351,22 +349,13 @@ pub fn plan_over_with_peek(
         return PlannedOp::Hit { image: ImageId(id) };
     }
     if alpha > 0.0 {
-        let mut scored: Vec<(u64, f64, u64, &Spec)> =
+        let scored: Vec<(u64, f64, u64, &Spec)> =
             within_alpha(entries, spec, alpha, metric, sizes).collect();
-        match merge_order {
-            MergeOrder::NearestFirst => {
-                scored.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
-            }
-            MergeOrder::ArrivalOrder => scored.sort_by_key(|&(id, ..)| id),
-            MergeOrder::LargestFirst => {
-                scored.sort_by_key(|&(id, _, bytes, _)| (std::cmp::Reverse(bytes), id))
-            }
-            MergeOrder::SmallestFirst => scored.sort_by_key(|&(id, _, bytes, _)| (bytes, id)),
-        }
-        if let Some(&(id, distance, ..)) = scored
-            .iter()
-            .find(|&&(_, _, _, s)| !conflicts.conflicts(spec, s))
-        {
+        if let Some((id, distance, ..)) = least_accepted(
+            scored,
+            |a, b| merge_cmp(merge_order, (a.0, a.1, a.2), (b.0, b.1, b.2)),
+            |&(.., s)| !conflicts.conflicts(spec, s),
+        ) {
             return PlannedOp::Merge {
                 image: ImageId(id),
                 distance,
@@ -374,6 +363,34 @@ pub fn plan_over_with_peek(
         }
     }
     PlannedOp::Insert
+}
+
+/// The merge order over `(id, distance, bytes)`: total, as ids are
+/// unique, so every way of taking its least gives the same candidate.
+fn merge_cmp(order: MergeOrder, a: (u64, f64, u64), b: (u64, f64, u64)) -> Ordering {
+    match order {
+        MergeOrder::NearestFirst => a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)),
+        MergeOrder::ArrivalOrder => a.0.cmp(&b.0),
+        MergeOrder::LargestFirst => b.2.cmp(&a.2).then(a.0.cmp(&b.0)),
+        MergeOrder::SmallestFirst => (a.2, a.0).cmp(&(b.2, b.0)),
+    }
+}
+
+/// The least of `candidates` under `cmp` that `accept` takes. The least
+/// is found in one pass; only when `accept` rejects it are the rest
+/// sorted and tried in order.
+fn least_accepted<T>(
+    mut candidates: Vec<T>,
+    cmp: impl Fn(&T, &T) -> Ordering,
+    mut accept: impl FnMut(&T) -> bool,
+) -> Option<T> {
+    let least = (0..candidates.len()).min_by(|&a, &b| cmp(&candidates[a], &candidates[b]))?;
+    let first = candidates.swap_remove(least);
+    if accept(&first) {
+        return Some(first);
+    }
+    candidates.sort_by(&cmp);
+    candidates.into_iter().find(|c| accept(c))
 }
 
 /// The entries within distance α of `spec`, as `(id, distance, bytes,
@@ -399,4 +416,45 @@ fn within_alpha<'a>(
         };
         (d < alpha).then_some((id, d, bytes, s))
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    const ORDERS: [MergeOrder; 4] = [
+        MergeOrder::NearestFirst,
+        MergeOrder::ArrivalOrder,
+        MergeOrder::LargestFirst,
+        MergeOrder::SmallestFirst,
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Taking the least and sorting only after a rejection picks what
+        /// sorting everything and taking the first accepted one picks.
+        #[test]
+        fn least_accepted_matches_sort_then_find(
+            raw in proptest::collection::vec((0u64..64, 0u32..8, 0u64..6, any::<bool>()), 0..24),
+        ) {
+            let mut candidates: Vec<(u64, f64, u64, bool)> = raw
+                .into_iter()
+                .map(|(id, d, bytes, ok)| (id, f64::from(d) / 8.0, bytes, ok))
+                .collect();
+            candidates.sort_by_key(|c| c.0);
+            candidates.dedup_by_key(|c| c.0);
+            for order in ORDERS {
+                let cmp = |a: &(u64, f64, u64, bool), b: &(u64, f64, u64, bool)| {
+                    merge_cmp(order, (a.0, a.1, a.2), (b.0, b.1, b.2))
+                };
+                let mut sorted = candidates.clone();
+                sorted.sort_by(cmp);
+                let expected = sorted.into_iter().find(|c| c.3).map(|c| c.0);
+                let got = least_accepted(candidates.clone(), cmp, |c| c.3).map(|c| c.0);
+                prop_assert_eq!(got, expected, "{:?}", order);
+            }
+        }
+    }
 }

@@ -26,6 +26,16 @@
 //! simulated image, we recursively include dependencies of requested
 //! software").
 //!
+//! Closures are read from a *closure table* kept with the
+//! [`DepGraph`]: the sorted closure of every strongly connected
+//! component in one flat CSR, built by a single iterative Tarjan pass on
+//! the first closure request (never on construction or load, and never
+//! serialized). The SCC rule: all members of a dependency cycle share one
+//! closure, so a cycle costs one row. A selection's closure is the union
+//! of its seeds' rows. The table holds the sum of the components'
+//! closure sizes — 305k ids (1.2 MB) for the 9,660-package SFT-like
+//! universe, about 32 per package — next to the graph's 101k edges.
+//!
 //! ```
 //! use landlord_core::spec::PackageId;
 //! use landlord_repo::{RepoConfig, Repository};

@@ -92,6 +92,40 @@ mod tests {
     }
 
     #[test]
+    fn round_trip_is_byte_identical_and_resolves_alike() {
+        let dir = std::env::temp_dir().join("landlord-persist-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let first = dir.join("bytes-first.json");
+        let second = dir.join("bytes-second.json");
+
+        let repo = Repository::generate(&RepoConfig::small_for_tests(34));
+        // A resolved closure must leave no trace in the file.
+        let _ = repo.closure_spec(&[landlord_core::spec::PackageId(0)]);
+        save_json(&repo, &first).unwrap();
+        let back = load_json(&first).unwrap();
+        save_json(&back, &second).unwrap();
+        assert_eq!(
+            std::fs::read(&first).unwrap(),
+            std::fs::read(&second).unwrap()
+        );
+
+        let ids: Vec<_> = (0..repo.package_count() as u32)
+            .map(landlord_core::spec::PackageId)
+            .collect();
+        for p in &ids {
+            let seed = std::slice::from_ref(p);
+            assert_eq!(back.closure_spec(seed), repo.closure_spec(seed));
+        }
+        assert_eq!(
+            back.closure_spec(&ids[100..]),
+            repo.closure_spec(&ids[100..])
+        );
+
+        std::fs::remove_file(&first).ok();
+        std::fs::remove_file(&second).ok();
+    }
+
+    #[test]
     fn load_missing_file_errors() {
         let err = load_json(Path::new("/nonexistent/landlord/repo.json")).unwrap_err();
         assert!(matches!(err, PersistError::Io(_)));

@@ -6,6 +6,7 @@
 //! same *count* of packages uniformly at random with no closure).
 
 use crate::Repository;
+use landlord_core::bitset::BitSet;
 use landlord_core::spec::{PackageId, Spec};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -55,14 +56,17 @@ pub struct Sampler {
 impl Sampler {
     /// Build a sampler for a repository.
     pub fn new(repo: &Repository) -> Self {
-        let rev = repo.graph().reversed();
-        let mut cumulative = Vec::with_capacity(repo.package_count());
         let mut acc = 0u64;
-        for i in 0..repo.package_count() {
-            // fan-in + 1 so every package stays reachable.
-            acc += rev.deps(PackageId(i as u32)).len() as u64 + 1;
-            cumulative.push(acc);
-        }
+        let cumulative = repo
+            .graph()
+            .fan_in()
+            .into_iter()
+            .map(|fan_in| {
+                // fan-in + 1 so every package stays reachable.
+                acc += u64::from(fan_in) + 1;
+                acc
+            })
+            .collect();
         Sampler {
             universe: repo.package_count(),
             cumulative,
@@ -84,7 +88,7 @@ impl Sampler {
     ) -> Vec<PackageId> {
         let k = k.min(self.universe);
         let mut chosen = Vec::with_capacity(k);
-        let mut seen = std::collections::HashSet::with_capacity(k * 2);
+        let mut seen = BitSet::new(self.universe);
         let mut guard = 0usize;
         while chosen.len() < k && guard < k * 64 + 64 {
             guard += 1;
@@ -101,7 +105,7 @@ impl Sampler {
                     self.cumulative.partition_point(|&c| c <= ticket) as u32
                 }
             };
-            if seen.insert(id) {
+            if seen.insert(id as usize) {
                 chosen.push(PackageId(id));
             }
         }
@@ -112,7 +116,7 @@ impl Sampler {
                 if chosen.len() >= k {
                     break;
                 }
-                if seen.insert(id) {
+                if seen.insert(id as usize) {
                     chosen.push(PackageId(id));
                 }
             }

@@ -35,12 +35,8 @@ pub struct RepoStats {
 /// Compute [`RepoStats`].
 pub fn repo_stats(repo: &Repository) -> RepoStats {
     let graph = repo.graph();
-    let rev = graph.reversed();
     let n = repo.package_count();
-    let max_fan_in = (0..n)
-        .map(|i| rev.deps(landlord_core::spec::PackageId(i as u32)).len())
-        .max()
-        .unwrap_or(0);
+    let max_fan_in = graph.fan_in().into_iter().max().unwrap_or(0) as usize;
     // Generated repositories are DAGs; a cyclic graph degrades to
     // depth 0 rather than panicking.
     let depths = graph.depths().unwrap_or_default();
@@ -281,10 +277,9 @@ impl LogHistogram {
 /// ("a number of core components are transitive dependencies of a
 /// large number of packages"); this quantifies our generator's tail.
 pub fn fan_in_histogram(repo: &Repository) -> LogHistogram {
-    let rev = repo.graph().reversed();
     let mut hist = LogHistogram::new();
-    for i in 0..repo.package_count() {
-        hist.record(rev.deps(landlord_core::spec::PackageId(i as u32)).len() as u64);
+    for fan_in in repo.graph().fan_in() {
+        hist.record(u64::from(fan_in));
     }
     hist
 }
@@ -303,12 +298,9 @@ pub fn depth_histogram(repo: &Repository) -> LogHistogram {
 
 /// The `n` most depended-upon packages, as `(id, fan_in)` descending.
 pub fn top_fan_in(repo: &Repository, n: usize) -> Vec<(landlord_core::spec::PackageId, usize)> {
-    let rev = repo.graph().reversed();
-    let mut all: Vec<(landlord_core::spec::PackageId, usize)> = (0..repo.package_count())
-        .map(|i| {
-            let p = landlord_core::spec::PackageId(i as u32);
-            (p, rev.deps(p).len())
-        })
+    let mut all: Vec<(landlord_core::spec::PackageId, usize)> = (0u32..)
+        .zip(repo.graph().fan_in())
+        .map(|(i, fan_in)| (landlord_core::spec::PackageId(i), fan_in as usize))
         .collect();
     all.sort_by_key(|&(p, fan_in)| (std::cmp::Reverse(fan_in), p));
     all.truncate(n);
