@@ -64,9 +64,25 @@ fn golden_path(name: &str) -> PathBuf {
         .join(format!("{name}.json"))
 }
 
+/// Compare `rendered` with the golden file at `path`, or overwrite the
+/// file under `BLESS_GOLDENS`.
+fn check_golden(path: PathBuf, rendered: &str) {
+    if std::env::var_os("BLESS_GOLDENS").is_some() {
+        std::fs::write(&path, rendered).unwrap();
+        return;
+    }
+    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!("missing golden {path:?} ({e}); regenerate with BLESS_GOLDENS=1")
+    });
+    assert_eq!(
+        rendered, expected,
+        "output drifted from {path:?}; if the change is intentional, \
+         regenerate with BLESS_GOLDENS=1"
+    );
+}
+
 #[test]
 fn golden_reports_are_byte_identical() {
-    let bless = std::env::var_os("BLESS_GOLDENS").is_some();
     for &token in POLICY_TOKENS {
         for faulted in [false, true] {
             let name = if faulted {
@@ -78,19 +94,7 @@ fn golden_reports_are_byte_identical() {
                 "{}\n",
                 serde_json::to_string_pretty(&report(token, faulted)).unwrap()
             );
-            let path = golden_path(&name);
-            if bless {
-                std::fs::write(&path, &rendered).unwrap();
-                continue;
-            }
-            let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-                panic!("missing golden {path:?} ({e}); regenerate with BLESS_GOLDENS=1")
-            });
-            assert_eq!(
-                rendered, expected,
-                "report for `{name}` drifted from {path:?}; if the change \
-                 is intentional, regenerate with BLESS_GOLDENS=1"
-            );
+            check_golden(golden_path(&name), &rendered);
         }
     }
 }
@@ -103,7 +107,6 @@ fn golden_reports_are_byte_identical() {
 #[test]
 fn eviction_golden_reports_are_byte_identical() {
     use landlord_core::policy::EvictionPolicy;
-    let bless = std::env::var_os("BLESS_GOLDENS").is_some();
     for eviction in EvictionPolicy::ALL {
         // Eviction-heavy variant of the shared scenario: α=0 disables
         // merging, so many distinct images stay resident and victim
@@ -120,20 +123,10 @@ fn eviction_golden_reports_are_byte_identical() {
             make_policy("landlord", cfg, sizes, repo.total_bytes()).expect("known token");
         let run = simulate_policy(policy.as_mut(), &stream, 0, None, None);
         let report = PolicyReport::from_run("landlord", &run);
-        let name = format!("eviction-{}", eviction.token());
         let rendered = format!("{}\n", serde_json::to_string_pretty(&report).unwrap());
-        let path = golden_path(&name);
-        if bless {
-            std::fs::write(&path, &rendered).unwrap();
-            continue;
-        }
-        let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            panic!("missing golden {path:?} ({e}); regenerate with BLESS_GOLDENS=1")
-        });
-        assert_eq!(
-            rendered, expected,
-            "report for `{name}` drifted from {path:?}; if the change \
-             is intentional, regenerate with BLESS_GOLDENS=1"
+        check_golden(
+            golden_path(&format!("eviction-{}", eviction.token())),
+            &rendered,
         );
     }
 }
@@ -215,4 +208,44 @@ fn baseline_goldens_match_the_pre_refactor_accounting() {
     assert_eq!(s.total_bytes, 999_999_999);
     assert_eq!(full.container_eff_milli, 10_861);
     assert_eq!(full.cache_eff_milli, 100_000);
+}
+
+/// The golden scenario with merge candidates pre-filtered by MinHash
+/// and banded LSH (the paper's §V approximation), at both shapes the
+/// `ablation-candidates` experiment runs, with and without the fault
+/// model.
+#[test]
+fn lsh_golden_reports_are_byte_identical() {
+    use landlord_core::policy::CandidateStrategy;
+    for (bands, rows) in [(32usize, 4usize), (16, 8)] {
+        for faulted in [false, true] {
+            let (repo, stream, mut cfg) = scenario();
+            cfg.candidates = CandidateStrategy::MinHashLsh { bands, rows };
+            let sizes: Arc<dyn SizeModel> = Arc::new(repo.size_table());
+            let mut policy =
+                make_policy("landlord", cfg, sizes, repo.total_bytes()).expect("known token");
+            let faults = faulted.then(fault_config);
+            let run = simulate_policy(policy.as_mut(), &stream, 0, None, faults.as_ref());
+            let report = PolicyReport::from_run("landlord", &run);
+            let suffix = if faulted { "-faults" } else { "" };
+            check_golden(
+                golden_path(&format!("minhash-lsh-{bands}x{rows}{suffix}")),
+                &format!("{}\n", serde_json::to_string_pretty(&report).unwrap()),
+            );
+        }
+    }
+}
+
+/// The smoke-scale `ablation-candidates` table at the CLI's default
+/// seed, as `landlord experiment ablation-candidates --scale smoke`
+/// prints it.
+#[test]
+fn ablation_candidates_smoke_table_is_byte_identical() {
+    use landlord_sim::experiments::{self, ExperimentContext};
+    let tables = experiments::run("ablation-candidates", &ExperimentContext::smoke(1)).unwrap();
+    let rendered: String = tables.iter().map(|t| t.render()).collect();
+    check_golden(
+        golden_path("ablation-candidates-smoke").with_extension("txt"),
+        &rendered,
+    );
 }
