@@ -6,7 +6,9 @@
 use bench::{bench_repo, bench_stream};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use landlord_core::cache::{CacheConfig, ImageCache};
-use landlord_core::policy::{CandidateStrategy, EvictionPolicy, MergeOrder};
+use landlord_core::policy::{CachePolicy, EvictionPolicy, MergeOrder};
+use landlord_sim::lsh::{LshCache, MINHASH_SEED};
+use landlord_sim::minhash::LshShape;
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -28,31 +30,29 @@ fn candidate_strategy(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_candidates");
     group.throughput(Throughput::Elements(stream.len() as u64));
     group.sample_size(10);
-    let variants: [(&str, CandidateStrategy); 3] = [
-        ("exact", CandidateStrategy::ExactScan),
-        (
-            "lsh_32x4",
-            CandidateStrategy::MinHashLsh { bands: 32, rows: 4 },
-        ),
-        (
-            "lsh_16x8",
-            CandidateStrategy::MinHashLsh { bands: 16, rows: 8 },
-        ),
-    ];
-    for (name, candidates) in variants {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(name),
-            &candidates,
-            |bench, &cand| {
-                let cfg = CacheConfig {
-                    alpha: 0.8,
-                    limit_bytes: repo.total_bytes() / 2,
-                    candidates: cand,
-                    ..CacheConfig::default()
-                };
-                bench.iter(|| black_box(run_stream(&repo, &stream, cfg)))
-            },
-        );
+    let cfg = CacheConfig {
+        alpha: 0.8,
+        limit_bytes: repo.total_bytes() / 2,
+        ..CacheConfig::default()
+    };
+    group.bench_function(BenchmarkId::from_parameter("exact"), |bench| {
+        bench.iter(|| black_box(run_stream(&repo, &stream, cfg)))
+    });
+    for shape in [
+        LshShape { bands: 32, rows: 4 },
+        LshShape { bands: 16, rows: 8 },
+    ] {
+        let name = format!("lsh_{}x{}", shape.bands, shape.rows);
+        group.bench_function(BenchmarkId::from_parameter(name), |bench| {
+            bench.iter(|| {
+                let sizes = Arc::new(repo.size_table());
+                let mut lsh = LshCache::new(cfg, sizes, shape, MINHASH_SEED);
+                for spec in &stream {
+                    black_box(lsh.request(spec));
+                }
+                lsh.stats()
+            })
+        });
     }
     group.finish();
 }

@@ -6,13 +6,13 @@ use bench::{bench_repo, bench_stream, hot_repo, overlapping_specs};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use landlord_core::cache::{CacheConfig, ImageCache};
 use landlord_core::jaccard::jaccard_distance;
-use landlord_core::minhash::{LshIndex, LshShape, MinHasher};
-use landlord_core::policy::{CandidateStrategy, DistanceMetric};
+use landlord_core::policy::DistanceMetric;
 use landlord_core::spec::{PackageId, Spec};
 use landlord_repo::sampler::{Sampler, SelectionScheme};
 use landlord_repo::{ClosureComputer, RepoConfig, Repository};
 use landlord_shrinkwrap::filetree::FileTreeConfig;
 use landlord_shrinkwrap::Shrinkwrap;
+use landlord_sim::minhash::{LshIndex, LshShape, MinHasher};
 use landlord_sim::workload::{self, WorkloadConfig, WorkloadScheme};
 use landlord_store::MemStore;
 use rand::rngs::StdRng;
@@ -217,9 +217,6 @@ fn touch_rows(c: &mut Criterion, label: &str, n: u32) {
     group.finish();
 }
 
-/// The LSH shape the `ablation-candidates` experiment runs.
-const LSH_32X4: CandidateStrategy = CandidateStrategy::MinHashLsh { bands: 32, rows: 4 };
-
 /// Resident images from `uniques` (admitted with `insert_fresh`, so
 /// none merges) under `cfg`, plus up to 64 misses: unions of
 /// neighbouring specs that no single image holds, so each plans a full
@@ -249,12 +246,11 @@ fn resident_cache(
 }
 
 /// Plan and evict cost against the number of resident images: the
-/// hit test, a miss's merge-candidate search (α = 0.75) under the exact
-/// strategy with the package-count metric, with the byte metric
-/// (`_bytes`) and under MinHash/LSH 32×4 (`_lsh`), and an insert that
-/// evicts one image, at 1e2 … 1e5 images whose specs are dependency
+/// hit test, a miss's merge-candidate search (α = 0.75) with the
+/// package-count metric and with the byte metric (`_bytes`), and an
+/// insert that evicts one image, at 1e2 … 1e5 images whose specs are dependency
 /// closures over the 2,000-package benchmark universe; then hit and
-/// the three misses at 1e2 … 1e4 images shaped like the `hot_sharded`
+/// the two misses at 1e2 … 1e4 images shaped like the `hot_sharded`
 /// benchmark's (α = 0.2). Images are admitted with `insert_fresh` and
 /// no byte limit, so none merges and all `n` stay resident.
 fn plan_scaling(c: &mut Criterion) {
@@ -285,14 +281,6 @@ fn plan_scaling(c: &mut Criterion) {
                 ..exact
             },
         );
-        let (lsh, _) = resident_cache(
-            &repo,
-            &uniques,
-            CacheConfig {
-                candidates: LSH_32X4,
-                ..exact
-            },
-        );
         let mut next = 0usize;
         group.bench_with_input(BenchmarkId::new("hit", n), &n, |bench, _| {
             bench.iter(|| {
@@ -310,12 +298,6 @@ fn plan_scaling(c: &mut Criterion) {
             bench.iter(|| {
                 next = (next + 1) % misses.len();
                 black_box(by_bytes.plan(&misses[next]))
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("miss_lsh", n), &n, |bench, _| {
-            bench.iter(|| {
-                next = (next + 1) % misses.len();
-                black_box(lsh.plan(&misses[next]))
             })
         });
         // Evict: at the byte limit, each fresh insert evicts the LRU
@@ -365,14 +347,6 @@ fn plan_scaling(c: &mut Criterion) {
                 ..exact
             },
         );
-        let (lsh, _) = resident_cache(
-            &hot,
-            &uniques,
-            CacheConfig {
-                candidates: LSH_32X4,
-                ..exact
-            },
-        );
         let mut next = 0usize;
         group.bench_with_input(BenchmarkId::new("hot_hit", n), &n, |bench, _| {
             bench.iter(|| {
@@ -390,12 +364,6 @@ fn plan_scaling(c: &mut Criterion) {
             bench.iter(|| {
                 next = (next + 1) % misses.len();
                 black_box(by_bytes.plan(&misses[next]))
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("hot_miss_lsh", n), &n, |bench, _| {
-            bench.iter(|| {
-                next = (next + 1) % misses.len();
-                black_box(lsh.plan(&misses[next]))
             })
         });
     }

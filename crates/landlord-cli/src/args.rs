@@ -68,6 +68,11 @@ impl Args {
         &self.positional
     }
 
+    /// The flags given, by name.
+    pub fn flags(&self) -> impl Iterator<Item = &str> {
+        self.flags.keys().map(String::as_str)
+    }
+
     /// Raw string flag.
     pub fn get(&self, key: &str) -> Option<&str> {
         self.flags.get(key).map(|s| s.as_str())

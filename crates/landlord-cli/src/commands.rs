@@ -78,8 +78,7 @@ USAGE:
   landlord simulate   [--scale full|smoke] [--alpha A] [--cache-x M]
                       [--jobs N] [--repeats R] [--seed S] [--trace FILE]
                       [--policy P] [--eviction E] [--eviction-seed S]
-                      [--merge-order O]
-                      [--metric D] [--candidates C] [--report-json FILE]
+                      [--merge-order O] [--metric D] [--report-json FILE]
                       [--metrics-json FILE] [--events-jsonl FILE]
                       [--fault-rate F] [--fault-seed S] [--retries N]
                       [--backoff-base T] [--backoff-cap T]
@@ -109,7 +108,8 @@ block-dedup. LANDLORD knobs: --eviction lru|lfu|largest-first|
 cost-density|gdsf|s3-fifo|lhd-sample (--eviction-seed seeds
 lhd-sample's victim sampling), --merge-order nearest-first|
 arrival-order|largest-first|smallest-first, --metric
-package-count|bytes, --candidates exact-scan|minhash-lsh:<bands>x<rows>.
+package-count|bytes. Every subcommand rejects a flag not listed for it
+above.
 --report-json FILE (or -) writes the machine-readable PolicyReport.
 --metrics-json FILE (or -) exports a deterministic metrics snapshot
 (landlord-obs-metrics/v1): counters, gauges, and logical-tick span
@@ -331,7 +331,7 @@ pub fn simulate(args: &Args) -> CmdResult {
     w.unique_jobs = args.get_parsed("jobs", w.unique_jobs, "a job count")?;
     w.repeats = args.get_parsed("repeats", w.repeats, "a repeat count")?;
 
-    use landlord_core::policy::{CandidateStrategy, DistanceMetric, EvictionPolicy, MergeOrder};
+    use landlord_core::policy::{DistanceMetric, EvictionPolicy, MergeOrder};
     let cache = landlord_core::cache::CacheConfig {
         alpha,
         limit_bytes: (repo.total_bytes() as f64 * cache_x) as u64,
@@ -355,13 +355,6 @@ pub fn simulate(args: &Args) -> CmdResult {
             DistanceMetric::parse,
             DistanceMetric::default(),
             DistanceMetric::TOKENS,
-        )?,
-        candidates: token_flag(
-            args,
-            "candidates",
-            CandidateStrategy::parse,
-            CandidateStrategy::default(),
-            CandidateStrategy::TOKENS,
         )?,
         eviction_seed: args.get_parsed("eviction-seed", 0u64, "an integer seed")?,
         ..Default::default()
@@ -1013,7 +1006,40 @@ pub fn gc(args: &Args) -> CmdResult {
 }
 
 /// Dispatch a subcommand by name.
+/// The flags `cmd` lists in [`USAGE`]: every `--flag` on its
+/// `landlord <cmd>` line and on the indented lines continuing it.
+fn documented_flags(cmd: &str) -> Vec<&'static str> {
+    let mut flags = Vec::new();
+    let mut inside = false;
+    for line in USAGE.lines() {
+        if let Some(rest) = line.strip_prefix("  landlord ") {
+            inside = rest.split_whitespace().next() == Some(cmd);
+        } else if !line.starts_with("    ") {
+            inside = false;
+        }
+        if inside {
+            let words = line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'));
+            flags.extend(words.filter_map(|w| w.strip_prefix("--")));
+        }
+    }
+    flags
+}
+
+/// Reject a flag that `cmd` does not list in [`USAGE`], so a mistyped
+/// or retired flag cannot be silently ignored.
+fn check_flags(cmd: &str, args: &Args) -> CmdResult {
+    let known = documented_flags(cmd);
+    match args.flags().find(|f| !known.contains(f)) {
+        Some(flag) => {
+            Err(format!("unknown flag --{flag} for `landlord {cmd}`; see `landlord help`").into())
+        }
+        None => Ok(()),
+    }
+}
+
+/// Run subcommand `cmd`.
 pub fn dispatch(cmd: &str, args: &Args) -> CmdResult {
+    check_flags(cmd, args)?;
     match cmd {
         "gen-repo" => gen_repo(args),
         "stats" => stats(args),
@@ -1404,14 +1430,11 @@ mod tests {
 
     #[test]
     fn simulate_rejects_unknown_knob_tokens_listing_valid_ones() {
-        use landlord_core::policy::{
-            CandidateStrategy, DistanceMetric, EvictionPolicy, MergeOrder,
-        };
+        use landlord_core::policy::{DistanceMetric, EvictionPolicy, MergeOrder};
         for (flag, tokens) in [
             ("eviction", EvictionPolicy::TOKENS),
             ("merge-order", MergeOrder::TOKENS),
             ("metric", DistanceMetric::TOKENS),
-            ("candidates", CandidateStrategy::TOKENS),
         ] {
             let flag_arg = format!("--{flag}");
             let err =
@@ -1419,23 +1442,6 @@ mod tests {
             let msg = err.to_string();
             assert!(msg.contains(flag), "{msg:?} must name --{flag}");
             assert!(msg.contains(tokens), "{msg:?} must list {tokens:?}");
-        }
-    }
-
-    #[test]
-    fn simulate_rejects_degenerate_lsh_shapes_listing_tokens() {
-        // Regression: `minhash-lsh:0x4` / `4x0` describe an index with
-        // no band hashing at all and must fail parsing like any other
-        // bad token, not construct a degenerate index.
-        use landlord_core::policy::CandidateStrategy;
-        for bad in ["minhash-lsh:0x4", "minhash-lsh:4x0", "minhash-lsh:junk"] {
-            let err = simulate(&args(&["--scale", "smoke", "--candidates", bad])).unwrap_err();
-            let msg = err.to_string();
-            assert!(msg.contains("candidates"), "{msg:?} must name --candidates");
-            assert!(
-                msg.contains(CandidateStrategy::TOKENS),
-                "{msg:?} must list the valid tokens"
-            );
         }
     }
 
@@ -1492,7 +1498,7 @@ mod tests {
     }
 
     #[test]
-    fn simulate_gdsf_and_lsh_knobs_run() {
+    fn simulate_gdsf_and_metric_knobs_run() {
         simulate(&args(&[
             "--scale",
             "smoke",
@@ -1506,10 +1512,64 @@ mod tests {
             "smallest-first",
             "--metric",
             "bytes",
-            "--candidates",
-            "minhash-lsh:16x4",
         ]))
         .unwrap();
+    }
+
+    #[test]
+    fn dispatch_rejects_undocumented_flags() {
+        for (cmd, flag) in [
+            ("simulate", "bogus-flag"),
+            ("simulate", "candidates"),
+            ("serve", "eviction"),
+            ("help", "seed"),
+        ] {
+            let flag_arg = format!("--{flag}");
+            let result = dispatch(cmd, &args(&[flag_arg.as_str(), "7"]));
+            assert_eq!(exit_code(&result), 1);
+            let msg = result.unwrap_err().to_string();
+            assert!(msg.contains(&flag_arg) && msg.contains(cmd), "{msg:?}");
+        }
+    }
+
+    /// Each subcommand documents exactly the flags it reads, and
+    /// accepts all of them.
+    #[test]
+    fn every_documented_flag_is_accepted() {
+        let tables = [
+            ("gen-repo", "out packages total-gb seed"),
+            ("stats", "repo"),
+            (
+                "submit",
+                "cache-dir repo seed select alpha limit-gb job-seed eviction eviction-seed \
+                 checkpoint-every",
+            ),
+            (
+                "simulate",
+                "scale alpha cache-x jobs repeats seed trace policy eviction eviction-seed \
+                 merge-order metric report-json metrics-json events-jsonl fault-rate fault-seed \
+                 retries backoff-base backoff-cap shards threads",
+            ),
+            (
+                "serve",
+                "scale seed jobs repeats zipf arrival mean-ticks alpha cache-x shards threads \
+                 coalesce backpressure queue-cap bytes-per-tick report-json metrics-json",
+            ),
+            ("trace", "out scale seed"),
+            ("experiment", "scale seed threads csv-dir plot-dir"),
+            ("spec-from", "repo python modules joblog out"),
+            ("verify", "cache-dir repair repo seed"),
+            ("gc", "cache-dir repo seed prune"),
+        ];
+        for (cmd, flags) in tables {
+            let flags: Vec<&str> = flags.split_whitespace().collect();
+            assert_eq!(documented_flags(cmd), flags, "`landlord {cmd}`");
+            let toks = flags
+                .iter()
+                .flat_map(|f| [format!("--{f}"), "x".to_string()]);
+            check_flags(cmd, &Args::parse(toks).unwrap()).unwrap();
+        }
+        assert!(documented_flags("help").is_empty());
     }
 
     /// Snapshot of the `--eviction` rejection message: an unknown

@@ -206,7 +206,6 @@ impl ImageCache {
             self.pending_split = Some(id);
         }
         self.evictor.on_touch(slot, img);
-        self.candidate_index.on_merge(id.0, spec);
         self.refcounts
             .add_spec(&added, self.sizes.as_ref(), &mut self.ledger);
 

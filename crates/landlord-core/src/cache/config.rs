@@ -1,7 +1,7 @@
 //! Cache configuration and the counter snapshot shared by every
 //! [`crate::policy::CachePolicy`] implementation.
 
-use crate::policy::{CandidateStrategy, DistanceMetric, EvictionPolicy, MergeOrder};
+use crate::policy::{DistanceMetric, EvictionPolicy, MergeOrder};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of an [`super::ImageCache`].
@@ -19,11 +19,6 @@ pub struct CacheConfig {
     pub eviction: EvictionPolicy,
     /// Order in which merge candidates are tried.
     pub merge_order: MergeOrder,
-    /// How merge candidates are enumerated.
-    pub candidates: CandidateStrategy,
-    /// Seed for the MinHash hash family (only used with
-    /// [`CandidateStrategy::MinHashLsh`]).
-    pub minhash_seed: u64,
     /// Which quantity distances are computed over: package counts (the
     /// paper) or on-disk bytes.
     #[serde(default)]
@@ -51,8 +46,6 @@ impl Default for CacheConfig {
             limit_bytes: u64::MAX,
             eviction: EvictionPolicy::Lru,
             merge_order: MergeOrder::NearestFirst,
-            candidates: CandidateStrategy::ExactScan,
-            minhash_seed: 0x1a4d_10bd_2020_0048,
             eviction_seed: 0,
             metric: DistanceMetric::default(),
             split_threshold: None,

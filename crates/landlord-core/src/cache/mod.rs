@@ -31,7 +31,6 @@
 //! | `plan` | pure decision side: [`ImageCache::plan`] → [`Plan`] |
 //! | `apply` | sole mutator: [`ImageCache::apply`] executes a [`Plan`] |
 //! | `evictor` | [`Evictor`] seam, keyed by slot: LRU list, ordered indexes, S3-FIFO queues, sampled LHD |
-//! | `candidates` | [`CandidateIndex`] seam: exact scan vs MinHash/LSH |
 //! | `postings` | slot allocator; package → resident-slot bitmaps: hit test and overlap counts |
 //! | `ledger` | [`Ledger`]: accounting shared with every baseline |
 //!
@@ -55,7 +54,6 @@
 //! bytes written (actual I/O) and cumulative bytes requested.
 
 mod apply;
-mod candidates;
 mod config;
 mod evictor;
 mod flight;
@@ -70,7 +68,6 @@ mod sharded;
 mod tests;
 
 pub use apply::Outcome;
-pub use candidates::CandidateIndex;
 pub use config::{CacheConfig, CacheStats};
 pub use evictor::{make_evictor, Evictor, EvictorCounters};
 pub use flight::{Flight, LeaderGuard, SingleFlight, Ticket};
@@ -117,7 +114,6 @@ pub struct ImageCache {
     /// [`ImageCache::apply`] records only the delta since this
     /// snapshot, so counters stay exact across stateful selections.
     evictor_reported: evictor::EvictorCounters,
-    candidate_index: Box<dyn CandidateIndex>,
     sink: Option<Box<dyn EventSink + Send>>,
     /// Pre-resolved metric handles; `None` until
     /// [`ImageCache::attach_metrics`] is called (the default — an
@@ -160,10 +156,6 @@ impl ImageCache {
             postings: Postings::default(),
             evictor: evictor::make_evictor(&config),
             evictor_reported: evictor::EvictorCounters::default(),
-            candidate_index: candidates::make_candidate_index(
-                config.candidates,
-                config.minhash_seed,
-            ),
             sink: None,
             obs: None,
             pending_split: None,
@@ -197,15 +189,14 @@ impl ImageCache {
     }
 
     /// Make `image` resident: give it a posting slot, reference its
-    /// packages, count its bytes, register it with the evictor and the
-    /// candidate index, and store it in the slab at its slot. The one
+    /// packages, count its bytes, register it with the evictor, and
+    /// store it in the slab at its slot. The one
     /// admission path of insert, split pieces and checkpoint restore.
     fn admit_image(&mut self, image: Image) {
         let slot = self.postings.admit(image.id.0, image.bytes, &image.spec);
         self.refcounts
             .add_spec(&image.spec, self.sizes.as_ref(), &mut self.ledger);
         self.ledger.admit(image.bytes);
-        self.candidate_index.on_insert(image.id.0, &image.spec);
         self.evictor.on_insert(slot, &image);
         self.slots.insert(image.id.0, slot);
         let at = slot as usize;
@@ -384,7 +375,6 @@ impl ImageCache {
             .release_spec(&img.spec, self.sizes.as_ref(), &mut self.ledger);
         self.ledger.drop_image(img.bytes);
         self.evictor.on_remove(slot, &img);
-        self.candidate_index.on_remove(img.id.0);
         if self.pending_split == Some(img.id) {
             self.pending_split = None;
         }
@@ -565,12 +555,10 @@ impl ImageCache {
             );
         }
 
-        // Seam agreement: the victim index and the candidate index both
-        // mirror the slab exactly; each verifies itself against a
-        // brute-force recomputation where possible.
+        // Seam agreement: the victim index mirrors the slab exactly and
+        // verifies itself against a brute-force recomputation where
+        // possible.
         self.evictor.check(&by_slot);
-        let resident: Vec<&Image> = by_slot.iter().map(|&(_, img)| img).collect();
-        self.candidate_index.check(&resident);
         // The posting table equals one recomputed from the images, each
         // occupied slot's record (bytes, id, package count) is its
         // image's, and each package's refcount is its row's popcount.
@@ -596,6 +584,29 @@ impl ImageCache {
                 hit, brute,
                 "find_satisfying disagrees with brute-force scan"
             );
+        }
+    }
+
+    /// What applying `plan` for `spec` requires of storage, with the
+    /// plan attached for [`CachePolicy::apply_build`]: the
+    /// [`CachePolicy::plan_build`] of a plan made elsewhere than
+    /// [`ImageCache::plan`].
+    pub fn build_for(&self, spec: &Spec, plan: Plan) -> PlannedBuild {
+        let build = match plan.op {
+            PlannedOp::Hit { .. } => BuildPlan::Hit,
+            PlannedOp::Merge { image, .. } => BuildPlan::Rewrite {
+                bytes: self
+                    .get(image)
+                    .map(|img| self.sizes.spec_bytes(&img.spec.union(spec)))
+                    .unwrap_or(plan.requested_bytes),
+            },
+            PlannedOp::Insert => BuildPlan::Insert {
+                bytes: plan.requested_bytes,
+            },
+        };
+        PlannedBuild {
+            build,
+            plan: Some(plan),
         }
     }
 
@@ -634,23 +645,7 @@ impl CachePolicy for ImageCache {
     }
 
     fn plan_build(&self, spec: &Spec) -> PlannedBuild {
-        let plan = ImageCache::plan(self, spec);
-        let build = match plan.op {
-            PlannedOp::Hit { .. } => BuildPlan::Hit,
-            PlannedOp::Merge { image, .. } => BuildPlan::Rewrite {
-                bytes: self
-                    .get(image)
-                    .map(|img| self.sizes.spec_bytes(&img.spec.union(spec)))
-                    .unwrap_or(plan.requested_bytes),
-            },
-            PlannedOp::Insert => BuildPlan::Insert {
-                bytes: plan.requested_bytes,
-            },
-        };
-        PlannedBuild {
-            build,
-            plan: Some(plan),
-        }
+        self.build_for(spec, ImageCache::plan(self, spec))
     }
 
     fn apply_build(&mut self, spec: &Spec, planned: &PlannedBuild) -> Served {

@@ -25,10 +25,9 @@ pub mod names {
     /// Span histogram: ticks spent in `apply`.
     pub const APPLY_TICKS: &str = "core.apply_ticks";
     /// Histogram: merge candidates scored against α per planning pass
-    /// — under the exact strategy the slots read out of the posting
-    /// table's count, those whose overlap with the request is large
-    /// enough to be within α; under MinHash/LSH the index's live
-    /// proposals. No other image's distance is computed.
+    /// — the slots read out of the posting table's count, those whose
+    /// overlap with the request is large enough to be within α. No
+    /// other image's distance is computed.
     pub const CANDIDATE_SCAN: &str = "core.candidate_scan";
     /// Histogram: evictions performed per `evict_to_limit` call.
     pub const EVICT_CHAIN: &str = "core.evict_chain";

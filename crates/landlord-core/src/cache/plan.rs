@@ -18,7 +18,7 @@
 //!   survivors from the table's slot records, whose record also names
 //!   the winner. No allocation, no image lookup; it never visits an
 //!   image that lacks one of the request's packages.
-//! - merge candidates (exact strategy): `O(|s| · W)` word operations
+//! - merge candidates: `O(|s| · W)` word operations
 //!   to count every slot's overlap with the request at once — under the
 //!   package count, bit-sliced counters fed by a carry-save adder tree
 //!   eight rows at a time; under the byte metric, a per-slot byte sum
@@ -27,9 +27,6 @@
 //!   `ImageCache::least_overlap`): its distance comes from the slot's
 //!   `(bytes, id, package count)` record and the count, with no image
 //!   lookup. No other image is scored.
-//! - merge candidates (MinHash/LSH): the same count over only the words
-//!   of slots that hold a proposal, `O(|s|)` word operations per such
-//!   word, reading out only the proposals' lanes.
 //! - the choice among the `c` candidates within α: one `O(c)` pass for
 //!   the least candidate in the merge order, whose image is read from
 //!   the slab by slot for the conflict check. Only when the conflict
@@ -42,7 +39,6 @@
 //! sorted-slice merges over every entry, `O(|s| + |image|)` per image,
 //! and is the reference the engine's planner is tested against.
 
-use super::postings::Record;
 use super::ImageCache;
 use crate::conflict::ConflictPolicy;
 use crate::image::{Image, ImageId};
@@ -151,10 +147,9 @@ impl ImageCache {
         }
     }
 
-    /// Enumerate merge candidates — count on the posting table the
-    /// overlap of the candidate index's proposals, or, under the exact
-    /// strategy, of every image — compute exact distances, filter by α,
-    /// order per policy, and return the first non-conflicting one.
+    /// Enumerate merge candidates — count every image's overlap on the
+    /// posting table — compute exact distances, filter by α, order per
+    /// policy, and return the first non-conflicting one.
     /// `requested_bytes` is `spec`'s size in bytes.
     fn pick_merge_candidate(&self, spec: &Spec, requested_bytes: u64) -> Option<(ImageId, f64)> {
         let alpha = self.config.alpha;
@@ -166,68 +161,45 @@ impl ImageCache {
         // the formulas of the sorted-slice kernels. As in `plan_over`,
         // an image outside the package count's cheap size-ratio bound
         // is not scored.
-        let mut keep = |slot: u32, record: Record, overlap: u64| {
-            let d = match metric {
-                DistanceMetric::PackageCount => {
-                    if size_lower_bound(spec.len(), record.packages) >= alpha {
-                        return;
+        let least = self.least_overlap(spec, requested_bytes);
+        self.postings
+            .overlaps(spec, metric, sizes, least, |slot, record, overlap| {
+                examined += 1;
+                let d = match metric {
+                    DistanceMetric::PackageCount => {
+                        if size_lower_bound(spec.len(), record.packages) >= alpha {
+                            return;
+                        }
+                        let overlap = usize::try_from(overlap).unwrap_or(usize::MAX);
+                        distance_from_counts(spec.len(), record.packages, overlap)
                     }
-                    let overlap = usize::try_from(overlap).unwrap_or(usize::MAX);
-                    distance_from_counts(spec.len(), record.packages, overlap)
+                    DistanceMetric::Bytes => {
+                        distance_from_bytes(requested_bytes, record.bytes, overlap)
+                    }
+                };
+                if d < alpha {
+                    scored.push((ImageId(record.id), d, record.bytes, slot));
                 }
-                DistanceMetric::Bytes => {
-                    distance_from_bytes(requested_bytes, record.bytes, overlap)
-                }
-            };
-            if d < alpha {
-                scored.push((ImageId(record.id), d, record.bytes, slot));
-            }
-        };
-        match self.candidate_index.candidates(spec) {
-            Some(keys) => {
-                let among = self.postings.mask_of(
-                    keys.iter()
-                        .filter_map(|key| self.slots.get(key).copied())
-                        .inspect(|_| examined += 1),
-                );
-                self.postings
-                    .overlaps(spec, metric, sizes, 0, Some(&among), keep);
-            }
-            None => {
-                let least = self.least_overlap(spec, requested_bytes);
-                self.postings.overlaps(
-                    spec,
-                    metric,
-                    sizes,
-                    least,
-                    None,
-                    |slot, record, overlap| {
-                        examined += 1;
-                        keep(slot, record, overlap)
-                    },
-                );
-                debug_assert!(
-                    {
-                        let entries: Vec<(u64, &Spec, u64)> = self
-                            .images()
-                            .map(|img| (img.id.0, &img.spec, img.bytes))
-                            .collect();
-                        let mut full: Vec<(u64, u64)> =
-                            within_alpha(&entries, spec, alpha, metric, sizes)
-                                .map(|(id, d, ..)| (id, d.to_bits()))
-                                .collect();
-                        full.sort_unstable();
-                        let mut got: Vec<(u64, u64)> = scored
-                            .iter()
-                            .map(|&(id, d, ..)| (id.0, d.to_bits()))
-                            .collect();
-                        got.sort_unstable();
-                        full == got
-                    },
-                    "the posting-table count disagrees with the sorted-slice merge candidates"
-                );
-            }
-        }
+            });
+        debug_assert!(
+            {
+                let entries: Vec<(u64, &Spec, u64)> = self
+                    .images()
+                    .map(|img| (img.id.0, &img.spec, img.bytes))
+                    .collect();
+                let mut full: Vec<(u64, u64)> = within_alpha(&entries, spec, alpha, metric, sizes)
+                    .map(|(id, d, ..)| (id, d.to_bits()))
+                    .collect();
+                full.sort_unstable();
+                let mut got: Vec<(u64, u64)> = scored
+                    .iter()
+                    .map(|&(id, d, ..)| (id.0, d.to_bits()))
+                    .collect();
+                got.sort_unstable();
+                full == got
+            },
+            "the posting-table count disagrees with the sorted-slice merge candidates"
+        );
         if let Some(obs) = &self.obs {
             obs.candidate_scan.record(examined);
         }

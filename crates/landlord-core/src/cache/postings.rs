@@ -189,22 +189,9 @@ impl Postings {
         self.records[slot as usize].id
     }
 
-    /// A lane mask over the slots — one word per word of a row — with
-    /// the bits of `slots` set: the images [`Postings::overlaps`] is to
-    /// report when given it as `among`.
-    pub(super) fn mask_of(&self, slots: impl IntoIterator<Item = u32>) -> Vec<u64> {
-        let mut mask = vec![0u64; self.stride];
-        for slot in slots {
-            let (word, bit) = slot_bit(slot);
-            mask[word] |= bit;
-        }
-        mask
-    }
-
     /// Call `each` with the slot, the record and the overlap of every
     /// resident image that holds at least `least` of `spec`, in slot
-    /// order — every resident image, or only those whose bits are set
-    /// in `among` (a [`Postings::mask_of`]) when it is given. The overlap
+    /// order. The overlap
     /// is `|spec ∩ image|` under [`DistanceMetric::PackageCount`] and
     /// the bytes of `spec ∩ image` under [`DistanceMetric::Bytes`]; with
     /// `least = 0` every image asked about is reported.
@@ -231,10 +218,9 @@ impl Postings {
         metric: DistanceMetric,
         sizes: &dyn SizeModel,
         least: u64,
-        among: Option<&[u64]>,
         mut each: impl FnMut(u32, Record, u64),
     ) {
-        let lanes = among.unwrap_or(&self.occupied);
+        let lanes = &self.occupied;
         let held = self.with_rows(spec);
         match metric {
             DistanceMetric::PackageCount => {
@@ -446,14 +432,9 @@ mod tests {
     fn holders(p: &Postings, s: &Spec) -> Vec<u64> {
         let mut ids = Vec::new();
         let sizes = UniformSizes::new(1);
-        p.overlaps(
-            s,
-            DistanceMetric::PackageCount,
-            &sizes,
-            1,
-            None,
-            |_, r, _| ids.push(r.id),
-        );
+        p.overlaps(s, DistanceMetric::PackageCount, &sizes, 1, |_, r, _| {
+            ids.push(r.id)
+        });
         ids.sort_unstable();
         ids
     }
@@ -474,16 +455,6 @@ mod tests {
         assert_eq!(superset(&p, &Spec::empty()), Some(10));
         assert_eq!(holders(&p, &spec(&[1, 200])), vec![10, 11]);
         assert_eq!(holders(&p, &spec(&[1, 500])), vec![10]);
-        let mut got = Vec::new();
-        p.overlaps(
-            &spec(&[1, 63, 64, 200, 500]),
-            DistanceMetric::PackageCount,
-            &UniformSizes::new(1),
-            0,
-            Some(&p.mask_of([sb])),
-            |_, r, n| got.push((r.id, n)),
-        );
-        assert_eq!(got, vec![(11, 3)]);
         p.check([(10, 3, sa, &a), (11, 3, sb, &b)], &refcounts(&[&a, &b]));
         // A merge that grows image 10 past image 11 hands 11 the tie.
         let added = spec(&[7]);

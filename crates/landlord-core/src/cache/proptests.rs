@@ -1,6 +1,6 @@
 use super::*;
 use crate::conflict::{NoConflicts, SingleVersionPerName};
-use crate::policy::{CandidateStrategy, DistanceMetric, EvictionPolicy, MergeOrder};
+use crate::policy::{DistanceMetric, EvictionPolicy, MergeOrder};
 use crate::sizes::{SizeModel, TableSizes};
 use proptest::prelude::*;
 
@@ -44,31 +44,23 @@ fn arb_config() -> impl Strategy<Value = CacheConfig> {
             Just(MergeOrder::LargestFirst),
             Just(MergeOrder::SmallestFirst),
         ],
-        prop_oneof![
-            Just(CandidateStrategy::ExactScan),
-            Just(CandidateStrategy::MinHashLsh { bands: 8, rows: 4 }),
-        ],
     )
-        .prop_map(
-            |(alpha, limit, eviction, merge_order, candidates)| CacheConfig {
-                alpha,
-                limit_bytes: limit,
-                eviction,
-                merge_order,
-                candidates,
-                minhash_seed: 42,
-                eviction_seed: limit, // arbitrary but shrinkable
+        .prop_map(|(alpha, limit, eviction, merge_order)| CacheConfig {
+            alpha,
+            limit_bytes: limit,
+            eviction,
+            merge_order,
+            eviction_seed: limit, // arbitrary but shrinkable
 
-                // Exercise the byte-weighted metric in half the cases
-                // and auto-splitting in a third.
-                metric: if limit % 2 == 0 {
-                    DistanceMetric::Bytes
-                } else {
-                    DistanceMetric::PackageCount
-                },
-                split_threshold: if limit % 3 == 0 { Some(3) } else { None },
+            // Exercise the byte-weighted metric in half the cases
+            // and auto-splitting in a third.
+            metric: if limit % 2 == 0 {
+                DistanceMetric::Bytes
+            } else {
+                DistanceMetric::PackageCount
             },
-        )
+            split_threshold: if limit % 3 == 0 { Some(3) } else { None },
+        })
 }
 
 fn size_table() -> Vec<u64> {
@@ -159,13 +151,12 @@ proptest! {
     }
 
     /// The slice-based planner used by external stores agrees with the
-    /// engine's planner, decision for decision (exact-scan configs).
+    /// engine's planner, decision for decision.
     #[test]
     fn plan_over_matches_engine_plan(
         cfg in arb_config(),
         stream in arb_stream(),
     ) {
-        let cfg = CacheConfig { candidates: CandidateStrategy::ExactScan, ..cfg };
         let sizes = Arc::new(TableSizes::new(size_table()));
         let mut cache = ImageCache::new(cfg, Arc::clone(&sizes) as Arc<dyn crate::sizes::SizeModel>);
         for s in &stream {
@@ -358,8 +349,7 @@ proptest! {
 
     /// Every resident image's overlap with a request, as the posting
     /// table counts it — bit-sliced under the package count, summed per
-    /// slot under the byte metric, over every slot or over a given few
-    /// — equals the sorted-slice intersection; and the images read out
+    /// slot under the byte metric — equals the sorted-slice intersection; and the images read out
     /// at α's least overlap are exactly those reaching it. Requests of 8k ± 1 and
     /// 2^k ± 1 packages (and empty ones) meet more than 128 slots, some
     /// freed and reused, images up to id 300 and request ids past the
@@ -406,9 +396,9 @@ proptest! {
                     DistanceMetric::Bytes => sizes.spec_bytes(&request.intersection(&img.spec)),
                 }
             };
-            let read = |least: u64, among: Option<&[u64]>| {
+            let read = |least: u64| {
                 let mut got = Vec::new();
-                cache.postings.overlaps(&request, metric, sizes.as_ref(), least, among, |_, r, n| {
+                cache.postings.overlaps(&request, metric, sizes.as_ref(), least, |_, r, n| {
                     got.push((r.id, n))
                 });
                 got.sort_unstable();
@@ -417,18 +407,10 @@ proptest! {
             let mut every: Vec<(u64, u64)> =
                 cache.images().map(|img| (img.id.0, want(img))).collect();
             every.sort_unstable();
-            prop_assert_eq!(read(0, None), every.clone());
-            // Every third slot, as the candidate index proposes them.
-            let thirds: Vec<(u32, &Image)> =
-                cache.residents_by_slot().filter(|(slot, _)| slot % 3 == 0).collect();
-            let among = cache.postings.mask_of(thirds.iter().map(|&(slot, _)| slot));
-            let mut some: Vec<(u64, u64)> =
-                thirds.iter().map(|&(_, img)| (img.id.0, want(img))).collect();
-            some.sort_unstable();
-            prop_assert_eq!(read(0, Some(&among)), some);
+            prop_assert_eq!(read(0), every.clone());
             let least = cache.least_overlap(&request, requested_bytes);
             every.retain(|&(_, n)| n >= least);
-            prop_assert_eq!(read(least, None), every);
+            prop_assert_eq!(read(least), every);
         }
     }
 

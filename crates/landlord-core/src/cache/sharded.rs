@@ -9,8 +9,8 @@
 //!
 //! * **Routing** — each spec is owned by exactly one shard, chosen by a
 //!   one-slot MinHash of its package set (the minimum of a seeded
-//!   [`mix2`] over the member ids, mod N). Like the LSH candidate
-//!   index, this is similarity-sensitive: specs sharing their minimum
+//!   [`mix2`] over the member ids, mod N). This is
+//!   similarity-sensitive: specs sharing their minimum
 //!   package land on the same shard, so the near neighbours Algorithm 1
 //!   wants to merge tend to colocate. Routing is a pure function of the
 //!   spec — no spec can map to two shards, which
@@ -81,9 +81,9 @@ const SUMMARY_WORDS: usize = 4;
 /// overlay grows.
 const SUMMARY_REBUILD_EVERY: u64 = 128;
 
-/// Salt distinguishing the routing hash family from the MinHash/LSH
-/// families derived from the same configured seed.
-const ROUTE_SALT: u64 = 0x51a2_d3e4_0000_0005;
+/// Seed of the routing hash. Fixed, so a spec's shard depends on
+/// nothing but its packages and the shard count.
+const ROUTE_SEED: u64 = mix2(0x1a4d_10bd_2020_0048, 0x51a2_d3e4_0000_0005);
 
 /// The precise complement to the 256-bit bloom: an [`XorFilter`] over
 /// the package ids live at the last rebuild, plus the exact set of ids
@@ -275,7 +275,6 @@ impl ShardObs {
 
 struct Inner {
     shards: Box<[Shard]>,
-    route_seed: u64,
     limit_bytes: u64,
     /// Set once by [`ShardedImageCache::attach_metrics`]; read
     /// lock-free on every request thereafter.
@@ -333,7 +332,6 @@ impl ShardedImageCache {
         ShardedImageCache {
             inner: Arc::new(Inner {
                 shards: built.into_boxed_slice(),
-                route_seed: mix2(config.minhash_seed, ROUTE_SALT),
                 limit_bytes: config.limit_bytes,
                 obs: OnceLock::new(),
             }),
@@ -361,7 +359,7 @@ impl ShardedImageCache {
         }
         let mut best = u64::MAX;
         for p in spec.iter() {
-            best = best.min(mix2(self.inner.route_seed, u64::from(p.0)));
+            best = best.min(mix2(ROUTE_SEED, u64::from(p.0)));
         }
         (best % n) as usize
     }

@@ -1,6 +1,6 @@
 use super::*;
 use crate::conflict::SingleVersionPerName;
-use crate::policy::{CandidateStrategy, DistanceMetric, EvictionPolicy};
+use crate::policy::{DistanceMetric, EvictionPolicy};
 use crate::sizes::{TableSizes, UniformSizes};
 
 fn spec(ids: &[u32]) -> Spec {
@@ -341,43 +341,6 @@ fn sized_packages_account_correctly() {
 }
 
 #[test]
-fn minhash_lsh_strategy_still_merges_near_pairs() {
-    let cfg = CacheConfig {
-        alpha: 0.8,
-        limit_bytes: u64::MAX,
-        candidates: CandidateStrategy::MinHashLsh { bands: 32, rows: 4 },
-        ..CacheConfig::default()
-    };
-    let mut c = ImageCache::new(cfg, Arc::new(UniformSizes::new(1)));
-    let base: Vec<u32> = (0..100).collect();
-    c.request(&spec(&base));
-    let mut close = base.clone();
-    close[0] = 1000; // 99/101 similar
-    let out = c.request(&spec(&close));
-    assert!(
-        matches!(out, Outcome::Merged { .. }),
-        "LSH must find near-duplicates"
-    );
-    c.check_invariants();
-}
-
-#[test]
-fn minhash_lsh_never_merges_what_exact_rejects() {
-    let cfg = CacheConfig {
-        alpha: 0.3,
-        limit_bytes: u64::MAX,
-        candidates: CandidateStrategy::MinHashLsh { bands: 32, rows: 4 },
-        ..CacheConfig::default()
-    };
-    let mut c = ImageCache::new(cfg, Arc::new(UniformSizes::new(1)));
-    c.request(&spec(&[1, 2, 3, 4]));
-    // Exact distance 0.6 ≥ 0.3 → must insert even if LSH proposes it.
-    let out = c.request(&spec(&[1, 2, 9, 10]));
-    assert!(matches!(out, Outcome::Inserted { .. }));
-    c.check_invariants();
-}
-
-#[test]
 fn remove_image_administratively() {
     let mut c = cache(0.0, 1000);
     let out = c.request(&spec(&[1, 2]));
@@ -649,14 +612,10 @@ fn cache_policy_trait_drives_the_engine() {
 fn read_out(c: &ImageCache, s: &Spec) -> Vec<(u64, u64)> {
     let least = c.least_overlap(s, c.sizes.spec_bytes(s));
     let mut got = Vec::new();
-    c.postings.overlaps(
-        s,
-        c.config.metric,
-        c.sizes.as_ref(),
-        least,
-        None,
-        |_, r, n| got.push((r.id, n)),
-    );
+    c.postings
+        .overlaps(s, c.config.metric, c.sizes.as_ref(), least, |_, r, n| {
+            got.push((r.id, n))
+        });
     got.sort_unstable();
     got
 }

@@ -18,9 +18,6 @@
 //!   algebra (subset, union, intersection size).
 //! * [`jaccard`] — the exact Jaccard distance used to decide whether two
 //!   specifications are "close enough" to merge.
-//! * [`minhash`] — a constant-time MinHash approximation of the Jaccard
-//!   distance plus an LSH index for candidate pre-selection, as the paper
-//!   recommends for very large specifications.
 //! * [`conflict`] — pluggable compatibility checking between
 //!   specifications (the paper's append-only CVMFS case never conflicts;
 //!   general package managers may).
@@ -31,7 +28,7 @@
 //!   store implementing the paper's Algorithm 1 (hit / merge / insert)
 //!   with LRU eviction and full operation accounting.
 //! * [`policy`] — the tunable knobs (eviction policy, merge candidate
-//!   ordering, candidate strategy) used for the ablation studies.
+//!   ordering, distance metric) used for the ablation studies.
 //! * [`metrics`] — the paper's two utilization metrics, *cache
 //!   efficiency* (unique ÷ total cached bytes) and *container efficiency*
 //!   (requested ÷ used image bytes).
@@ -73,7 +70,6 @@ pub mod filter;
 pub mod image;
 pub mod jaccard;
 pub mod metrics;
-pub mod minhash;
 pub mod policy;
 pub mod sizes;
 pub mod snapshot;

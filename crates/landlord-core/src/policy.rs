@@ -3,11 +3,14 @@
 //! strategy (LANDLORD plus all baselines) implements.
 //!
 //! The paper evaluates one concrete configuration (LRU eviction, merge
-//! candidates "sorted by dj()", exact Jaccard) but explicitly points at
-//! the alternatives: MinHash pre-filtering for very large specs (§V) and
+//! candidates "sorted by dj()", exact Jaccard) and points at
 //! site-specific tuning (§VI, "Tuning LANDLORD"). These enums make each
 //! choice explicit and benchmarkable, and the trait lets one generic
 //! driver (simulator, cluster model, CLI, benches) run any strategy.
+//! The paper's other alternative, MinHash pre-filtering for very large
+//! specification collections (§V), is no engine knob: `landlord-sim`
+//! runs it as a driver over the engine for the `ablation-candidates`
+//! experiment.
 
 use crate::cache::{CacheStats, Plan};
 use crate::metrics::ContainerEfficiency;
@@ -182,69 +185,6 @@ impl DistanceMetric {
             "bytes" => DistanceMetric::Bytes,
             _ => return None,
         })
-    }
-}
-
-/// How merge candidates are enumerated before the distance check.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum CandidateStrategy {
-    /// Every cached image within distance α, exactly (the paper's
-    /// simulated configuration). The engine counts every image's
-    /// overlap with the request on its package → image posting table,
-    /// in one pass over the request's rows, and scores with the exact
-    /// Jaccard distance only the images whose overlap is large enough
-    /// to be within α.
-    #[default]
-    ExactScan,
-    /// MinHash + banded LSH pre-filter, then exact confirmation. Never
-    /// merges a pair the exact scan would reject, but may miss pairs
-    /// (false negatives) — the trade the paper describes for very large
-    /// specification collections.
-    MinHashLsh {
-        /// Bands in the LSH index.
-        bands: usize,
-        /// Rows (signature slots) per band.
-        rows: usize,
-    },
-}
-
-impl CandidateStrategy {
-    /// The valid CLI token shapes, for error messages.
-    pub const TOKENS: &'static str = "exact-scan, minhash-lsh:<bands>x<rows>";
-
-    /// Signature length required by this strategy (0 for exact scan).
-    pub fn signature_len(self) -> usize {
-        match self {
-            CandidateStrategy::ExactScan => 0,
-            CandidateStrategy::MinHashLsh { bands, rows } => bands * rows,
-        }
-    }
-
-    /// Stable lowercase token for CLI parsing and report labels;
-    /// parameterized for the LSH variant (e.g. `minhash-lsh:32x4`).
-    pub fn token(self) -> String {
-        match self {
-            CandidateStrategy::ExactScan => "exact-scan".to_string(),
-            CandidateStrategy::MinHashLsh { bands, rows } => {
-                format!("minhash-lsh:{bands}x{rows}")
-            }
-        }
-    }
-
-    /// Parse a CLI token. `minhash-lsh` without parameters uses the
-    /// 32x4 shape the ablations run.
-    pub fn parse(s: &str) -> Option<Self> {
-        if s == "exact-scan" {
-            return Some(CandidateStrategy::ExactScan);
-        }
-        if s == "minhash-lsh" {
-            return Some(CandidateStrategy::MinHashLsh { bands: 32, rows: 4 });
-        }
-        let shape = s.strip_prefix("minhash-lsh:")?;
-        let (bands, rows) = shape.split_once('x')?;
-        let bands: usize = bands.parse().ok().filter(|&b| b > 0)?;
-        let rows: usize = rows.parse().ok().filter(|&r| r > 0)?;
-        Some(CandidateStrategy::MinHashLsh { bands, rows })
     }
 }
 
@@ -507,7 +447,6 @@ mod tests {
     fn defaults_match_paper() {
         assert_eq!(EvictionPolicy::default(), EvictionPolicy::Lru);
         assert_eq!(MergeOrder::default(), MergeOrder::NearestFirst);
-        assert_eq!(CandidateStrategy::default(), CandidateStrategy::ExactScan);
         assert_eq!(DistanceMetric::default(), DistanceMetric::PackageCount);
     }
 
@@ -518,35 +457,6 @@ mod tests {
             assert!(DistanceMetric::TOKENS.contains(m.token()));
         }
         assert_eq!(DistanceMetric::parse("x"), None);
-    }
-
-    #[test]
-    fn candidate_tokens_round_trip() {
-        for c in [
-            CandidateStrategy::ExactScan,
-            CandidateStrategy::MinHashLsh { bands: 32, rows: 4 },
-            CandidateStrategy::MinHashLsh { bands: 8, rows: 16 },
-            CandidateStrategy::MinHashLsh { bands: 1, rows: 1 },
-        ] {
-            assert_eq!(CandidateStrategy::parse(&c.token()), Some(c));
-        }
-        assert_eq!(
-            CandidateStrategy::parse("minhash-lsh"),
-            Some(CandidateStrategy::MinHashLsh { bands: 32, rows: 4 }),
-            "bare token uses the ablation shape"
-        );
-        for bad in [
-            "",
-            "exact",
-            "minhash-lsh:",
-            "minhash-lsh:0x4",
-            "minhash-lsh:4x0",
-            "minhash-lsh:4",
-            "minhash-lsh:x",
-            "minhash-lsh:ax4",
-        ] {
-            assert_eq!(CandidateStrategy::parse(bad), None, "{bad:?} must reject");
-        }
     }
 
     #[test]
@@ -574,15 +484,6 @@ mod tests {
         assert_eq!(p.backoff_before(1), 0);
         assert_eq!(p.label(), "none");
         assert_eq!(RetryPolicy::new(3, 1, 8).label(), "r3/b1c8");
-    }
-
-    #[test]
-    fn signature_len() {
-        assert_eq!(CandidateStrategy::ExactScan.signature_len(), 0);
-        assert_eq!(
-            CandidateStrategy::MinHashLsh { bands: 16, rows: 8 }.signature_len(),
-            128
-        );
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! A [`Snapshot`] captures everything an [`ImageCache`] needs to resume
 //! exactly where it left off: configuration, images (with constituents
 //! and usage clocks), counters, and the logical clock. Derived state —
-//! package refcounts, unique-byte accounting, MinHash signatures and
-//! the LSH index — is rebuilt on restore, which keeps the serialized
+//! package refcounts, unique-byte accounting, the posting table and
+//! the evictor's index — is rebuilt on restore, which keeps the serialized
 //! form small and guarantees the derived structures can never be
 //! restored inconsistent with the images.
 //!
@@ -237,35 +237,6 @@ mod tests {
             err,
             SnapshotError::Inconsistent("duplicate image id")
         ));
-    }
-
-    #[test]
-    fn minhash_index_rebuilt_on_restore() {
-        use crate::policy::CandidateStrategy;
-        let cfg = CacheConfig {
-            alpha: 0.9,
-            limit_bytes: u64::MAX,
-            candidates: CandidateStrategy::MinHashLsh { bands: 16, rows: 4 },
-            ..CacheConfig::default()
-        };
-        let mut cache = ImageCache::new(cfg, Arc::new(UniformSizes::new(1)));
-        let big: Vec<u32> = (0..100).collect();
-        cache.request(&spec(&big));
-
-        let mut restored = ImageCache::restore(
-            cache.snapshot(),
-            Arc::new(UniformSizes::new(1)),
-            Arc::new(NoConflicts),
-        )
-        .unwrap();
-        // A near-duplicate must still be found via the rebuilt index.
-        let mut close = big.clone();
-        close[0] = 1000;
-        assert!(matches!(
-            restored.request(&spec(&close)),
-            Outcome::Merged { .. }
-        ));
-        restored.check_invariants();
     }
 
     #[test]

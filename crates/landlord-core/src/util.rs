@@ -83,7 +83,7 @@ impl Hasher for FxHasher {
 /// seed, and to turn sequential ids into well-distributed pseudo-random
 /// values.
 #[inline]
-pub fn mix64(mut x: u64) -> u64 {
+pub const fn mix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -92,7 +92,7 @@ pub fn mix64(mut x: u64) -> u64 {
 
 /// Combine two 64-bit values into one (order-sensitive).
 #[inline]
-pub fn mix2(a: u64, b: u64) -> u64 {
+pub const fn mix2(a: u64, b: u64) -> u64 {
     mix64(a ^ b.rotate_left(32))
 }
 

@@ -9,7 +9,6 @@
 //! caught at the exact mutation that introduced it.
 
 use landlord_core::cache::{CacheConfig, ShardedImageCache};
-use landlord_core::policy::CandidateStrategy;
 use landlord_core::sizes::UniformSizes;
 use landlord_core::spec::{PackageId, Spec};
 use proptest::prelude::*;
@@ -27,25 +26,16 @@ fn arb_stream() -> impl Strategy<Value = Vec<Spec>> {
 }
 
 fn arb_config() -> impl Strategy<Value = CacheConfig> {
-    (
-        0.0f64..=1.0,
-        8u64..120,
-        prop_oneof![
-            Just(CandidateStrategy::ExactScan),
-            Just(CandidateStrategy::MinHashLsh { bands: 8, rows: 4 }),
-        ],
-    )
-        .prop_map(|(alpha, limit, candidates)| CacheConfig {
-            alpha,
-            limit_bytes: limit,
-            candidates,
-            ..CacheConfig::default()
-        })
+    (0.0f64..=1.0, 8u64..120).prop_map(|(alpha, limit)| CacheConfig {
+        alpha,
+        limit_bytes: limit,
+        ..CacheConfig::default()
+    })
 }
 
 proptest! {
     // Threads multiply the per-case cost; 48 cases × 4 threads still
-    // stresses every (alpha, limit, candidates) region.
+    // stresses every (alpha, limit) region.
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
@@ -73,7 +63,7 @@ proptest! {
             }
 
             // The extended check re-derives, per shard, LRU recency
-            // order, LSH/signature agreement, and superset-lookup
+            // order, the posting table, and superset-lookup
             // consistency from scratch, plus routing, the peek summaries
             // and the byte-budget partition across shards.
             cache.check_invariants();

@@ -13,7 +13,6 @@ use landlord_core::cache::{
     shard_limit_bytes, CacheConfig, CacheStats, ImageCache, ShardedImageCache,
 };
 use landlord_core::metrics::ContainerEfficiency;
-use landlord_core::policy::CandidateStrategy;
 use landlord_core::sizes::UniformSizes;
 use landlord_core::spec::{PackageId, Spec};
 use proptest::prelude::*;
@@ -31,20 +30,11 @@ fn arb_stream() -> impl Strategy<Value = Vec<Spec>> {
 }
 
 fn arb_config() -> impl Strategy<Value = CacheConfig> {
-    (
-        0.0f64..=1.0,
-        8u64..120,
-        prop_oneof![
-            Just(CandidateStrategy::ExactScan),
-            Just(CandidateStrategy::MinHashLsh { bands: 8, rows: 4 }),
-        ],
-    )
-        .prop_map(|(alpha, limit, candidates)| CacheConfig {
-            alpha,
-            limit_bytes: limit,
-            candidates,
-            ..CacheConfig::default()
-        })
+    (0.0f64..=1.0, 8u64..120).prop_map(|(alpha, limit)| CacheConfig {
+        alpha,
+        limit_bytes: limit,
+        ..CacheConfig::default()
+    })
 }
 
 /// Single-threaded reference: replay `stream`'s per-shard subsequences

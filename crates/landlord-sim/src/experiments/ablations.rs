@@ -5,33 +5,49 @@
 //! at a fixed α to show how much each matters.
 
 use super::ExperimentContext;
+use crate::lsh::{LshCache, MINHASH_SEED};
+use crate::minhash::LshShape;
 use crate::report::{fmt_count, fmt_tb, Table};
-use crate::simulator;
+use crate::simulator::{self, RunResult};
 use crate::sweep::AggregatedRun;
+use crate::workload::{self, WorkloadConfig};
 use landlord_core::cache::CacheConfig;
-use landlord_core::policy::{CandidateStrategy, DistanceMetric, EvictionPolicy, MergeOrder};
+use landlord_core::policy::{DistanceMetric, EvictionPolicy, MergeOrder};
+use std::sync::Arc;
 
 /// The α the ablations hold fixed (the paper's recommended moderate
 /// starting point, §VI "Tuning LANDLORD").
 pub const ABLATION_ALPHA: f64 = 0.8;
+
+/// Aggregate up to eight runs of `run`, one per workload seed, each
+/// on the standard cache at the ablation α.
+fn aggregate(
+    ctx: &ExperimentContext,
+    repo: &landlord_repo::Repository,
+    run: impl Fn(&WorkloadConfig, CacheConfig) -> RunResult,
+) -> AggregatedRun {
+    let workload = ctx.standard_workload();
+    let results: Vec<RunResult> = (0..ctx.runs().min(8))
+        .map(|i| {
+            let w = WorkloadConfig {
+                seed: workload.seed + i as u64,
+                ..workload
+            };
+            run(&w, ctx.standard_cache(repo, ABLATION_ALPHA))
+        })
+        .collect();
+    AggregatedRun::from_runs(&results)
+}
 
 fn run_variant(
     ctx: &ExperimentContext,
     repo: &landlord_repo::Repository,
     mutate: impl Fn(&mut CacheConfig),
 ) -> AggregatedRun {
-    let workload = ctx.standard_workload();
-    let mut results = Vec::new();
-    for run in 0..ctx.runs().min(8) {
-        let w = crate::workload::WorkloadConfig {
-            seed: workload.seed + run as u64,
-            ..workload
-        };
-        let mut cfg = ctx.standard_cache(repo, ABLATION_ALPHA);
+    aggregate(ctx, repo, |w, mut cfg| {
         mutate(&mut cfg);
-        results.push(simulator::simulate(repo, &w, cfg, 0));
-    }
-    AggregatedRun::from_runs(&results)
+        simulator::simulate(repo, w, cfg, 0)
+    })
 }
 
 fn push_variant(t: &mut Table, name: &str, agg: &AggregatedRun) {
@@ -90,19 +106,28 @@ pub fn merge_order(ctx: &ExperimentContext) -> Table {
     t
 }
 
-/// Candidate-enumeration ablation: exact scan vs MinHash+LSH
-/// pre-filtering (§V's constant-time approximation).
+/// Candidate-enumeration ablation: the engine's exact count vs
+/// MinHash+LSH pre-filtering (§V's constant-time approximation), run
+/// by [`LshCache`].
 pub fn candidates(ctx: &ExperimentContext) -> Table {
     let repo = ctx.repo();
     let mut t = Table::new(
         format!("Ablation — candidate strategy at alpha={ABLATION_ALPHA}"),
         &COLUMNS,
     );
-    let exact = run_variant(ctx, &repo, |c| c.candidates = CandidateStrategy::ExactScan);
+    let exact = run_variant(ctx, &repo, |_| {});
     push_variant(&mut t, "exact-scan", &exact);
     for (bands, rows) in [(32usize, 4usize), (16, 8)] {
-        let agg = run_variant(ctx, &repo, |c| {
-            c.candidates = CandidateStrategy::MinHashLsh { bands, rows }
+        let agg = aggregate(ctx, &repo, |w, cfg| {
+            let shape = LshShape { bands, rows };
+            let mut lsh = LshCache::new(cfg, Arc::new(repo.size_table()), shape, MINHASH_SEED);
+            simulator::simulate_policy(
+                &mut lsh,
+                &workload::generate_stream(&repo, w),
+                0,
+                None,
+                None,
+            )
         });
         push_variant(&mut t, &format!("lsh-{bands}x{rows}"), &agg);
     }

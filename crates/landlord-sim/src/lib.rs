@@ -31,6 +31,10 @@
 //! * [`sharded`] — multi-threaded replay against the sharded cache
 //!   frontend: shard-affine workers, per-shard stream order, folded
 //!   counters identical to a single-threaded partitioned replay.
+//! * [`minhash`] and [`lsh`] — MinHash signatures, a banded LSH index,
+//!   and a driver that plans each request over only the index's
+//!   proposals: the paper's §V approximation, for the
+//!   `ablation-candidates` experiment.
 //! * [`serve`] — open-loop server mode: seeded Poisson/uniform arrivals
 //!   over Zipf-skewed specs, single-flight coalescing onto in-flight
 //!   builds, bounded-queue backpressure, per-request latency — all in
@@ -64,6 +68,8 @@
 pub mod cluster;
 pub mod experiments;
 pub mod faults;
+pub mod lsh;
+pub mod minhash;
 pub mod report;
 pub mod serve;
 pub mod sharded;

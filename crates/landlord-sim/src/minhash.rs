@@ -20,13 +20,13 @@
 //!   the classic S-curve — so near images are found with high
 //!   probability while far images are mostly filtered out.
 //!
-//! The cache uses the index as a *pre-filter only*: every candidate is
-//! confirmed with the exact Jaccard distance before merging, so LSH can
-//! cause missed merge opportunities (false negatives) but never an
-//! incorrect merge.
+//! [`crate::lsh::LshCache`] uses the index as a *pre-filter only*:
+//! every candidate is confirmed with the exact Jaccard distance before
+//! merging, so LSH can cause missed merge opportunities (false
+//! negatives) but never an incorrect merge.
 
-use crate::spec::Spec;
-use crate::util::{mix2, mix64, FxHashMap};
+use landlord_core::spec::Spec;
+use landlord_core::util::{mix2, mix64, FxHashMap, FxHashSet};
 use serde::{Deserialize, Serialize};
 
 /// A MinHash signature: one minimum hash value per hash function.
@@ -242,7 +242,7 @@ impl LshIndex {
     /// deduplicated, in unspecified order.
     pub fn candidates(&self, sig: &Signature) -> Vec<u64> {
         let bands = self.band_hashes(sig);
-        let mut seen = crate::util::FxHashSet::default();
+        let mut seen = FxHashSet::default();
         let mut out = Vec::new();
         for (band_idx, &bh) in bands.iter().enumerate() {
             if let Some(bucket) = self.buckets[band_idx].get(&bh) {
@@ -260,8 +260,8 @@ impl LshIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::jaccard::jaccard_distance;
-    use crate::spec::{PackageId, Spec};
+    use landlord_core::jaccard::jaccard_distance;
+    use landlord_core::spec::{PackageId, Spec};
 
     fn spec(range: std::ops::Range<u32>) -> Spec {
         Spec::from_ids(range.map(PackageId))
@@ -394,8 +394,8 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use crate::jaccard::jaccard_distance;
-    use crate::spec::{PackageId, Spec};
+    use landlord_core::jaccard::jaccard_distance;
+    use landlord_core::spec::{PackageId, Spec};
     use proptest::prelude::*;
 
     fn arb_spec() -> impl Strategy<Value = Spec> {

@@ -213,19 +213,19 @@ fn baseline_goldens_match_the_pre_refactor_accounting() {
 /// The golden scenario with merge candidates pre-filtered by MinHash
 /// and banded LSH (the paper's §V approximation), at both shapes the
 /// `ablation-candidates` experiment runs, with and without the fault
-/// model.
+/// model. The files were written when LSH was a candidate strategy
+/// inside the engine; the driver must reproduce them.
 #[test]
 fn lsh_golden_reports_are_byte_identical() {
-    use landlord_core::policy::CandidateStrategy;
+    use landlord_sim::lsh::{LshCache, MINHASH_SEED};
+    use landlord_sim::minhash::LshShape;
     for (bands, rows) in [(32usize, 4usize), (16, 8)] {
         for faulted in [false, true] {
-            let (repo, stream, mut cfg) = scenario();
-            cfg.candidates = CandidateStrategy::MinHashLsh { bands, rows };
+            let (repo, stream, cfg) = scenario();
             let sizes: Arc<dyn SizeModel> = Arc::new(repo.size_table());
-            let mut policy =
-                make_policy("landlord", cfg, sizes, repo.total_bytes()).expect("known token");
+            let mut lsh = LshCache::new(cfg, sizes, LshShape { bands, rows }, MINHASH_SEED);
             let faults = faulted.then(fault_config);
-            let run = simulate_policy(policy.as_mut(), &stream, 0, None, faults.as_ref());
+            let run = simulate_policy(&mut lsh, &stream, 0, None, faults.as_ref());
             let report = PolicyReport::from_run("landlord", &run);
             let suffix = if faulted { "-faults" } else { "" };
             check_golden(
