@@ -7,7 +7,7 @@ use bench::{bench_repo, bench_stream};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use landlord_core::cache::{CacheConfig, ImageCache};
 use landlord_core::policy::{CachePolicy, EvictionPolicy, MergeOrder};
-use landlord_sim::lsh::{LshCache, MINHASH_SEED};
+use landlord_sim::lsh::LshCache;
 use landlord_sim::minhash::LshShape;
 use std::hint::black_box;
 use std::sync::Arc;
@@ -46,7 +46,7 @@ fn candidate_strategy(c: &mut Criterion) {
         group.bench_function(BenchmarkId::from_parameter(name), |bench| {
             bench.iter(|| {
                 let sizes = Arc::new(repo.size_table());
-                let mut lsh = LshCache::new(cfg, sizes, shape, MINHASH_SEED);
+                let mut lsh = LshCache::new(cfg, sizes, shape);
                 for spec in &stream {
                     black_box(lsh.request(spec));
                 }

@@ -1005,7 +1005,6 @@ pub fn gc(args: &Args) -> CmdResult {
     Ok(())
 }
 
-/// Dispatch a subcommand by name.
 /// The flags `cmd` lists in [`USAGE`]: every `--flag` on its
 /// `landlord <cmd>` line and on the indented lines continuing it.
 fn documented_flags(cmd: &str) -> Vec<&'static str> {
@@ -1037,7 +1036,7 @@ fn check_flags(cmd: &str, args: &Args) -> CmdResult {
     }
 }
 
-/// Run subcommand `cmd`.
+/// Dispatch a subcommand by name.
 pub fn dispatch(cmd: &str, args: &Args) -> CmdResult {
     check_flags(cmd, args)?;
     match cmd {

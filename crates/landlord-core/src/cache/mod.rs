@@ -190,8 +190,8 @@ impl ImageCache {
 
     /// Make `image` resident: give it a posting slot, reference its
     /// packages, count its bytes, register it with the evictor, and
-    /// store it in the slab at its slot. The one
-    /// admission path of insert, split pieces and checkpoint restore.
+    /// store it in the slab at its slot. The one admission path of
+    /// insert, split pieces and checkpoint restore.
     fn admit_image(&mut self, image: Image) {
         let slot = self.postings.admit(image.id.0, image.bytes, &image.spec);
         self.refcounts

@@ -191,10 +191,10 @@ impl Postings {
 
     /// Call `each` with the slot, the record and the overlap of every
     /// resident image that holds at least `least` of `spec`, in slot
-    /// order. The overlap
-    /// is `|spec ∩ image|` under [`DistanceMetric::PackageCount`] and
-    /// the bytes of `spec ∩ image` under [`DistanceMetric::Bytes`]; with
-    /// `least = 0` every image asked about is reported.
+    /// order. The overlap is `|spec ∩ image|` under
+    /// [`DistanceMetric::PackageCount`] and the bytes of `spec ∩ image`
+    /// under [`DistanceMetric::Bytes`]; with `least = 0` every resident
+    /// image is reported.
     ///
     /// One word of slots at a time, skipping words with no lane to
     /// report:

@@ -5,7 +5,7 @@
 //! at a fixed α to show how much each matters.
 
 use super::ExperimentContext;
-use crate::lsh::{LshCache, MINHASH_SEED};
+use crate::lsh::LshCache;
 use crate::minhash::LshShape;
 use crate::report::{fmt_count, fmt_tb, Table};
 use crate::simulator::{self, RunResult};
@@ -120,7 +120,7 @@ pub fn candidates(ctx: &ExperimentContext) -> Table {
     for (bands, rows) in [(32usize, 4usize), (16, 8)] {
         let agg = aggregate(ctx, &repo, |w, cfg| {
             let shape = LshShape { bands, rows };
-            let mut lsh = LshCache::new(cfg, Arc::new(repo.size_table()), shape, MINHASH_SEED);
+            let mut lsh = LshCache::new(cfg, Arc::new(repo.size_table()), shape);
             simulator::simulate_policy(
                 &mut lsh,
                 &workload::generate_stream(&repo, w),

@@ -29,8 +29,8 @@ use landlord_core::util::FxHashMap;
 use landlord_obs::MetricsRegistry;
 use std::sync::Arc;
 
-/// The MinHash seed the `ablation-candidates` experiment runs with.
-pub const MINHASH_SEED: u64 = 0x1a4d_10bd_2020_0048;
+/// The seed of the MinHash hash family.
+const MINHASH_SEED: u64 = 0x1a4d_10bd_2020_0048;
 
 /// An [`ImageCache`] whose merge candidates come from a MinHash/LSH
 /// index (CVMFS no-conflict semantics).
@@ -44,13 +44,13 @@ pub struct LshCache {
 }
 
 impl LshCache {
-    /// A cache built from `config`, with `bands × rows` MinHash slots
-    /// derived from `seed`.
-    pub fn new(config: CacheConfig, sizes: Arc<dyn SizeModel>, shape: LshShape, seed: u64) -> Self {
+    /// A cache built from `config`, indexing `bands × rows` MinHash
+    /// slots per image.
+    pub fn new(config: CacheConfig, sizes: Arc<dyn SizeModel>, shape: LshShape) -> Self {
         LshCache {
             cache: ImageCache::new(config, Arc::clone(&sizes)),
             sizes,
-            hasher: MinHasher::new(shape.bands * shape.rows, seed),
+            hasher: MinHasher::new(shape.bands * shape.rows, MINHASH_SEED),
             index: LshIndex::new(shape),
             signatures: FxHashMap::default(),
         }
@@ -227,7 +227,7 @@ mod tests {
             ..CacheConfig::default()
         };
         let shape = LshShape { bands: 32, rows: 4 };
-        LshCache::new(config, Arc::new(UniformSizes::new(1)), shape, 42)
+        LshCache::new(config, Arc::new(UniformSizes::new(1)), shape)
     }
 
     #[test]
@@ -297,7 +297,7 @@ mod tests {
             ..CacheConfig::default()
         };
         let shape = LshShape { bands: 8, rows: 2 };
-        let mut c = LshCache::new(config, Arc::new(UniformSizes::new(1)), shape, 7);
+        let mut c = LshCache::new(config, Arc::new(UniformSizes::new(1)), shape);
         for i in 0..60u32 {
             let s = spec(&[i % 7, i % 5 + 7, i % 3 + 12, i % 11 + 15]);
             if i % 9 == 0 {

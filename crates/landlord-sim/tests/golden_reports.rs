@@ -217,13 +217,13 @@ fn baseline_goldens_match_the_pre_refactor_accounting() {
 /// inside the engine; the driver must reproduce them.
 #[test]
 fn lsh_golden_reports_are_byte_identical() {
-    use landlord_sim::lsh::{LshCache, MINHASH_SEED};
+    use landlord_sim::lsh::LshCache;
     use landlord_sim::minhash::LshShape;
     for (bands, rows) in [(32usize, 4usize), (16, 8)] {
         for faulted in [false, true] {
             let (repo, stream, cfg) = scenario();
             let sizes: Arc<dyn SizeModel> = Arc::new(repo.size_table());
-            let mut lsh = LshCache::new(cfg, sizes, LshShape { bands, rows }, MINHASH_SEED);
+            let mut lsh = LshCache::new(cfg, sizes, LshShape { bands, rows });
             let faults = faulted.then(fault_config);
             let run = simulate_policy(&mut lsh, &stream, 0, None, faults.as_ref());
             let report = PolicyReport::from_run("landlord", &run);
