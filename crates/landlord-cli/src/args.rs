@@ -5,11 +5,12 @@
 
 use std::collections::BTreeMap;
 
-/// Parsed arguments: positionals in order, flags as key → value.
+/// Parsed arguments: positionals in order, flags as key → the values
+/// given for it, in order (more than one when the flag was repeated).
 #[derive(Debug, Clone, Default)]
 pub struct Args {
     positional: Vec<String>,
-    flags: BTreeMap<String, String>,
+    flags: BTreeMap<String, Vec<String>>,
 }
 
 /// Errors from argument parsing and lookup.
@@ -55,7 +56,7 @@ impl Args {
                 let value = iter
                     .next()
                     .ok_or_else(|| ArgError::MissingValue(key.to_string()))?;
-                out.flags.insert(key.to_string(), value);
+                out.flags.entry(key.to_string()).or_default().push(value);
             } else {
                 out.positional.push(tok);
             }
@@ -73,9 +74,22 @@ impl Args {
         self.flags.keys().map(String::as_str)
     }
 
-    /// Raw string flag.
+    /// The flags given more than once, by name.
+    pub fn repeated(&self) -> impl Iterator<Item = &str> {
+        self.flags
+            .iter()
+            .filter(|(_, values)| values.len() > 1)
+            .map(|(key, _)| key.as_str())
+    }
+
+    /// Raw string flag (its last value, if repeated).
     pub fn get(&self, key: &str) -> Option<&str> {
-        self.flags.get(key).map(|s| s.as_str())
+        self.get_all(key).last().map(String::as_str)
+    }
+
+    /// Every value of a flag, in the order given; empty when absent.
+    pub fn get_all(&self, key: &str) -> &[String] {
+        self.flags.get(key).map_or(&[], Vec::as_slice)
     }
 
     /// String flag with default.
@@ -132,6 +146,15 @@ mod tests {
         let err = a.get_parsed::<u64>("alpha", 0, "an integer").unwrap_err();
         assert!(matches!(err, ArgError::Invalid { .. }));
         assert!(err.to_string().contains("expected an integer"));
+    }
+
+    #[test]
+    fn repeated_flags_keep_every_value_in_order() {
+        let a = parse(&["--python", "a.py", "--seed", "1", "--python", "b.py"]);
+        assert_eq!(a.get_all("python"), ["a.py", "b.py"]);
+        assert_eq!(a.get_all("seed"), ["1"]);
+        assert!(a.get_all("joblog").is_empty());
+        assert_eq!(a.repeated().collect::<Vec<_>>(), ["python"]);
     }
 
     #[test]

@@ -801,25 +801,24 @@ pub fn spec_from(args: &Args) -> CmdResult {
     use landlord_specgen::{dedup_requirements, joblog, modules, python, resolve::Resolver};
 
     let repo = persist::load_json(Path::new(args.require("repo")?))?;
+    if ["python", "modules", "joblog"]
+        .iter()
+        .all(|source| args.get_all(source).is_empty())
+    {
+        return Err("spec-from needs at least one of --python/--modules/--joblog".into());
+    }
     let mut reqs = Vec::new();
-    let mut any_source = false;
-    if let Some(path) = args.get("python") {
+    for path in args.get_all("python") {
         reqs.extend(python::scan(&std::fs::read_to_string(path)?));
-        any_source = true;
     }
-    if let Some(path) = args.get("modules") {
+    for path in args.get_all("modules") {
         reqs.extend(modules::scan(&std::fs::read_to_string(path)?));
-        any_source = true;
     }
-    if let Some(path) = args.get("joblog") {
+    for path in args.get_all("joblog") {
         reqs.extend(joblog::scan(
             &std::fs::read_to_string(path)?,
             &joblog::LogFormat::default(),
         ));
-        any_source = true;
-    }
-    if !any_source {
-        return Err("spec-from needs at least one of --python/--modules/--joblog".into());
     }
     let reqs = dedup_requirements(reqs);
     println!(
@@ -1005,10 +1004,10 @@ pub fn gc(args: &Args) -> CmdResult {
     Ok(())
 }
 
-/// The flags `cmd` lists in [`USAGE`]: every `--flag` on its
-/// `landlord <cmd>` line and on the indented lines continuing it.
-fn documented_flags(cmd: &str) -> Vec<&'static str> {
-    let mut flags = Vec::new();
+/// The [`USAGE`] lines of `cmd`: its `landlord <cmd>` line and the
+/// indented lines continuing it.
+fn usage_lines(cmd: &str) -> Vec<&'static str> {
+    let mut lines = Vec::new();
     let mut inside = false;
     for line in USAGE.lines() {
         if let Some(rest) = line.strip_prefix("  landlord ") {
@@ -1017,23 +1016,52 @@ fn documented_flags(cmd: &str) -> Vec<&'static str> {
             inside = false;
         }
         if inside {
-            let words = line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'));
-            flags.extend(words.filter_map(|w| w.strip_prefix("--")));
+            lines.push(line);
+        }
+    }
+    lines
+}
+
+/// Every `--flag` named in `text`, in order.
+fn flags_in(text: &str) -> impl Iterator<Item = &str> {
+    text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+        .filter_map(|w| w.strip_prefix("--"))
+}
+
+/// The flags `cmd` lists in [`USAGE`].
+fn documented_flags(cmd: &str) -> Vec<&'static str> {
+    usage_lines(cmd).into_iter().flat_map(flags_in).collect()
+}
+
+/// The flags `cmd` may repeat: those in a `( … )...` group of its
+/// [`USAGE`] lines.
+fn repeatable_flags(cmd: &str) -> Vec<&'static str> {
+    let mut flags = Vec::new();
+    for line in usage_lines(cmd) {
+        for (end, _) in line.match_indices(")...") {
+            let start = line[..end].rfind('(').unwrap_or(0);
+            flags.extend(flags_in(&line[start..end]));
         }
     }
     flags
 }
 
 /// Reject a flag that `cmd` does not list in [`USAGE`], so a mistyped
-/// or retired flag cannot be silently ignored.
+/// or retired flag cannot be silently ignored, and a repeated flag that
+/// `USAGE` does not mark repeatable, so a second value cannot silently
+/// replace the first.
 fn check_flags(cmd: &str, args: &Args) -> CmdResult {
     let known = documented_flags(cmd);
-    match args.flags().find(|f| !known.contains(f)) {
-        Some(flag) => {
-            Err(format!("unknown flag --{flag} for `landlord {cmd}`; see `landlord help`").into())
-        }
-        None => Ok(()),
+    if let Some(flag) = args.flags().find(|f| !known.contains(f)) {
+        return Err(
+            format!("unknown flag --{flag} for `landlord {cmd}`; see `landlord help`").into(),
+        );
     }
+    let repeatable = repeatable_flags(cmd);
+    if let Some(flag) = args.repeated().find(|f| !repeatable.contains(f)) {
+        return Err(format!("flag --{flag} given more than once to `landlord {cmd}`").into());
+    }
+    Ok(())
 }
 
 /// Dispatch a subcommand by name.
@@ -1311,6 +1339,52 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Every file of a repeated source flag is read: `--python a.py
+    /// --python b.py` resolves the imports of both, not just `b.py`'s.
+    #[test]
+    fn spec_from_reads_every_repeated_source() {
+        let dir = std::env::temp_dir().join(format!("landlord-specfrom3-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let repo_path = dir.join("repo.json");
+        gen_repo(&args(&[
+            "--out",
+            repo_path.to_str().unwrap(),
+            "--packages",
+            "300",
+            "--total-gb",
+            "1",
+            "--seed",
+            "3",
+        ]))
+        .unwrap();
+        // Two base packages: neither is in the other's closure, so the
+        // spec holds both only if both files were read.
+        let sources = [("a.py", "base-0000"), ("b.py", "base-0001")];
+        let mut toks = vec![
+            "--repo".to_string(),
+            repo_path.to_str().unwrap().to_string(),
+        ];
+        for (file, package) in sources {
+            let path = dir.join(file);
+            std::fs::write(&path, format!("import {}\n", package.replace('-', "_"))).unwrap();
+            toks.extend(["--python".to_string(), path.to_str().unwrap().to_string()]);
+        }
+        let out = dir.join("spec.json");
+        toks.extend(["--out".to_string(), out.to_str().unwrap().to_string()]);
+        dispatch("spec-from", &Args::parse(toks).unwrap()).unwrap();
+
+        let repo = persist::load_json(&repo_path).unwrap();
+        let spec: landlord_core::spec::Spec =
+            serde_json::from_slice(&std::fs::read(&out).unwrap()).unwrap();
+        for (file, package) in sources {
+            assert!(
+                spec.iter().any(|p| repo.meta(p).name == package),
+                "{package} from {file} missing from {spec:?}"
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn spec_from_requires_a_source() {
         let dir = std::env::temp_dir().join(format!("landlord-specfrom2-{}", std::process::id()));
@@ -1528,6 +1602,47 @@ mod tests {
             assert_eq!(exit_code(&result), 1);
             let msg = result.unwrap_err().to_string();
             assert!(msg.contains(&flag_arg) && msg.contains(cmd), "{msg:?}");
+        }
+    }
+
+    /// A second value of a flag `USAGE` does not mark repeatable would
+    /// silently replace the first, so dispatch refuses it.
+    #[test]
+    fn dispatch_rejects_repeats_of_a_single_valued_flag() {
+        for (cmd, toks) in [
+            ("simulate", ["--seed", "1", "--seed", "2"]),
+            ("spec-from", ["--repo", "a.json", "--repo", "b.json"]),
+            ("spec-from", ["--out", "a.json", "--out", "b.json"]),
+        ] {
+            let result = dispatch(cmd, &args(&toks));
+            assert_eq!(exit_code(&result), 1);
+            let msg = result.unwrap_err().to_string();
+            assert!(
+                msg.contains(toks[0]) && msg.contains("more than once"),
+                "{msg:?}"
+            );
+        }
+    }
+
+    /// Only `spec-from`'s `( … )...` source group may repeat.
+    #[test]
+    fn repeatable_flags_are_the_spec_from_sources() {
+        assert_eq!(
+            repeatable_flags("spec-from"),
+            ["python", "modules", "joblog"]
+        );
+        for cmd in [
+            "gen-repo",
+            "stats",
+            "submit",
+            "simulate",
+            "serve",
+            "trace",
+            "experiment",
+            "verify",
+            "gc",
+        ] {
+            assert!(repeatable_flags(cmd).is_empty(), "`landlord {cmd}`");
         }
     }
 

@@ -57,6 +57,18 @@ impl BitSet {
         fresh
     }
 
+    /// Set every bit in `bits` without [`BitSet::insert`]'s per-bit
+    /// range assert, for callers whose ids are in range by construction
+    /// (a closure row, say). An id at or past `len` is caught in debug
+    /// builds, and past the last word in any build.
+    #[inline]
+    pub fn insert_all(&mut self, bits: impl IntoIterator<Item = usize>) {
+        for i in bits {
+            debug_assert!(i < self.len, "bit {i} out of range {}", self.len);
+            self.words[i / 64] |= 1u64 << (i % 64);
+        }
+    }
+
     /// Clear bit `i`.
     #[inline]
     pub fn remove(&mut self, i: usize) {
@@ -134,6 +146,18 @@ mod tests {
         }
         let got: Vec<usize> = b.iter_ones().collect();
         assert_eq!(got, vec![5, 63, 64, 65, 128, 199]);
+    }
+
+    #[test]
+    fn insert_all_matches_insert() {
+        let ids = [0usize, 5, 63, 64, 64, 199];
+        let mut one_by_one = BitSet::new(200);
+        for i in ids {
+            one_by_one.insert(i);
+        }
+        let mut all = BitSet::new(200);
+        all.insert_all(ids);
+        assert_eq!(all, one_by_one);
     }
 
     #[test]

@@ -63,6 +63,7 @@ use crate::spec::{PackageId, Spec};
 use crate::util::{mix2, mix64};
 use landlord_obs::{Clock, Counter, Histogram, MetricsRegistry};
 use parking_lot::{Mutex, RwLock};
+use std::borrow::Borrow;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -535,18 +536,22 @@ impl ShardedImageCache {
             .fold(0u64, u64::saturating_add)
     }
 
-    /// Process a batch of requests, taking each shard lock once.
+    /// Process a batch of requests (owned or borrowed specs), taking
+    /// each shard lock once.
     ///
     /// Requests are grouped by owning shard and served in submission
     /// order within each shard — the order every counter depends on —
     /// so the outcomes (returned in input order) are identical to
     /// calling [`ShardedImageCache::request`] per spec. Each shard the
     /// batch touches costs one lock hold and one summary upkeep, however
-    /// many of its requests evict.
-    pub fn request_many(&self, specs: &[Spec]) -> Vec<Outcome> {
+    /// many of its requests evict. The lock is held for the shard's
+    /// whole share of the batch, so a caller sharing the cache with live
+    /// traffic should pass small batches; a warm-up replay with the
+    /// cache to itself can pass its whole stream.
+    pub fn request_many<S: Borrow<Spec>>(&self, specs: &[S]) -> Vec<Outcome> {
         let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); self.shard_count()];
         for (i, spec) in specs.iter().enumerate() {
-            by_shard[self.route(spec)].push(i);
+            by_shard[self.route(spec.borrow())].push(i);
         }
         let mut outcomes: Vec<Option<Outcome>> = vec![None; specs.len()];
         for (shard_index, owned) in by_shard.iter().enumerate() {
@@ -555,7 +560,7 @@ impl ShardedImageCache {
             }
             self.hold(&self.inner.shards[shard_index], |serve| {
                 for &i in owned {
-                    outcomes[i] = Some(serve(&specs[i]));
+                    outcomes[i] = Some(serve(specs[i].borrow()));
                 }
             });
         }

@@ -387,7 +387,20 @@ impl ClosureComputer {
 
     /// The dependency closure as a sorted id vector: the union of the
     /// seeds' closure-table rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the graph has more packages than this computer's
+    /// universe.
     pub fn closure_ids(&mut self, graph: &DepGraph, seeds: &[PackageId]) -> Vec<PackageId> {
+        // Rows hold only ids of `graph`, so one range check here stands
+        // in for one per id.
+        assert!(
+            graph.package_count() <= self.members.len(),
+            "graph of {} packages outside universe of {}",
+            graph.package_count(),
+            self.members.len()
+        );
         let table = graph.closure_table();
         self.members.clear();
         for &s in seeds {
@@ -395,9 +408,8 @@ impl ClosureComputer {
             if self.members.contains(s.index()) {
                 continue;
             }
-            for &p in table.row(s) {
-                self.members.insert(p.index());
-            }
+            self.members
+                .insert_all(table.row(s).iter().map(|p| p.index()));
         }
         let mut ids = Vec::with_capacity(self.members.count_ones());
         ids.extend(self.members.iter_ones().map(|i| PackageId(i as u32)));
@@ -524,6 +536,12 @@ mod tests {
         let mut c = ClosureComputer::new(g.package_count());
         assert_eq!(c.closure_ids(&g, &[PackageId(n - 1)]).len(), n as usize);
         assert_eq!(c.closure_ids(&g, &[PackageId(n)]).len(), n as usize + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside universe")]
+    fn an_undersized_computer_panics() {
+        ClosureComputer::new(3).closure_ids(&chain(), &[PackageId(0)]);
     }
 
     #[test]

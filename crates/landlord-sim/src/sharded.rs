@@ -3,27 +3,22 @@
 //! The paper's site-wide deployment (§V) is many submitters hammering
 //! one shared cache. This driver replays a prepared stream with `M`
 //! worker threads against a [`ShardedImageCache`] — and stays
-//! **deterministic**: requests are partitioned by owning shard (the
-//! same pure routing the cache itself uses), each shard is assigned to
-//! exactly one worker (`shard % threads`), and every worker serves its
-//! shards' requests in stream order via batched
-//! [`ShardedImageCache::request_many`] calls. Each shard therefore
-//! observes exactly the subsequence — in exactly the order — it would
-//! observe under a single-threaded replay, so the folded counters are
-//! independent of the thread count. The `sharded_stress` proptest pins
-//! this equality down.
+//! **deterministic**: each shard is assigned to exactly one worker
+//! (`shard % threads`, by the same pure routing the cache itself uses),
+//! and every worker hands its shards' requests, in stream order, to one
+//! [`ShardedImageCache::request_many`] call. That call serves each
+//! shard's whole run in one lock hold, so each shard observes exactly
+//! the subsequence — in exactly the order — it would observe under a
+//! single-threaded replay, with one hold and at most one summary
+//! rebuild per shard whatever the thread count. The folded counters
+//! are therefore independent of the thread count; the
+//! `sharded_stress` proptest pins this equality down.
 
 use crate::simulator::RunResult;
 use landlord_core::cache::{CacheConfig, ShardedImageCache};
 use landlord_core::sizes::SizeModel;
 use landlord_core::spec::Spec;
 use std::sync::Arc;
-
-/// Requests per [`ShardedImageCache::request_many`] batch. Small enough
-/// to keep shard locks short, large enough to amortize them. A batch is
-/// also the unit of summary upkeep: each shard rebuilds its package
-/// summary at most once per batch, however many requests evicted.
-const BATCH: usize = 64;
 
 /// Replay `stream` against a fresh [`ShardedImageCache`] with `shards`
 /// shards and `threads` worker threads. Deterministic in the stream and
@@ -60,29 +55,17 @@ pub fn simulate_stream_sharded_observed(
 }
 
 /// Drive one prepared stream into an existing sharded cache with
-/// `threads` workers, shard-affine and in per-shard stream order.
+/// `threads` workers, shard-affine and in per-shard stream order: one
+/// lock hold per shard for the whole replay.
 pub fn replay_sharded(cache: &ShardedImageCache, stream: &[Spec], threads: usize) {
-    let shard_count = cache.shard_count();
-    let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); shard_count];
-    for (i, spec) in stream.iter().enumerate() {
-        by_shard[cache.route(spec)].push(i);
+    let threads = threads.max(1).min(cache.shard_count());
+    let mut by_worker: Vec<Vec<&Spec>> = vec![Vec::new(); threads];
+    for spec in stream {
+        by_worker[cache.route(spec) % threads].push(spec);
     }
-    let threads = threads.max(1).min(shard_count);
     std::thread::scope(|scope| {
-        for worker in 0..threads {
-            let by_shard = &by_shard;
-            let cache = cache.clone();
-            scope.spawn(move || {
-                for (shard, owned) in by_shard.iter().enumerate() {
-                    if shard % threads != worker {
-                        continue;
-                    }
-                    for chunk in owned.chunks(BATCH) {
-                        let batch: Vec<Spec> = chunk.iter().map(|&i| stream[i].clone()).collect();
-                        cache.request_many(&batch);
-                    }
-                }
-            });
+        for specs in &by_worker {
+            scope.spawn(move || cache.request_many(specs));
         }
     });
 }
@@ -100,9 +83,13 @@ mod tests {
     }
 
     fn stream() -> Vec<Spec> {
+        stream_with_repeats(3)
+    }
+
+    fn stream_with_repeats(repeats: usize) -> Vec<Spec> {
         let w = WorkloadConfig {
             unique_jobs: 60,
-            repeats: 3,
+            repeats,
             max_initial_selection: 8,
             scheme: WorkloadScheme::DependencyClosure,
             seed: 5,
@@ -319,6 +306,50 @@ mod tests {
             assert!(
                 folded.deletes > 0,
                 "{eviction:?}: scenario exercised no evictions; tighten the limit"
+            );
+        }
+    }
+
+    /// A replay holds each shard's lock once, whatever the thread
+    /// count: one `sharded.lock_hold_ticks` observation per shard that
+    /// received requests, and at most one eviction-forced summary
+    /// rebuild per shard.
+    #[test]
+    fn replay_holds_each_shard_once_at_any_thread_count() {
+        use landlord_core::cache::observe::names;
+        use landlord_obs::{LogicalClock, MetricsRegistry};
+        use std::collections::BTreeSet;
+
+        let r = repo();
+        // 1,200 requests: well over a hundred per busy shard, so a
+        // replay that split a shard's run into several holds shows.
+        let jobs = stream_with_repeats(20);
+        let sizes: Arc<dyn SizeModel> = Arc::new(r.size_table());
+        let shards = 8usize;
+        let config = cfg(r.total_bytes() / 3);
+        let router = ShardedImageCache::new(shards, config, Arc::clone(&sizes));
+        let busy: BTreeSet<usize> = jobs.iter().map(|s| router.route(s)).collect();
+        assert!(busy.len() > 1, "the stream must spread over several shards");
+        for threads in [1, 2, 3, 8] {
+            let registry = MetricsRegistry::new(Arc::new(LogicalClock::new()));
+            simulate_stream_sharded_observed(
+                &jobs,
+                config,
+                Arc::clone(&sizes),
+                shards,
+                threads,
+                Some(&registry),
+            );
+            let snap = registry.snapshot();
+            assert_eq!(
+                snap.histograms[names::SHARD_LOCK_HOLD].count,
+                busy.len() as u64,
+                "{threads} threads: one hold per busy shard"
+            );
+            let rebuilds = snap.counters[names::SHARD_BLOOM_STALE_REBUILDS];
+            assert!(
+                (1..=shards as u64).contains(&rebuilds),
+                "{threads} threads: {rebuilds} eviction rebuilds for {shards} shards"
             );
         }
     }
