@@ -76,22 +76,41 @@ fn closures(c: &mut Criterion) {
     c.bench_function("closure_20_seeds", |bench| {
         bench.iter(|| black_box(computer.closure_ids(repo.graph(), black_box(&seeds))))
     });
-    // The `paper` workload's resolve step: uniform selections of up to
-    // 100 seeds on the full 9,660-package universe, 64 per iteration.
+    // Resolve steps, 64 selections per iteration: the `paper`
+    // workload's uniform selections of up to 100 seeds on the full
+    // 9,660-package universe, and the `hot_sharded` workload's 1–2-seed
+    // selections on its 4,000-package universe.
     let sft = Repository::generate(&RepoConfig::sft_like(0x5f7_c0de));
-    let sampler = Sampler::new(&sft);
-    let mut rng = StdRng::seed_from_u64(0x5e1ec7);
-    let selections: Vec<Vec<PackageId>> = (0..64)
-        .map(|_| sampler.sample_request_seeds(&mut rng, SelectionScheme::UniformRandom, 100))
-        .collect();
-    let mut computer = ClosureComputer::new(sft.package_count());
+    let hot = hot_repo();
     let mut group = c.benchmark_group("closure");
-    group.throughput(Throughput::Elements(selections.len() as u64));
-    group.bench_function("paper_selections", |bench| {
+    group.throughput(Throughput::Elements(64));
+    for (name, repo, max_seeds) in [("paper_selections", &sft, 100), ("hot_selections", &hot, 2)] {
+        let sampler = Sampler::new(repo);
+        let mut rng = StdRng::seed_from_u64(0x5e1ec7);
+        let selections: Vec<Vec<PackageId>> = (0..64)
+            .map(|_| {
+                sampler.sample_request_seeds(&mut rng, SelectionScheme::UniformRandom, max_seeds)
+            })
+            .collect();
+        let mut computer = ClosureComputer::new(repo.package_count());
+        group.bench_function(name, |bench| {
+            bench.iter(|| {
+                for seeds in &selections {
+                    black_box(computer.closure(repo.graph(), black_box(seeds)));
+                }
+            })
+        });
+    }
+    // The closure table's one-time build: the first closure on a
+    // graph that has never resolved one (a clone of the SFT-like graph
+    // made before any closure, so the clone is in the time too).
+    let fresh = Repository::generate(&RepoConfig::sft_like(0x5f7_c0de));
+    let mut computer = ClosureComputer::new(fresh.package_count());
+    group.throughput(Throughput::Elements(1));
+    group.bench_function("table_build", |bench| {
         bench.iter(|| {
-            for seeds in &selections {
-                black_box(computer.closure(sft.graph(), black_box(seeds)));
-            }
+            let graph = fresh.graph().clone();
+            black_box(computer.closure_ids(&graph, &[PackageId(0)]))
         })
     });
     group.finish();

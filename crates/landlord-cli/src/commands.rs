@@ -1406,6 +1406,60 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A repository file whose parts disagree (one entry cut from
+    /// `packages` by hand) is refused on load with exit 1 and a message
+    /// naming the mismatch, by every command that reads one.
+    #[test]
+    fn a_repository_file_whose_parts_disagree_exits_1() {
+        let dir = std::env::temp_dir().join(format!("landlord-badrepo-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let repo_path = dir.join("repo.json");
+        let repo = repo_path.to_str().unwrap();
+        gen_repo(&args(&[
+            "--out",
+            repo,
+            "--packages",
+            "300",
+            "--total-gb",
+            "1",
+            "--seed",
+            "3",
+        ]))
+        .unwrap();
+        // Metadata entries hold no nested objects, so the first `},`
+        // after the array opens ends entry 0.
+        let mut text = std::fs::read_to_string(&repo_path).unwrap();
+        let first = text.find("\"packages\":[{").unwrap() + "\"packages\":[".len();
+        let end = first + text[first..].find("},").unwrap() + "},".len();
+        text.replace_range(first..end, "");
+        std::fs::write(&repo_path, text).unwrap();
+        let modules = dir.join("job.sh");
+        std::fs::write(&modules, "module load base-0000/1\n").unwrap();
+        let cache_dir = dir.join("cache");
+
+        for (cmd, toks) in [
+            ("stats", vec!["--repo", repo]),
+            (
+                "submit",
+                vec!["--cache-dir", cache_dir.to_str().unwrap(), "--repo", repo],
+            ),
+            (
+                "spec-from",
+                vec!["--repo", repo, "--modules", modules.to_str().unwrap()],
+            ),
+        ] {
+            let result = dispatch(cmd, &args(&toks));
+            assert_eq!(exit_code(&result), 1, "{cmd}");
+            let err = result.unwrap_err().to_string();
+            assert!(
+                err.contains("repository format error")
+                    && err.contains("graph has 300 packages but `packages` lists 299"),
+                "{cmd}: {err}"
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn submit_smoke() {
         let dir = std::env::temp_dir().join(format!("landlord-cli-cache-{}", std::process::id()));

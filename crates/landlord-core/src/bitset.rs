@@ -4,9 +4,14 @@
 //! no hashing: the repo generator's dependency closures (over dense
 //! package ids) and the S3-FIFO evictor's ghost-membership set (over
 //! hashed spec fingerprint slots). A word-packed bit set makes a probe
-//! a couple of instructions. Implemented here rather than pulled in as
-//! a dependency because the workspace's offline crate budget is
-//! deliberately small.
+//! a couple of instructions, and the word-level helpers
+//! ([`BitSet::or_word`], [`BitSet::count_ones_in`],
+//! [`BitSet::drain_words`]) let a closure OR in whole 64-id words of a
+//! packed row and read back only the words its rows reached.
+//! Implemented here rather than pulled in as a dependency because the
+//! workspace's offline crate budget is deliberately small.
+
+use std::ops::Range;
 
 /// A bit set over `0..len`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -57,15 +62,48 @@ impl BitSet {
         fresh
     }
 
-    /// Set every bit in `bits` without [`BitSet::insert`]'s per-bit
-    /// range assert, for callers whose ids are in range by construction
-    /// (a closure row, say). An id at or past `len` is caught in debug
-    /// builds, and past the last word in any build.
+    /// OR `mask` into word `wi`: set bit `64 * wi + b` for every set
+    /// bit `b` of `mask`, without a per-bit range assert, for callers
+    /// whose words are in range by construction (a packed closure row,
+    /// say). A bit at or past `len` is caught in debug builds, and a
+    /// word past the last in any build.
     #[inline]
-    pub fn insert_all(&mut self, bits: impl IntoIterator<Item = usize>) {
-        for i in bits {
-            debug_assert!(i < self.len, "bit {i} out of range {}", self.len);
-            self.words[i / 64] |= 1u64 << (i % 64);
+    pub fn or_word(&mut self, wi: usize, mask: u64) {
+        debug_assert!(
+            mask == 0 || wi * 64 + (63 - mask.leading_zeros() as usize) < self.len,
+            "word {wi} mask {mask:#x} out of range {}",
+            self.len
+        );
+        self.words[wi] |= mask;
+    }
+
+    /// Number of set bits in words `words`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the range reaches past the last word.
+    #[inline]
+    pub fn count_ones_in(&self, words: Range<usize>) -> usize {
+        self.words[words]
+            .iter()
+            .map(|w| w.count_ones() as usize)
+            .sum()
+    }
+
+    /// Clear words `words`, handing each non-zero one to `emit` as
+    /// `(word index, bits)`, in ascending word order.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the range reaches past the last word.
+    #[inline]
+    pub fn drain_words(&mut self, words: Range<usize>, mut emit: impl FnMut(usize, u64)) {
+        let first = words.start;
+        for (wi, word) in (first..).zip(&mut self.words[words]) {
+            let bits = std::mem::take(word);
+            if bits != 0 {
+                emit(wi, bits);
+            }
         }
     }
 
@@ -149,15 +187,39 @@ mod tests {
     }
 
     #[test]
-    fn insert_all_matches_insert() {
+    fn or_word_matches_insert() {
         let ids = [0usize, 5, 63, 64, 64, 199];
         let mut one_by_one = BitSet::new(200);
         for i in ids {
             one_by_one.insert(i);
         }
-        let mut all = BitSet::new(200);
-        all.insert_all(ids);
-        assert_eq!(all, one_by_one);
+        let mut words = BitSet::new(200);
+        for i in ids {
+            words.or_word(i / 64, 1 << (i % 64));
+        }
+        assert_eq!(words, one_by_one);
+        assert_eq!(words.count_ones_in(1..4), 2);
+    }
+
+    #[test]
+    fn drain_words_reads_back_and_clears_only_its_range() {
+        let mut b = BitSet::new(200);
+        b.or_word(0, 0b1010);
+        b.or_word(2, 0b101);
+        b.or_word(3, 1);
+        let mut drained = Vec::new();
+        b.drain_words(1..3, |wi, bits| drained.push((wi, bits)));
+        assert_eq!(drained, vec![(2, 0b101)], "zero words are skipped");
+        assert_eq!(b.iter_ones().collect::<Vec<_>>(), vec![1, 3, 192]);
+        b.drain_words(0..0, |_, _| panic!("an empty range drains nothing"));
+        assert_eq!(ones_of_word(2, 0b101).collect::<Vec<_>>(), vec![128, 130]);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "out of range")]
+    fn or_word_past_len_panics_in_debug() {
+        BitSet::new(70).or_word(1, 1 << 6);
     }
 
     #[test]

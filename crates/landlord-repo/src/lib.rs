@@ -27,14 +27,15 @@
 //! software").
 //!
 //! Closures are read from a *closure table* kept with the
-//! [`DepGraph`]: the sorted closure of every strongly connected
-//! component in one flat CSR, built by a single iterative Tarjan pass on
-//! the first closure request (never on construction or load, and never
-//! serialized). The SCC rule: all members of a dependency cycle share one
-//! closure, so a cycle costs one row. A selection's closure is the union
-//! of its seeds' rows. The table holds the sum of the components'
-//! closure sizes — 305k ids (1.2 MB) for the 9,660-package SFT-like
-//! universe, about 32 per package — next to the graph's 101k edges.
+//! [`DepGraph`]: the closure of every strongly connected component,
+//! word-packed as a run of `(word index, 64-bit mask)` pairs, built by a
+//! single iterative Tarjan pass on the first closure request (never on
+//! construction or load, and never serialized). The SCC rule: all
+//! members of a dependency cycle share one closure, so a cycle costs one
+//! row. A selection's closure is the union of its seeds' rows, ORed a
+//! word at a time. For the 9,660-package SFT-like universe the table
+//! holds 91,312 pairs, about 9.5 per package, in 1.17 MB; sorted ids
+//! would take 305k of them in 1.30 MB. The graph itself has 101k edges.
 //!
 //! ```
 //! use landlord_core::spec::PackageId;
@@ -65,11 +66,11 @@ pub use package::{PackageKind, PackageMeta};
 
 use landlord_core::sizes::SizeModel;
 use landlord_core::spec::{PackageId, Spec};
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 /// A complete software repository: package metadata, the dependency
 /// graph, and the name/version catalog.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Repository {
     packages: Vec<PackageMeta>,
     graph: DepGraph,
@@ -169,6 +170,47 @@ impl Repository {
     }
 }
 
+impl Deserialize for Repository {
+    /// Decodes the three parts and rejects a file whose parts disagree:
+    /// `packages`, `graph` and `catalog` must count the same packages,
+    /// `packages[i]` must have id `i`, and every catalog id must be in
+    /// the universe. Each would otherwise load and fail later, at a
+    /// closure's universe assert or an out-of-range lookup.
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let field = |name: &str| {
+            v.get(name)
+                .ok_or_else(|| DeError(format!("missing field `{name}` in Repository")))
+        };
+        let packages = Vec::<PackageMeta>::from_value(field("packages")?)?;
+        let graph = DepGraph::from_value(field("graph")?)?;
+        let catalog = Catalog::from_value(field("catalog")?)?;
+        let n = packages.len();
+        for (part, count) in [
+            ("graph", graph.package_count()),
+            ("catalog", catalog.package_count()),
+        ] {
+            if count != n {
+                return Err(DeError(format!(
+                    "{part} has {count} packages but `packages` lists {n}"
+                )));
+            }
+        }
+        if let Some((i, p)) = (0u32..).zip(&packages).find(|(i, p)| p.id.0 != *i) {
+            return Err(DeError(format!("packages[{i}] has id {}", p.id)));
+        }
+        let catalog_ids = catalog.spec_strings().map(|(_, id)| id);
+        let group_ids = catalog.name_groups().flatten().copied();
+        if let Some(id) = catalog_ids.chain(group_ids).find(|id| id.index() >= n) {
+            return Err(DeError(format!("catalog id {id} outside universe of {n}")));
+        }
+        Ok(Repository {
+            packages,
+            graph,
+            catalog,
+        })
+    }
+}
+
 impl SizeModel for Repository {
     fn package_size(&self, id: PackageId) -> u64 {
         self.packages.get(id.index()).map(|p| p.bytes).unwrap_or(0)
@@ -213,5 +255,73 @@ mod tests {
     fn out_of_range_size_is_zero() {
         let repo = Repository::generate(&RepoConfig::small_for_tests(1));
         assert_eq!(repo.package_size(PackageId(u32::MAX)), 0);
+    }
+
+    fn field<'v>(v: &'v mut Value, key: &str) -> &'v mut Value {
+        match v {
+            Value::Map(entries) => &mut entries.iter_mut().find(|(k, _)| k == key).unwrap().1,
+            other => panic!("no field `{key}` in {other:?}"),
+        }
+    }
+
+    fn seq(v: &mut Value) -> &mut Vec<Value> {
+        match v {
+            Value::Seq(items) => items,
+            other => panic!("not an array: {other:?}"),
+        }
+    }
+
+    /// Encode a generated repository, apply `edit` to the encoding,
+    /// and decode it: the repository's package count and the decoder's
+    /// error message.
+    fn decode_error(edit: impl FnOnce(&mut Value, u64)) -> (u64, String) {
+        let repo = Repository::generate(&RepoConfig::small_for_tests(5));
+        let n = repo.package_count() as u64;
+        let mut v = repo.to_value();
+        edit(&mut v, n);
+        (n, Repository::from_value(&v).unwrap_err().0)
+    }
+
+    #[test]
+    fn decode_rejects_a_graph_of_another_size() {
+        let (n, err) = decode_error(|v, _| {
+            seq(field(v, "packages")).pop();
+        });
+        let want = format!("graph has {n} packages but `packages` lists {}", n - 1);
+        assert_eq!(err, want);
+    }
+
+    #[test]
+    fn decode_rejects_a_catalog_of_another_size() {
+        let (n, err) = decode_error(|v, n| {
+            *field(field(v, "catalog"), "package_count") = Value::U64(n + 1);
+        });
+        let want = format!("catalog has {} packages but `packages` lists {n}", n + 1);
+        assert_eq!(err, want);
+    }
+
+    #[test]
+    fn decode_rejects_a_package_out_of_place() {
+        let (_, err) = decode_error(|v, _| seq(field(v, "packages")).swap(3, 4));
+        assert_eq!(err, "packages[3] has id pkg#4");
+    }
+
+    #[test]
+    fn decode_rejects_catalog_ids_outside_the_universe() {
+        for edit_groups in [false, true] {
+            let (n, err) = decode_error(|v, n| {
+                let catalog = field(v, "catalog");
+                let id = if edit_groups {
+                    &mut seq(&mut seq(field(catalog, "groups"))[0])[0]
+                } else {
+                    match field(catalog, "by_spec_string") {
+                        Value::Map(entries) => &mut entries[0].1,
+                        other => panic!("not an object: {other:?}"),
+                    }
+                };
+                *id = Value::U64(n);
+            });
+            assert_eq!(err, format!("catalog id pkg#{n} outside universe of {n}"));
+        }
     }
 }
