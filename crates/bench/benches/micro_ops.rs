@@ -145,10 +145,10 @@ fn cache_requests(c: &mut Criterion) {
     group.finish();
 }
 
-/// Victim selection at 10k cached images, per eviction policy. The
-/// evictors maintain ordered structures (recency list, frequency
-/// buckets, priority heaps), so `peek_victim` must not degrade into the
-/// old O(n) `min_by_key` scan as the cache grows.
+/// Victim selection at 10k cached images, per eviction policy. LRU
+/// reads the head of its recency list, O(1); the sampled policies
+/// replay K draws on a copy of their stream state, O(K); S3-FIFO
+/// selects on a clone of its whole state, O(n).
 fn victim_selection(c: &mut Criterion) {
     use landlord_core::policy::EvictionPolicy;
     use landlord_core::sizes::UniformSizes;
@@ -177,9 +177,8 @@ fn victim_selection(c: &mut Criterion) {
 /// `hot_sharded` benchmark), per eviction policy. Plans are precomputed
 /// outside the timed loop, so each policy's row isolates `apply` — the
 /// slot lookup and the evictor's update on a hit. LRU relinks one node
-/// of its list, O(1); the other ordered policies pay an O(log n)
-/// `BTreeSet` remove + re-insert per touch; S3-FIFO and sampled LHD
-/// update per-slot metadata in O(1). The `lru_plan_apply` row times
+/// of its list; S3-FIFO and the sampled policies rewrite one slot's
+/// metadata; all O(1). The `lru_plan_apply` row times
 /// the whole hit, `plan` and `apply` together.
 fn touch_path(c: &mut Criterion) {
     for (label, n) in [("10k", 10_000u32), ("512", 512)] {

@@ -105,9 +105,9 @@ ext-evict-sweep ext-usermix ext-update ext-faults
 
 Simulate policies (--policy): landlord per-job full-repo layered
 block-dedup. LANDLORD knobs: --eviction lru|lfu|largest-first|
-cost-density|gdsf|s3-fifo|lhd-sample (--eviction-seed seeds
-lhd-sample's victim sampling), --merge-order nearest-first|
-arrival-order|largest-first|smallest-first, --metric
+cost-density|gdsf|s3-fifo|lhd-sample (--eviction-seed seeds the
+victim sampling of every policy but lru and s3-fifo), --merge-order
+nearest-first|arrival-order|largest-first|smallest-first, --metric
 package-count|bytes. Every subcommand rejects a flag not listed for it
 above.
 --report-json FILE (or -) writes the machine-readable PolicyReport.

@@ -427,11 +427,11 @@ pub struct PersistOptions {
     /// Which image to evict when over the byte budget. Any
     /// [`EvictionPolicy`] works: decisions are committed to the WAL,
     /// so replay reproduces them without re-deriving — stateful
-    /// policies (S3-FIFO, sampled LHD) keep the recovery contract.
+    /// policies (S3-FIFO and the sampled ones) keep the recovery
+    /// contract.
     pub eviction: EvictionPolicy,
-    /// Seed for randomized victim selection (sampled LHD); decisions
-    /// are a deterministic function of the submit stream and this
-    /// seed.
+    /// Seed for the sampled policies' victim draws; decisions are a
+    /// deterministic function of the submit stream and this seed.
     pub eviction_seed: u64,
     /// Package → file-tree scaling for image materialization.
     pub tree_config: FileTreeConfig,

@@ -23,8 +23,9 @@ pub struct CacheConfig {
     /// paper) or on-disk bytes.
     #[serde(default)]
     pub metric: DistanceMetric,
-    /// Seed for randomized victim selection (only used by
-    /// [`EvictionPolicy::LhdSample`]'s K-sample draws). Threaded from
+    /// Seed for the sampled policies' victim draws (every
+    /// [`EvictionPolicy`] but `Lru` and `S3Fifo` evicts the least of K
+    /// seeded samples per selection). Threaded from
     /// here — never ambient randomness — so eviction decisions are a
     /// deterministic function of the request stream and the config.
     /// Seed 0 (the default) is a perfectly good SplitMix64 seed.

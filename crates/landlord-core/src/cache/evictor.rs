@@ -16,7 +16,7 @@
 //! never in a map keyed by image id; victims are still named by
 //! [`ImageId`].
 //!
-//! Four families implement the seam:
+//! Three families implement the seam:
 //!
 //! * **Exact LRU** ([`LruEvictor`], the paper's policy): an intrusive
 //!   doubly-linked list over slots in `(last_used, id)` order. Insert
@@ -27,24 +27,23 @@
 //!   store's rebuild) is appended too, and marks the list unsorted; the
 //!   next selection sorts and relinks it once, O(n log n). Selection
 //!   reads the head.
-//! * **Ordered indexes** ([`IndexedEvictor`]: lfu, largest-first,
-//!   cost-density, gdsf): a `BTreeSet` of `(key, id)` pairs — exactly
-//!   the tuple the pre-seam O(n) scans minimized, so victim choices are
-//!   bit-identical — maintained in O(log n) per touch. Selection is a
-//!   stateless ordered read, so `select_victim == peek_victim`.
 //! * **Queue rotation** ([`S3FifoEvictor`]): S3-FIFO's static
 //!   small/main/ghost FIFOs. Touches are O(1) frequency bumps; no
 //!   ordered index exists to maintain. Selection rotates the queues
 //!   (promotions, frequency decay) and is therefore stateful.
-//! * **Sampled prediction** ([`LhdSampleEvictor`]): sampled LHD.
-//!   Touches are O(1) histogram bumps; selection draws K candidates
-//!   from a seeded [`SplitMix64`] stream (threaded from
+//! * **Sampling** ([`SampledEvictor`]: lfu, largest-first,
+//!   cost-density, gdsf, lhd-sample): no order is kept. Touches rewrite
+//!   the slot's metadata in O(1); selection draws K occupied slots from
+//!   a seeded [`SplitMix64`] stream (threaded from
 //!   [`CacheConfig::eviction_seed`], never ambient randomness) and
-//!   evicts the lowest predicted hit density per byte.
+//!   evicts the least score among them. A [`Scorer`] is the policy:
+//!   [`Priority`] ranks by use count, bytes, last use or GDSF's stored
+//!   priority; [`Lhd`] by predicted hit density per byte. A preview
+//!   replays the draws on a copy of the 8-byte stream state.
 //!
 //! Every implementation is `Clone`-able behind
-//! [`Evictor::clone_box`], which is what makes previews and
-//! transactional planning (the persistent store's WAL evict lists)
+//! [`Evictor::clone_box`], which is what makes transactional planning
+//! (the persistent store's WAL evict lists) and S3-FIFO's previews
 //! possible without committing state advances.
 
 use super::config::CacheConfig;
@@ -53,29 +52,9 @@ use crate::image::{Image, ImageId};
 use crate::policy::EvictionPolicy;
 use crate::spec::Spec;
 use crate::util::FxHasher;
-use std::cmp::Reverse;
-use std::collections::{BTreeSet, VecDeque};
-use std::fmt::Debug;
+use std::cmp::Ordering;
+use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
-
-/// Total order over `f64` via `total_cmp`, matching the `min_by(...
-/// total_cmp ...)` comparison the inline scans used.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct OrdF64(pub f64);
-
-impl Eq for OrdF64 {}
-
-impl PartialOrd for OrdF64 {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for OrdF64 {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
 
 /// Monotonic counters a stateful evictor exposes for observability.
 /// The engine flushes deltas into `landlord-obs` after every apply.
@@ -84,8 +63,8 @@ pub struct EvictorCounters {
     /// S3-FIFO: inserts whose identity was found in the ghost queue
     /// (admitted straight to the main queue).
     pub ghost_hits: u64,
-    /// Sampled LHD: individual candidate draws performed by
-    /// `select_victim` calls.
+    /// The sampled evictors: individual candidate draws performed by
+    /// `select_victim` calls (never by previews).
     pub sample_draws: u64,
 }
 
@@ -112,9 +91,9 @@ pub trait Evictor: Send {
     /// any queue/sampling state. `None` when nothing (else) is cached.
     fn select_victim(&mut self, protect: Option<ImageId>) -> Option<ImageId>;
     /// Preview the victim the next [`Evictor::select_victim`] call
-    /// would return, without advancing state. Stateful evictors
-    /// implement this by cloning themselves, which makes the guarantee
-    /// structural rather than by-convention.
+    /// would return, without advancing state. The sampled evictors
+    /// replay the next draws on a copy of their stream state; S3-FIFO,
+    /// whose selection rotates its queues, selects on a clone of itself.
     fn peek_victim(&self, protect: Option<ImageId>) -> Option<ImageId>;
     /// Number of indexed images.
     fn len(&self) -> usize;
@@ -126,8 +105,8 @@ pub trait Evictor: Send {
     fn counters(&self) -> EvictorCounters {
         EvictorCounters::default()
     }
-    /// Clone the full evictor state. Used for previews and for
-    /// planning eviction chains transactionally (the persistent store
+    /// Clone the full evictor state. Used for S3-FIFO's previews and
+    /// for planning eviction chains transactionally (the persistent store
     /// plans on a clone and feeds the live evictor only acked events).
     fn clone_box(&self) -> Box<dyn Evictor>;
     /// Verify internal consistency against the resident images, given
@@ -399,193 +378,6 @@ impl Evictor for LruEvictor {
         );
     }
 }
-
-/// How one policy ranks an image. Victims are *minimal* in `(Key, id)`
-/// order; keys encode any "largest first" reversal themselves.
-trait VictimKey: Send + Clone + 'static {
-    type Key: Ord + Copy + Debug + Send;
-    /// The image's current rank.
-    fn key(&self, img: &Image) -> Self::Key;
-    /// The stored rank of an image evicted by the byte limit.
-    fn on_eviction(&mut self, _key: &Self::Key) {}
-    /// Whether `key()` is a pure function of the image (true for every
-    /// policy except GDSF, whose keys embed the inflation value at the
-    /// time of the last touch).
-    fn keys_are_current(&self) -> bool {
-        true
-    }
-}
-
-/// Shared implementation of the ordered-index family: a
-/// `BTreeSet<(Key, ImageId)>` plus each slot's stored key, so the stale
-/// entry can be removed on update. Selection is a pure ordered read, so
-/// `select_victim` and `peek_victim` are the same lookup.
-#[derive(Clone)]
-struct IndexedEvictor<P: VictimKey> {
-    policy: EvictionPolicy,
-    keyer: P,
-    order: BTreeSet<(P::Key, ImageId)>,
-    /// The key each slot's image is ordered under; `None` for a slot no
-    /// indexed image holds.
-    keys: Vec<Option<P::Key>>,
-}
-
-impl<P: VictimKey> IndexedEvictor<P> {
-    fn new(policy: EvictionPolicy, keyer: P) -> Self {
-        IndexedEvictor {
-            policy,
-            keyer,
-            order: BTreeSet::new(),
-            keys: Vec::new(),
-        }
-    }
-
-    fn reindex(&mut self, slot: u32, img: &Image) {
-        let key = self.keyer.key(img);
-        if let Some(old) = at_slot(&mut self.keys, slot).replace(key) {
-            self.order.remove(&(old, img.id));
-        }
-        self.order.insert((key, img.id));
-    }
-}
-
-impl<P: VictimKey> Evictor for IndexedEvictor<P> {
-    fn policy(&self) -> EvictionPolicy {
-        self.policy
-    }
-
-    fn on_insert(&mut self, slot: u32, img: &Image) {
-        self.reindex(slot, img);
-    }
-
-    fn on_touch(&mut self, slot: u32, img: &Image) {
-        self.reindex(slot, img);
-    }
-
-    fn on_remove(&mut self, slot: u32, img: &Image) {
-        if let Some(old) = self.keys.get_mut(slot as usize).and_then(Option::take) {
-            self.order.remove(&(old, img.id));
-        }
-    }
-
-    fn note_eviction(&mut self, slot: u32, _img: &Image) {
-        if let Some(Some(key)) = self.keys.get(slot as usize) {
-            self.keyer.on_eviction(key);
-        }
-    }
-
-    fn select_victim(&mut self, protect: Option<ImageId>) -> Option<ImageId> {
-        self.peek_victim(protect)
-    }
-
-    fn peek_victim(&self, protect: Option<ImageId>) -> Option<ImageId> {
-        self.order
-            .iter()
-            .map(|&(_, id)| id)
-            .find(|&id| Some(id) != protect)
-    }
-
-    fn len(&self) -> usize {
-        self.order.len()
-    }
-
-    fn clone_box(&self) -> Box<dyn Evictor> {
-        Box::new(self.clone())
-    }
-
-    fn check(&self, images: &[(u32, &Image)]) {
-        assert_eq!(self.order.len(), images.len(), "evictor order size");
-        assert_eq!(
-            self.keys.iter().flatten().count(),
-            images.len(),
-            "evictor slot-key count"
-        );
-        for &(slot, img) in images {
-            let stored = self.keys.get(slot as usize).copied().flatten();
-            assert!(stored.is_some(), "image {} missing from evictor", img.id);
-            let Some(stored) = stored else { continue };
-            assert!(
-                self.order.contains(&(stored, img.id)),
-                "evictor key for image {} missing from order",
-                img.id
-            );
-            if self.keyer.keys_are_current() {
-                assert_eq!(
-                    stored,
-                    self.keyer.key(img),
-                    "stale evictor key for image {}",
-                    img.id
-                );
-            }
-        }
-        if self.keyer.keys_are_current() {
-            // The ordered index must agree with a brute-force scan.
-            let brute = images
-                .iter()
-                .map(|(_, img)| (self.keyer.key(img), img.id))
-                .min()
-                .map(|(_, id)| id);
-            assert_eq!(self.peek_victim(None), brute, "victim disagrees with scan");
-        }
-    }
-}
-
-#[derive(Clone)]
-struct LfuKey;
-impl VictimKey for LfuKey {
-    type Key = (u64, u64);
-    fn key(&self, img: &Image) -> (u64, u64) {
-        (img.use_count, img.last_used)
-    }
-}
-
-#[derive(Clone)]
-struct LargestFirstKey;
-impl VictimKey for LargestFirstKey {
-    type Key = Reverse<u64>;
-    fn key(&self, img: &Image) -> Reverse<u64> {
-        Reverse(img.bytes)
-    }
-}
-
-fn density(img: &Image) -> f64 {
-    img.use_count as f64 / img.bytes.max(1) as f64
-}
-
-#[derive(Clone)]
-struct CostDensityKey;
-impl VictimKey for CostDensityKey {
-    type Key = (OrdF64, u64);
-    fn key(&self, img: &Image) -> (OrdF64, u64) {
-        (OrdF64(density(img)), img.last_used)
-    }
-}
-
-/// Greedy-Dual-Size-Frequency: priority `H = L + use_count / bytes`,
-/// computed with the inflation value `L` current at insert/touch time.
-/// Evicting a victim raises `L` to the victim's priority, so priorities
-/// of untouched images decay *relative to* new arrivals — size-aware
-/// like cost-density, aging like LRU.
-#[derive(Clone)]
-struct GdsfKey {
-    inflation: f64,
-}
-
-impl VictimKey for GdsfKey {
-    type Key = (OrdF64, u64);
-    fn key(&self, img: &Image) -> (OrdF64, u64) {
-        (OrdF64(self.inflation + density(img)), img.last_used)
-    }
-    fn on_eviction(&mut self, key: &Self::Key) {
-        if key.0 .0 > self.inflation {
-            self.inflation = key.0 .0;
-        }
-    }
-    fn keys_are_current(&self) -> bool {
-        false
-    }
-}
-
 /// Deterministic fingerprint of an image's identity (its spec) for the
 /// S3-FIFO ghost queue. Image ids are never reused, so a re-built image
 /// for the same spec can only be recognized by content.
@@ -967,20 +759,334 @@ impl Evictor for S3FifoEvictor {
         );
     }
 }
-
 /// SplitMix64: the standard 64-bit mixing PRNG. Tiny, `Copy`, and a
-/// pure function of its seed — exactly what a cloneable, replayable
-/// evictor needs.
+/// pure function of its state — exactly what a replayable evictor
+/// needs: a preview draws from a copy.
 #[derive(Debug, Clone, Copy)]
-struct SplitMix64(u64);
+pub(super) struct SplitMix64(pub(super) u64);
 
 impl SplitMix64 {
-    fn next(&mut self) -> u64 {
+    pub(super) fn next(&mut self) -> u64 {
         self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.0;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
+    }
+}
+
+/// Slots the priority policies draw per selection: the smallest K in
+/// {8, 16, 32, 64} whose `ext-evict-sweep --scale full` best-α rows
+/// stay within the exact order's range over seeds 1–10, in both cache
+/// regimes (EXPERIMENTS.md, "Sample size").
+pub(super) const PRIORITY_SAMPLES: usize = 32;
+
+/// A sampled image's place in eviction order, `(score, tiebreak, id)`.
+type Rank = (f64, u64, ImageId);
+
+/// The order of two ranks: score by `total_cmp`, then tiebreak, then id.
+fn rank_cmp(a: &Rank, b: &Rank) -> Ordering {
+    a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2))
+}
+
+/// A [`SampledEvictor`]'s policy: the state it keeps per image and the
+/// score it ranks sampled images by. The least `(score, id)` is evicted.
+trait Scorer: Clone + Send + 'static {
+    /// Per-image state, kept in the image's slot.
+    type Meta: Copy + Send;
+    /// Slots drawn per selection.
+    const SAMPLES: usize;
+    /// The policy this scorer implements.
+    fn policy(&self) -> EvictionPolicy;
+    /// The state of an image entering the cache.
+    fn admit(&mut self, img: &Image) -> Self::Meta;
+    /// Refresh `meta` after a hit or merge already applied to `img`.
+    fn touch(&mut self, meta: &mut Self::Meta, img: &Image);
+    /// The image with `meta` is about to be evicted by the byte limit.
+    fn evicted(&mut self, meta: &Self::Meta);
+    /// The image's `(score, tiebreak)` right now.
+    fn score(&self, meta: &Self::Meta) -> (f64, u64);
+    /// Panic unless every resident `(meta, image)` pair is consistent.
+    fn check(&self, resident: &[(Self::Meta, &Image)]);
+}
+
+#[derive(Clone, Copy)]
+struct Entry<M> {
+    id: ImageId,
+    /// Index in the sampling vector (swap-remove bookkeeping).
+    pos: usize,
+    meta: M,
+}
+
+/// The entry of `slot` if it holds image `id`.
+fn live<M>(entries: &mut [Option<Entry<M>>], slot: u32, id: ImageId) -> Option<&mut Entry<M>> {
+    entries
+        .get_mut(slot as usize)?
+        .as_mut()
+        .filter(|e| e.id == id)
+}
+
+/// Victim by sampling, modeled on the `size_lru` exemplar: the least
+/// `(score, id)` among `S::SAMPLES` slots drawn from a [`SplitMix64`]
+/// stream seeded by [`CacheConfig::eviction_seed`], so selection is a
+/// deterministic function of (seed, event history). No order is
+/// maintained: touches rewrite one slot's metadata in O(1). A preview
+/// replays the draws on a copy of the stream state and changes nothing.
+#[derive(Clone)]
+struct SampledEvictor<S: Scorer> {
+    scorer: S,
+    rng: SplitMix64,
+    /// Occupied slots, swap-removed on removal, for O(1) draws.
+    slots: Vec<u32>,
+    /// Each slot's image; `None` for a free slot.
+    entries: Vec<Option<Entry<S::Meta>>>,
+    counters: EvictorCounters,
+}
+
+impl<S: Scorer> SampledEvictor<S> {
+    fn new(scorer: S, seed: u64) -> Self {
+        SampledEvictor {
+            scorer,
+            rng: SplitMix64(seed),
+            slots: Vec::new(),
+            entries: Vec::new(),
+            counters: EvictorCounters::default(),
+        }
+    }
+
+    fn rank(&self, e: &Entry<S::Meta>) -> Rank {
+        let (score, tiebreak) = self.scorer.score(&e.meta);
+        (score, tiebreak, e.id)
+    }
+
+    /// The least rank, never `protect`'s, over the next `S::SAMPLES`
+    /// draws of the stream, and the stream state after them. When every
+    /// draw lands on `protect` (tiny cache), a deterministic full scan
+    /// stands in, so eviction makes progress whenever a victim exists.
+    fn draw(&self, protect: Option<ImageId>) -> (Option<ImageId>, SplitMix64) {
+        let mut rng = self.rng;
+        let mut best: Option<Rank> = None;
+        for _ in 0..S::SAMPLES {
+            // The draw is already reduced modulo the vector length, so
+            // the narrowing cast cannot lose bits.
+            let draw = rng.next() % self.slots.len() as u64;
+            let Some(Some(e)) = self.entries.get(self.slots[draw as usize] as usize) else {
+                continue;
+            };
+            if Some(e.id) == protect {
+                continue;
+            }
+            let candidate = self.rank(e);
+            if best.is_none_or(|b| rank_cmp(&candidate, &b).is_lt()) {
+                best = Some(candidate);
+            }
+        }
+        if best.is_none() {
+            best = self
+                .entries
+                .iter()
+                .flatten()
+                .filter(|e| Some(e.id) != protect)
+                .map(|e| self.rank(e))
+                .min_by(rank_cmp);
+        }
+        (best.map(|(.., id)| id), rng)
+    }
+}
+
+impl<S: Scorer> Evictor for SampledEvictor<S> {
+    fn policy(&self) -> EvictionPolicy {
+        self.scorer.policy()
+    }
+
+    fn on_insert(&mut self, slot: u32, img: &Image) {
+        let meta = self.scorer.admit(img);
+        let prev = at_slot(&mut self.entries, slot).replace(Entry {
+            id: img.id,
+            pos: self.slots.len(),
+            meta,
+        });
+        debug_assert!(prev.is_none(), "slot {slot} taken at insert of {}", img.id);
+        self.slots.push(slot);
+    }
+
+    fn on_touch(&mut self, slot: u32, img: &Image) {
+        if let Some(e) = live(&mut self.entries, slot, img.id) {
+            self.scorer.touch(&mut e.meta, img);
+        }
+    }
+
+    fn on_remove(&mut self, slot: u32, img: &Image) {
+        let gone = self
+            .entries
+            .get_mut(slot as usize)
+            .and_then(|e| e.take_if(|e| e.id == img.id));
+        let Some(e) = gone else {
+            return;
+        };
+        self.slots.swap_remove(e.pos);
+        if let Some(&moved) = self.slots.get(e.pos) {
+            if let Some(Some(m)) = self.entries.get_mut(moved as usize) {
+                m.pos = e.pos;
+            }
+        }
+    }
+
+    fn note_eviction(&mut self, slot: u32, img: &Image) {
+        if let Some(e) = live(&mut self.entries, slot, img.id) {
+            self.scorer.evicted(&e.meta);
+        }
+    }
+
+    fn select_victim(&mut self, protect: Option<ImageId>) -> Option<ImageId> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        self.counters.sample_draws += S::SAMPLES as u64;
+        let (victim, rng) = self.draw(protect);
+        self.rng = rng;
+        victim
+    }
+
+    fn peek_victim(&self, protect: Option<ImageId>) -> Option<ImageId> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        self.draw(protect).0
+    }
+
+    fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    fn counters(&self) -> EvictorCounters {
+        self.counters
+    }
+
+    fn clone_box(&self) -> Box<dyn Evictor> {
+        Box::new(self.clone())
+    }
+
+    fn check(&self, images: &[(u32, &Image)]) {
+        let policy = self.policy();
+        assert_eq!(
+            self.entries.iter().flatten().count(),
+            images.len(),
+            "{policy:?} entry count"
+        );
+        assert_eq!(
+            self.slots.len(),
+            images.len(),
+            "{policy:?} sampling-vector size"
+        );
+        let mut resident = Vec::with_capacity(images.len());
+        for &(slot, img) in images {
+            let e = self.entries.get(slot as usize).copied().flatten();
+            let e = e.filter(|e| e.id == img.id);
+            assert!(
+                e.is_some(),
+                "image {} missing from {policy:?} slot {slot}",
+                img.id
+            );
+            let Some(e) = e else { continue };
+            assert_eq!(
+                self.slots.get(e.pos),
+                Some(&slot),
+                "{policy:?} sampling position for {} out of sync",
+                img.id
+            );
+            resident.push((e.meta, img));
+        }
+        self.scorer.check(&resident);
+    }
+}
+
+/// What the priority policies know of an image.
+#[derive(Debug, Clone, Copy)]
+struct Usage {
+    use_count: u64,
+    bytes: u64,
+    last_used: u64,
+    /// GDSF's priority `H = L + use_count / bytes`, with the inflation
+    /// `L` current at the last insert or touch.
+    gdsf: f64,
+}
+
+fn density(use_count: u64, bytes: u64) -> f64 {
+    use_count as f64 / bytes.max(1) as f64
+}
+
+/// The priority policies, each a function of an image's [`Usage`]:
+/// `lfu` evicts the fewest uses, `largest-first` the most bytes,
+/// `cost-density` the fewest uses per byte and `gdsf` the least stored
+/// `H`; all but `largest-first` break ties toward the least recent use.
+/// Evicting a victim raises GDSF's inflation `L` to its `H`, so the
+/// priorities of untouched images decay *relative to* new arrivals:
+/// size-aware like cost-density, aging like LRU.
+#[derive(Clone)]
+struct Priority {
+    policy: EvictionPolicy,
+    inflation: f64,
+}
+
+impl Priority {
+    fn usage(&self, img: &Image) -> Usage {
+        Usage {
+            use_count: img.use_count,
+            bytes: img.bytes,
+            last_used: img.last_used,
+            gdsf: self.inflation + density(img.use_count, img.bytes),
+        }
+    }
+}
+
+impl Scorer for Priority {
+    type Meta = Usage;
+    const SAMPLES: usize = PRIORITY_SAMPLES;
+
+    fn policy(&self) -> EvictionPolicy {
+        self.policy
+    }
+
+    fn admit(&mut self, img: &Image) -> Usage {
+        self.usage(img)
+    }
+
+    fn touch(&mut self, usage: &mut Usage, img: &Image) {
+        *usage = self.usage(img);
+    }
+
+    fn evicted(&mut self, usage: &Usage) {
+        if usage.gdsf > self.inflation {
+            self.inflation = usage.gdsf;
+        }
+    }
+
+    fn score(&self, u: &Usage) -> (f64, u64) {
+        match self.policy {
+            EvictionPolicy::Lfu => (u.use_count as f64, u.last_used),
+            EvictionPolicy::LargestFirst => (-(u.bytes as f64), 0),
+            EvictionPolicy::CostDensity => (density(u.use_count, u.bytes), u.last_used),
+            // Gdsf, the last of the four policies `make_evictor` gives a `Priority`.
+            _ => (u.gdsf, u.last_used),
+        }
+    }
+
+    fn check(&self, resident: &[(Usage, &Image)]) {
+        for (u, img) in resident {
+            assert_eq!(
+                (u.use_count, u.bytes, u.last_used),
+                (img.use_count, img.bytes, img.last_used),
+                "stale usage of image {}",
+                img.id
+            );
+            // `L` only rises, so no stored `H` exceeds today's.
+            assert!(
+                u.gdsf <= self.inflation + density(u.use_count, u.bytes),
+                "gdsf priority of image {} above the current inflation",
+                img.id
+            );
+        }
     }
 }
 
@@ -1003,14 +1109,11 @@ fn log2_bucket(v: u64, cap: usize) -> usize {
 
 #[derive(Debug, Clone, Copy)]
 struct LhdMeta {
-    id: ImageId,
     /// Evictor tick of the last insert/touch.
     last_access: u64,
     /// Reuse-gap class at that access.
     class: usize,
     bytes: u64,
-    /// Index in the sampling vector (swap-remove bookkeeping).
-    pos: usize,
 }
 
 /// Per-class age histograms and the density curve derived from them.
@@ -1055,40 +1158,24 @@ impl LhdClassStats {
     }
 }
 
-/// Sampled LHD (hit density), modeled on the `size_lru` exemplar:
-/// learn, per reuse-gap class, how likely an image of a given age is
-/// to hit again versus be evicted; evict the image with the lowest
-/// predicted hits per byte among K sampled candidates.
-///
-/// Touches are O(1) (a histogram bump and a metadata update — no
-/// ordered index). Selection draws from a [`SplitMix64`] stream seeded
-/// by [`CacheConfig::eviction_seed`]; ties break toward the smallest
-/// image id, so selection is a deterministic function of (seed,
-/// event history).
+/// Sampled LHD (hit density): learn, per reuse-gap class, how likely
+/// an image of a given age is to hit again versus be evicted; score an
+/// image by its predicted hits per byte. Touches are O(1) (a histogram
+/// bump and a metadata update).
 #[derive(Clone)]
-struct LhdSampleEvictor {
-    rng: SplitMix64,
+struct Lhd {
     /// Internal event clock: advances on insert and touch.
     tick: u64,
     next_reconfigure: u64,
-    /// Live images' slots, swap-removed on removal, for O(1) sampling.
-    slots: Vec<u32>,
-    /// Each slot's live image's state; `None` for a free slot.
-    meta: Vec<Option<LhdMeta>>,
     classes: Vec<LhdClassStats>,
-    counters: EvictorCounters,
 }
 
-impl LhdSampleEvictor {
-    fn new(seed: u64) -> Self {
-        LhdSampleEvictor {
-            rng: SplitMix64(seed),
+impl Lhd {
+    fn new() -> Self {
+        Lhd {
             tick: 0,
             next_reconfigure: LHD_RECONFIGURE_EVERY,
-            slots: Vec::new(),
-            meta: Vec::new(),
             classes: vec![LhdClassStats::new(); LHD_CLASSES],
-            counters: EvictorCounters::default(),
         }
     }
 
@@ -1102,148 +1189,51 @@ impl LhdSampleEvictor {
         }
     }
 
-    /// The state of `slot` if it holds image `id`.
-    fn live_meta(&mut self, slot: u32, id: ImageId) -> Option<&mut LhdMeta> {
-        self.meta
-            .get_mut(slot as usize)?
-            .as_mut()
-            .filter(|m| m.id == id)
-    }
-
-    /// Predicted hit density per byte for one image right now.
-    fn score(&self, m: &LhdMeta) -> f64 {
-        let age = log2_bucket(self.tick.saturating_sub(m.last_access), LHD_AGE_BUCKETS);
-        self.classes[m.class].densities[age] / m.bytes.max(1) as f64
+    fn age_bucket(&self, m: &LhdMeta) -> usize {
+        log2_bucket(self.tick.saturating_sub(m.last_access), LHD_AGE_BUCKETS)
     }
 }
 
-impl Evictor for LhdSampleEvictor {
+impl Scorer for Lhd {
+    type Meta = LhdMeta;
+    const SAMPLES: usize = LHD_SAMPLES;
+
     fn policy(&self) -> EvictionPolicy {
         EvictionPolicy::LhdSample
     }
 
-    fn on_insert(&mut self, slot: u32, img: &Image) {
+    fn admit(&mut self, img: &Image) -> LhdMeta {
         self.advance_tick();
-        let prev = at_slot(&mut self.meta, slot).replace(LhdMeta {
-            id: img.id,
+        LhdMeta {
             last_access: self.tick,
             class: 0,
             bytes: img.bytes,
-            pos: self.slots.len(),
-        });
-        debug_assert!(prev.is_none(), "slot {slot} taken at insert of {}", img.id);
-        self.slots.push(slot);
+        }
     }
 
-    fn on_touch(&mut self, slot: u32, img: &Image) {
+    fn touch(&mut self, m: &mut LhdMeta, img: &Image) {
         self.advance_tick();
-        let tick = self.tick;
-        let Some(m) = self.live_meta(slot, img.id) else {
-            return;
-        };
-        let gap = tick.saturating_sub(m.last_access);
+        let gap = self.tick.saturating_sub(m.last_access);
         let (class, age) = (m.class, log2_bucket(gap, LHD_AGE_BUCKETS));
         m.class = log2_bucket(gap, LHD_CLASSES);
-        m.last_access = tick;
+        m.last_access = self.tick;
         m.bytes = img.bytes;
         self.classes[class].hits[age] += 1.0;
     }
 
-    fn on_remove(&mut self, slot: u32, img: &Image) {
-        let gone = self
-            .meta
-            .get_mut(slot as usize)
-            .and_then(|m| m.take_if(|m| m.id == img.id));
-        let Some(m) = gone else {
-            return;
-        };
-        let Some(last) = self.slots.pop() else {
-            return;
-        };
-        if last != slot {
-            self.slots[m.pos] = last;
-            if let Some(Some(moved)) = self.meta.get_mut(last as usize) {
-                moved.pos = m.pos;
-            }
-        }
-    }
-
-    fn note_eviction(&mut self, slot: u32, img: &Image) {
-        let Some(m) = self.live_meta(slot, img.id).copied() else {
-            return;
-        };
-        let age = log2_bucket(self.tick.saturating_sub(m.last_access), LHD_AGE_BUCKETS);
+    fn evicted(&mut self, m: &LhdMeta) {
+        let age = self.age_bucket(m);
         self.classes[m.class].evicts[age] += 1.0;
     }
 
-    fn select_victim(&mut self, protect: Option<ImageId>) -> Option<ImageId> {
-        if self.slots.is_empty() {
-            return None;
-        }
-        let mut best: Option<(OrdF64, ImageId)> = None;
-        for _ in 0..LHD_SAMPLES {
-            self.counters.sample_draws += 1;
-            // The draw is already reduced modulo the vector length, so
-            // the narrowing cast cannot lose bits.
-            let draw = self.rng.next() % self.slots.len() as u64;
-            let Some(Some(m)) = self.meta.get(self.slots[draw as usize] as usize) else {
-                continue;
-            };
-            if Some(m.id) == protect {
-                continue;
-            }
-            let candidate = (OrdF64(self.score(m)), m.id);
-            if best.is_none_or(|b| candidate < b) {
-                best = Some(candidate);
-            }
-        }
-        if best.is_none() {
-            // Every draw landed on `protect` (tiny cache): fall back
-            // to a deterministic full scan so eviction always makes
-            // progress when a victim exists.
-            best = self
-                .slots
-                .iter()
-                .filter_map(|&slot| self.meta.get(slot as usize).copied().flatten())
-                .filter(|m| Some(m.id) != protect)
-                .map(|m| (OrdF64(self.score(&m)), m.id))
-                .min();
-        }
-        best.map(|(_, id)| id)
+    /// Predicted hit density per byte right now.
+    fn score(&self, m: &LhdMeta) -> (f64, u64) {
+        let density = self.classes[m.class].densities[self.age_bucket(m)];
+        (density / m.bytes.max(1) as f64, 0)
     }
 
-    fn peek_victim(&self, protect: Option<ImageId>) -> Option<ImageId> {
-        let mut preview = self.clone();
-        preview.select_victim(protect)
-    }
-
-    fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    fn counters(&self) -> EvictorCounters {
-        self.counters
-    }
-
-    fn clone_box(&self) -> Box<dyn Evictor> {
-        Box::new(self.clone())
-    }
-
-    fn check(&self, images: &[(u32, &Image)]) {
-        assert_eq!(
-            self.meta.iter().flatten().count(),
-            images.len(),
-            "lhd meta size"
-        );
-        assert_eq!(self.slots.len(), images.len(), "lhd sampling-vector size");
-        for &(slot, img) in images {
-            let m = self.meta.get(slot as usize).copied().flatten();
-            assert!(
-                m.is_some_and(|m| m.id == img.id),
-                "image {} missing from lhd meta of slot {slot}",
-                img.id
-            );
-            let Some(m) = m else { continue };
+    fn check(&self, resident: &[(LhdMeta, &Image)]) {
+        for (m, img) in resident {
             assert_eq!(m.bytes, img.bytes, "lhd stale bytes for {}", img.id);
             assert!(
                 m.last_access <= self.tick,
@@ -1251,12 +1241,6 @@ impl Evictor for LhdSampleEvictor {
                 img.id
             );
             assert!(m.class < LHD_CLASSES, "lhd class out of range");
-            assert_eq!(
-                self.slots.get(m.pos),
-                Some(&slot),
-                "lhd sampling position for {} out of sync",
-                img.id
-            );
         }
         for class in &self.classes {
             for a in 0..LHD_AGE_BUCKETS {
@@ -1280,15 +1264,21 @@ impl Evictor for LhdSampleEvictor {
 /// CLI's persistent cache) can drive the same policies over their own
 /// image populations.
 pub fn make_evictor(config: &CacheConfig) -> Box<dyn Evictor> {
-    let policy = config.eviction;
+    let (policy, seed) = (config.eviction, config.eviction_seed);
     match policy {
         EvictionPolicy::Lru => Box::new(LruEvictor::new()),
-        EvictionPolicy::Lfu => Box::new(IndexedEvictor::new(policy, LfuKey)),
-        EvictionPolicy::LargestFirst => Box::new(IndexedEvictor::new(policy, LargestFirstKey)),
-        EvictionPolicy::CostDensity => Box::new(IndexedEvictor::new(policy, CostDensityKey)),
-        EvictionPolicy::Gdsf => Box::new(IndexedEvictor::new(policy, GdsfKey { inflation: 0.0 })),
+        EvictionPolicy::Lfu
+        | EvictionPolicy::LargestFirst
+        | EvictionPolicy::CostDensity
+        | EvictionPolicy::Gdsf => Box::new(SampledEvictor::new(
+            Priority {
+                policy,
+                inflation: 0.0,
+            },
+            seed,
+        )),
         EvictionPolicy::S3Fifo => Box::new(S3FifoEvictor::new(config.limit_bytes)),
-        EvictionPolicy::LhdSample => Box::new(LhdSampleEvictor::new(config.eviction_seed)),
+        EvictionPolicy::LhdSample => Box::new(SampledEvictor::new(Lhd::new(), seed)),
     }
 }
 
@@ -1367,13 +1357,43 @@ mod tests {
         assert_eq!(e.peek_victim(None), Some(ImageId(2)));
     }
 
+    /// The sampling-vector positions the next selection of a sampled
+    /// evictor draws from stream state `rng`, over `n` occupied slots.
+    fn draws(mut rng: SplitMix64, n: usize) -> Vec<usize> {
+        (0..PRIORITY_SAMPLES)
+            .map(|_| (rng.next() % n as u64) as usize)
+            .collect()
+    }
+
+    /// Whether the next selection from `rng` draws each of `n` slots.
+    fn draws_all(rng: SplitMix64, n: usize) -> bool {
+        let drawn = draws(rng, n);
+        (0..n).all(|pos| drawn.contains(&pos))
+    }
+
     #[test]
     fn largest_first_prefers_big_then_small_id() {
         let mut e = evictor(EvictionPolicy::LargestFirst);
         e.insert(&img(1, 10, 1, 1));
         e.insert(&img(2, 30, 2, 1));
         e.insert(&img(3, 30, 3, 1));
+        assert!(draws_all(SplitMix64(0), 3), "seed 0 draws all three");
         assert_eq!(e.peek_victim(None), Some(ImageId(2)), "ties → smallest id");
+        // The biggest image is evicted only when drawn: the victim is
+        // the biggest image in the drawn slots.
+        let drawn = draws(SplitMix64(0), 200);
+        let missed = (0..200).find(|pos| !drawn.contains(pos)).unwrap();
+        let mut e = evictor(EvictionPolicy::LargestFirst);
+        for id in 0..200 {
+            let bytes = if id == missed as u64 {
+                10_000
+            } else {
+                100 + id
+            };
+            e.insert(&img(id, bytes, id, 1));
+        }
+        let want = drawn.iter().max().map(|&pos| ImageId(pos as u64));
+        assert_eq!(e.select_victim(None), want);
     }
 
     #[test]
@@ -1381,6 +1401,7 @@ mod tests {
         let mut e = evictor(EvictionPolicy::CostDensity);
         e.insert(&img(1, 100, 1, 1)); // 0.01 uses/byte
         e.insert(&img(2, 10, 2, 5)); // 0.5 uses/byte
+        assert!(draws_all(SplitMix64(0), 2), "seed 0 draws both");
         assert_eq!(e.peek_victim(None), Some(ImageId(1)));
     }
 
@@ -1393,15 +1414,17 @@ mod tests {
         // Cheap victim: H = 0 + 1/100 = 0.01. Evicting it raises L.
         let cheap = img(2, 100, 2, 1);
         e.insert(&cheap);
-        assert_eq!(e.peek_victim(None), Some(ImageId(2)));
+        assert!(draws_all(SplitMix64(0), 2), "seed 0 draws both");
+        assert_eq!(e.select_victim(None), Some(ImageId(2)));
         e.evicted(&cheap);
         e.remove(&cheap);
         // After many evictions the inflation exceeds 1.0 and freshly
-        // inserted low-frequency images outrank the stale hot one.
+        // inserted low-frequency images outrank the stale hot one as
+        // soon as a selection draws both resident images.
         for k in 0..200u64 {
             let v = img(10 + k, 1, 3 + k, 2);
             e.insert(&v);
-            let victim = e.peek_victim(None).unwrap();
+            let victim = e.select_victim(None).unwrap();
             let vi = if victim == v.id {
                 v.clone()
             } else {
@@ -1440,8 +1463,35 @@ mod tests {
                 e.insert(&img(id, 10 + id, id, 1 + id % 3));
             }
             let peeked = e.peek_victim(None);
+            assert_eq!(e.peek_victim(None), peeked, "{policy:?} peek mutated");
+            assert_eq!(e.counters().sample_draws, 0, "{policy:?} peek drew");
             assert_eq!(e.select_victim(None), peeked, "{policy:?}");
-            assert_eq!(e.peek_victim(None), peeked, "{policy:?} select mutated");
+            if policy == EvictionPolicy::Lru {
+                assert_eq!(e.peek_victim(None), peeked, "lru select mutated");
+                continue;
+            }
+            // A sampled selection commits its draws and nothing else:
+            // the victim is the least rank among the drawn slots.
+            assert_eq!(e.counters().sample_draws, PRIORITY_SAMPLES as u64);
+            let mut rng = SplitMix64(0);
+            for _ in 0..PRIORITY_SAMPLES {
+                rng.next();
+            }
+            let rank = |id: u64| {
+                let i = img(id, 10 + id, id, 1 + id % 3);
+                let p = Priority {
+                    policy,
+                    inflation: 0.0,
+                };
+                let (score, tiebreak) = p.score(&p.usage(&i));
+                (score, tiebreak, i.id)
+            };
+            let want = draws(rng, 10)
+                .into_iter()
+                .map(|pos| rank(pos as u64))
+                .min_by(rank_cmp)
+                .map(|(.., id)| id);
+            assert_eq!(e.peek_victim(None), want, "{policy:?} next draws");
         }
     }
 

@@ -318,11 +318,11 @@ impl ImageCache {
     /// The next eviction victim under the configured policy (with no
     /// image protected), without committing any selection state. For
     /// LRU this reads the head of the recency list, O(1) (a scan right
-    /// after a restore, until the next selection sorts the list); for
-    /// the other ordered policies it is the first entry of their
-    /// ordered index. Stateful policies (S3-FIFO, sampled LHD) preview
-    /// on a clone of their state so the answer always matches the next
-    /// real selection. `None` on an empty cache.
+    /// after a restore, until the next selection sorts the list). The
+    /// sampled policies replay their next K draws on a copy of the
+    /// stream state, O(K); S3-FIFO previews on a clone of its queues.
+    /// Either way the answer matches the next real selection. `None` on
+    /// an empty cache.
     pub fn peek_victim(&self) -> Option<ImageId> {
         self.evictor.peek_victim(None)
     }

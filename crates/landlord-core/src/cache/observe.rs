@@ -41,7 +41,8 @@ pub mod names {
     /// because their identity was found in the ghost queue.
     pub const EVICT_GHOST_HITS: &str = "core.evict_ghost_hits";
     /// Counter: individual candidate draws performed by sampled victim
-    /// selection (LHD).
+    /// selection (`lfu`, `largest-first`, `cost-density`, `gdsf`,
+    /// `lhd-sample`).
     pub const EVICT_SAMPLE_DRAWS: &str = "core.evict_sample_draws";
     /// Histogram: ticks a sharded request waited to acquire its
     /// shard's lock.

@@ -499,16 +499,19 @@ proptest! {
 // (`PROPTEST_CASES`, which the default config reads).
 proptest! {
     /// Differential evictor test: drive every evictor (LRU list,
-    /// ordered index, queue rotation, sampling) through random
-    /// insert/touch/remove/evict sequences, each image in a slot handed
-    /// out as the engine's posting table does (freed slots reused
-    /// last-freed first). An op advances the clock only when its flag
-    /// says so, so inserts and touches often share a tick, and some
-    /// inserts carry an older tick, as a restore admits images. All
-    /// seven must keep `check()` consistency at every step; the five
-    /// ordered policies must additionally agree, victim for victim and
-    /// ties included, with a naive O(n) `min_by_key` reference scan over
-    /// stored keys — for LRU, the `(last_used, id)` order.
+    /// queue rotation, sampling) through random insert/touch/remove/
+    /// evict sequences, each image in a slot handed out as the engine's
+    /// posting table does (freed slots reused last-freed first). An op
+    /// advances the clock only when its flag says so, so inserts and
+    /// touches often share a tick, and some inserts carry an older
+    /// tick, as a restore admits images. All seven must keep `check()`
+    /// consistency at every step. LRU must agree, victim for victim and
+    /// ties included, with a naive O(n) scan for the least
+    /// `(last_used, id)`; each of the four priority policies with a
+    /// reference that keeps the images in insertion order with
+    /// swap-removal, draws the same seeded samples from that order and
+    /// takes the least `(priority, tiebreak, id)` among them, GDSF's
+    /// inflation included.
     #[test]
     fn evictors_agree_with_naive_reference_scan(
         ops in proptest::collection::vec((0u8..5, 0u64..50, 1u64..60, any::<bool>()), 1..120),
@@ -525,12 +528,14 @@ proptest! {
             let mut images: FxHashMap<u64, (u32, Image)> = FxHashMap::default();
             let mut free: Vec<u32> = Vec::new();
             let mut opened = 0u32;
-            // Reference model: stored (priority, last_used) per image
-            // plus the GDSF inflation value, mirroring the stored-key
-            // semantics of the pre-seam O(n) scans.
+            // Reference model: stored (priority, tiebreak) per image,
+            // the GDSF inflation value, the sampling order (ids, swap-
+            // removed) and the sampling stream.
             let mut stored: FxHashMap<u64, (f64, u64)> = FxHashMap::default();
             let mut inflation = 0.0f64;
-            let ordered = !matches!(
+            let mut order: Vec<u64> = Vec::new();
+            let mut rng = evictor::SplitMix64(cfg.eviction_seed);
+            let referenced = !matches!(
                 policy,
                 EvictionPolicy::S3Fifo | EvictionPolicy::LhdSample
             );
@@ -581,6 +586,7 @@ proptest! {
                             opened - 1
                         });
                         stored.insert(id, key_of(&img, inflation));
+                        order.push(id);
                         e.on_insert(slot, &img);
                         images.insert(id, (slot, img));
                     }
@@ -602,6 +608,7 @@ proptest! {
                         let id = pick_live(&images, pick);
                         let (slot, img) = images.remove(&id).expect("picked live id");
                         stored.remove(&id);
+                        order.swap_remove(order.iter().position(|&o| o == id).expect("ordered"));
                         e.on_remove(slot, &img);
                         free.push(slot);
                     }
@@ -611,18 +618,29 @@ proptest! {
                         let victim = e.select_victim(None);
                         prop_assert_eq!(victim, peeked, "{:?}: peek must preview select", policy);
                         let victim = victim.expect("nonempty cache yields a victim");
-                        if ordered {
-                            let reference = images
-                                .values()
-                                .map(|(_, img)| {
-                                    let &(pri, lu) = stored.get(&img.id.0).expect("stored key");
-                                    ((evictor::OrdF64(pri), lu, img.id.0), img.id)
+                        if referenced {
+                            // LRU ranks every image; a sampled policy the
+                            // images its draws land on.
+                            let candidates: Vec<u64> = if policy == EvictionPolicy::Lru {
+                                order.clone()
+                            } else {
+                                (0..evictor::PRIORITY_SAMPLES)
+                                    .map(|_| order[(rng.next() % order.len() as u64) as usize])
+                                    .collect()
+                            };
+                            let reference = candidates
+                                .into_iter()
+                                .map(|id| {
+                                    let &(pri, tiebreak) = stored.get(&id).expect("stored key");
+                                    (pri, tiebreak, id)
                                 })
-                                .min()
-                                .map(|(_, id)| id);
+                                .min_by(|a, b| {
+                                    a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2))
+                                })
+                                .map(|(.., id)| ImageId(id));
                             prop_assert_eq!(
                                 Some(victim), reference,
-                                "{:?}: victim disagrees with naive scan", policy
+                                "{:?}: victim disagrees with the reference", policy
                             );
                         }
                         prop_assert!(
@@ -637,6 +655,7 @@ proptest! {
                         }
                         let (slot, img) = images.remove(&victim.0).expect("victim is live");
                         stored.remove(&victim.0);
+                        order.swap_remove(order.iter().position(|&o| o == victim.0).expect("ordered"));
                         e.note_eviction(slot, &img);
                         e.on_remove(slot, &img);
                         free.push(slot);

@@ -25,20 +25,25 @@ pub enum EvictionPolicy {
     /// the bloated image will eventually be evicted from the cache."
     #[default]
     Lru,
-    /// Least-frequently-used; ties broken by recency.
+    /// Least-frequently-used among K seeded samples; ties broken by
+    /// recency. Like the other sampled policies (all but `Lru` and
+    /// `S3Fifo`), it keeps no ordered index: touches are O(1), and each
+    /// selection ranks K slots drawn from a stream seeded by
+    /// [`crate::cache::CacheConfig::eviction_seed`].
     Lfu,
-    /// Largest image first — frees space fastest but punishes merged
-    /// images that serve many requests.
+    /// Largest of K seeded samples first — frees space fastest but
+    /// punishes merged images that serve many requests.
     LargestFirst,
-    /// Smallest `use_count / bytes` density first: evict images that
-    /// deliver the fewest requests per byte retained.
+    /// Smallest `use_count / bytes` density among K seeded samples
+    /// first: evict images that deliver the fewest requests per byte
+    /// retained.
     CostDensity,
     /// Greedy-Dual-Size-Frequency: evict the smallest priority
-    /// `L + use_count / bytes`, where the inflation term `L` is raised
-    /// to each victim's priority on eviction. Size-aware like
-    /// [`EvictionPolicy::CostDensity`], but the inflation term ages
-    /// images out the way LRU does, so a once-hot giant image cannot
-    /// squat in the cache forever.
+    /// `L + use_count / bytes` among K seeded samples, where the
+    /// inflation term `L` is raised to each victim's priority on
+    /// eviction. Size-aware like [`EvictionPolicy::CostDensity`], but
+    /// the inflation term ages images out the way LRU does, so a
+    /// once-hot giant image cannot squat in the cache forever.
     Gdsf,
     /// S3-FIFO (SOSP'23): three static FIFO queues — a small probationary
     /// queue (~10% of the byte budget), a main queue, and a ghost queue
@@ -51,7 +56,7 @@ pub enum EvictionPolicy {
     /// histograms online and evicts the image with the lowest predicted
     /// hits-per-byte-per-tick among K randomly sampled images (seeded
     /// from [`crate::cache::CacheConfig::eviction_seed`]). Touches are
-    /// O(1) histogram bumps — no ordered index is maintained.
+    /// O(1) histogram bumps.
     LhdSample,
 }
 
