@@ -3,8 +3,8 @@
 //! times, plus end-to-end cache request throughput and image builds.
 
 use bench::{bench_repo, bench_stream, hot_repo, overlapping_specs};
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use landlord_core::cache::{CacheConfig, ImageCache};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
+use landlord_core::cache::{CacheConfig, ImageCache, Plan, PlannedOp};
 use landlord_core::jaccard::jaccard_distance;
 use landlord_core::policy::DistanceMetric;
 use landlord_core::spec::{PackageId, Spec};
@@ -235,6 +235,79 @@ fn touch_rows(c: &mut Criterion, label: &str, n: u32) {
     group.finish();
 }
 
+/// Applying a merge (Algorithm 1's "replace j with merge(s, j)") at the
+/// shape of the `paper` benchmark: requests of 300–500 packages merged
+/// into images of 1,000 packages or more. The pairs are the first 16
+/// such merges of an α = 0.75 run over a paper-shaped stream on the
+/// full SFT-like repository. Each input is a fresh cache holding only
+/// the pair's image, built untimed, and the merge plan is made once,
+/// so the row times `apply` of one merge alone.
+fn merge_apply(c: &mut Criterion) {
+    let repo = Repository::generate(&RepoConfig::sft_like(0xbe9c));
+    let stream = workload::generate_stream(
+        &repo,
+        &WorkloadConfig {
+            unique_jobs: 500,
+            repeats: 5,
+            max_initial_selection: 100,
+            scheme: WorkloadScheme::DependencyClosure,
+            seed: 1,
+        },
+    );
+    let cfg = CacheConfig {
+        alpha: 0.75,
+        limit_bytes: 2 * repo.total_bytes(),
+        ..CacheConfig::default()
+    };
+    let sizes = Arc::new(repo.size_table());
+    let mut replay = ImageCache::new(cfg, sizes.clone());
+    let mut pairs: Vec<(Spec, Spec)> = Vec::new();
+    for spec in &stream {
+        replay.settle();
+        let plan = replay.plan(spec);
+        if let PlannedOp::Merge { image, .. } = plan.op {
+            let held = &replay.get(image).expect("planned target is resident").spec;
+            if held.len() >= 1_000 && (300..=500).contains(&spec.len()) {
+                pairs.push((held.clone(), spec.clone()));
+            }
+        }
+        if pairs.len() == 16 {
+            break;
+        }
+        replay.apply(spec, &plan);
+    }
+    assert_eq!(pairs.len(), 16, "too few paper-shaped merges");
+    let fresh = |image: &Spec| {
+        let mut cache = ImageCache::new(cfg, sizes.clone());
+        cache.insert_fresh(image);
+        cache.settle();
+        cache
+    };
+    let merges: Vec<(Spec, Spec, Plan)> = pairs
+        .into_iter()
+        .map(|(image, request)| {
+            let plan = fresh(&image).plan(&request);
+            assert!(matches!(plan.op, PlannedOp::Merge { .. }));
+            (image, request, plan)
+        })
+        .collect();
+    let mut next = 0usize;
+    c.bench_function("merge_apply", |bench| {
+        bench.iter_batched(
+            || {
+                next = (next + 1) % merges.len();
+                let (image, request, plan) = &merges[next];
+                (fresh(image), request, plan)
+            },
+            |(mut cache, request, plan)| {
+                let outcome = cache.apply(request, plan);
+                (cache, outcome)
+            },
+            BatchSize::LargeInput,
+        )
+    });
+}
+
 /// Resident images from `uniques` (admitted with `insert_fresh`, so
 /// none merges) under `cfg`, plus up to 64 misses: unions of
 /// neighbouring specs that no single image holds, so each plans a full
@@ -435,6 +508,6 @@ fn image_build(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = set_ops, minhash_ops, closures, cache_requests, victim_selection, touch_path, plan_scaling, spec_inference, image_build
+    targets = set_ops, minhash_ops, closures, cache_requests, victim_selection, touch_path, merge_apply, plan_scaling, spec_inference, image_build
 }
 criterion_main!(benches);

@@ -7,6 +7,11 @@
 //! this), so every consumer (the plain request path, the
 //! fault-degradation path, the persistent store) observes the exact
 //! same decision it planned.
+//!
+//! A merge reads the packages the request adds to the image from the
+//! posting table, not from the image's spec, and grows the image's
+//! bytes by theirs alone (`SizeModel::spec_bytes` sums its members);
+//! the merged spec is the sorted union of the image and those packages.
 
 use super::plan::{Plan, PlannedOp};
 use super::ImageCache;
@@ -188,11 +193,11 @@ impl ImageCache {
         let img = self.residents.get_mut(slot as usize)?.as_mut()?;
         let id = img.id;
 
-        // Account the packages newly introduced by the request.
-        let added = spec.difference(&img.spec);
+        // `added` is disjoint from the image, so the bytes add up.
+        let added = self.postings.missing(slot, spec);
         let old_bytes = img.bytes;
-        let new_spec = img.spec.union(spec);
-        let new_bytes = sizes.spec_bytes(&new_spec);
+        let new_bytes = old_bytes.saturating_add(sizes.spec_bytes(&added));
+        let new_spec = img.spec.union(&added);
         self.postings.grow(slot, &added, new_bytes);
         img.spec = new_spec;
         img.bytes = new_bytes;

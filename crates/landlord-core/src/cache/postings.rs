@@ -18,6 +18,12 @@
 //! ([`Postings::overlaps`]): bit-sliced counters under the package
 //! count, a per-slot byte sum under the byte metric. Both are exact
 //! because every package of every resident image has its bit set.
+//!
+//! A merge asks a third: *which packages of the request does the image
+//! in this slot lack?* They are the request's packages whose row has no
+//! bit for the slot, plus those past the last row, which no image holds
+//! ([`Postings::missing`]): one word per package, and the image's spec
+//! is not read.
 
 use crate::bitset::ones_of_word;
 use crate::policy::DistanceMetric;
@@ -151,6 +157,26 @@ impl Postings {
     fn with_rows<'a>(&self, spec: &'a Spec) -> &'a [PackageId] {
         let ids = spec.ids();
         &ids[..ids.partition_point(|p| p.index() < self.packages)]
+    }
+
+    /// The packages of `spec` that the image in the occupied `slot`
+    /// lacks: those whose row has no bit for the slot, and those past
+    /// the last row, which no image holds. This is what a merge into
+    /// the slot adds, `spec \ image`, read with one word per package
+    /// and without the image's spec.
+    pub(super) fn missing(&self, slot: u32, spec: &Spec) -> Spec {
+        let (word, mask) = slot_bit(slot);
+        debug_assert!(self.occupied[word] & mask != 0, "slot {slot} is free");
+        let ids = spec.ids();
+        let with_rows = self.with_rows(spec);
+        let mut out = Vec::with_capacity(ids.len());
+        out.extend(
+            with_rows
+                .iter()
+                .filter(|p| self.rows[p.index() * self.stride + word] & mask == 0),
+        );
+        out.extend_from_slice(&ids[with_rows.len()..]);
+        Spec::from_sorted_vec(out)
     }
 
     /// The slot of the image holding every package of `spec` with the
@@ -524,6 +550,69 @@ mod tests {
         assert_eq!(holders(&p, &spec(&[3])), want);
         assert_eq!(superset(&p, &spec(&[3])), Some(500), "fewest bytes");
         assert_eq!(superset(&p, &spec(&[3, 110])), Some(10));
+    }
+
+    /// The ids of `s` that the image in `slot` lacks.
+    fn missing(p: &Postings, slot: u32, s: &Spec) -> Vec<u32> {
+        p.missing(slot, s).iter().map(|id| id.0).collect()
+    }
+
+    #[test]
+    fn missing_reads_the_slot_bit_on_both_sides_of_a_word_boundary() {
+        let mut p = Postings::default();
+        let a = spec(&[1, 63, 64, 127]);
+        let b = spec(&[63, 128]);
+        let sa = p.admit(1, 4, &a);
+        let sb = p.admit(2, 2, &b);
+        let request = spec(&[0, 1, 63, 64, 127, 128]);
+        assert_eq!(missing(&p, sa, &request), vec![0, 128]);
+        assert_eq!(missing(&p, sb, &request), vec![0, 1, 64, 127]);
+        assert_eq!(missing(&p, sa, &a), Vec::<u32>::new());
+        assert_eq!(missing(&p, sa, &Spec::empty()), Vec::<u32>::new());
+        // After a merge the slot holds what it lacked.
+        p.grow(sa, &p.missing(sa, &request), 6);
+        assert_eq!(missing(&p, sa, &request), Vec::<u32>::new());
+        assert_eq!(missing(&p, sb, &request), vec![0, 1, 64, 127]);
+    }
+
+    /// Packages past the last row are held by no image, so every slot
+    /// lacks them, whether the request has rows below them or not.
+    #[test]
+    fn packages_without_a_row_are_missing_from_every_slot() {
+        let mut p = Postings::default();
+        let a = spec(&[2, 9]);
+        let slot = p.admit(1, 2, &a);
+        assert_eq!(p.packages, 10);
+        assert_eq!(missing(&p, slot, &spec(&[9, 10, 500])), vec![10, 500]);
+        assert_eq!(missing(&p, slot, &spec(&[64, 65])), vec![64, 65]);
+        assert_eq!(missing(&p, slot, &spec(&[2, 3, 9])), vec![3]);
+    }
+
+    /// With more than 64 slots a row spans several words: each slot
+    /// reads its own word, and a reused slot answers for its new image
+    /// alone.
+    #[test]
+    fn missing_reads_the_slot_word_past_the_first_and_follows_reused_slots() {
+        let mut p = Postings::default();
+        let specs: Vec<Spec> = (0..150u32).map(|i| spec(&[i % 5, 200 + i])).collect();
+        let taken: Vec<u32> = specs
+            .iter()
+            .zip(0u64..)
+            .map(|(s, id)| p.admit(id, 2, s))
+            .collect();
+        assert_eq!(p.stride, 3);
+        let request = spec(&[0, 1, 2, 3, 4, 263, 340]);
+        for (s, &slot) in specs.iter().zip(&taken) {
+            let want: Vec<u32> = request.difference(s).iter().map(|id| id.0).collect();
+            assert_eq!(missing(&p, slot, &request), want, "slot {slot}");
+        }
+        // Slot 130 (word 2) is freed and reused by an image holding
+        // other packages: its old bits are gone, its new ones read.
+        p.release(taken[130], &specs[130]);
+        let reused = spec(&[1, 3, 340]);
+        assert_eq!(p.admit(900, 3, &reused), taken[130]);
+        assert_eq!(missing(&p, taken[130], &request), vec![0, 2, 4, 263]);
+        assert_eq!(missing(&p, taken[63], &request), vec![0, 1, 2, 4, 340]);
     }
 
     fn refcounts(specs: &[&Spec]) -> Vec<u32> {

@@ -498,6 +498,68 @@ proptest! {
 // Properties re-run at a higher case count by CI's paranoid job
 // (`PROPTEST_CASES`, which the default config reads).
 proptest! {
+    /// Differential merge test: the packages a merge adds, read from
+    /// the posting table, are exactly the sorted-slice difference, and
+    /// the merged image's bytes, grown by the added packages alone,
+    /// equal a full re-sum of its spec. Forced merge plans put random
+    /// requests into random resident images among 70–140 slots (so a
+    /// row spans two or three words), interleaved with inserts and
+    /// removals that free and reuse slots and with the evictions the
+    /// byte limit forces. Requests reach ids past every row, and every
+    /// fifth package weighs nothing.
+    #[test]
+    fn merges_add_exactly_the_sorted_difference(
+        eviction in (0..EvictionPolicy::ALL.len()).prop_map(|i| EvictionPolicy::ALL[i]),
+        fill in proptest::collection::vec(
+            proptest::collection::vec(0u32..300, 1..30)
+                .prop_map(|v| Spec::from_ids(v.into_iter().map(PackageId))),
+            70..140,
+        ),
+        ops in proptest::collection::vec((0u8..6, any::<u64>(), 0usize..60), 1..40),
+    ) {
+        let sizes: Arc<dyn SizeModel> =
+            Arc::new(TableSizes::new((0..340u64).map(|i| i % 5).collect()));
+        let limit: u64 = fill.iter().map(|s| sizes.spec_bytes(s)).sum();
+        let cfg = CacheConfig { limit_bytes: limit, eviction, ..CacheConfig::default() };
+        let mut cache = ImageCache::new(cfg, Arc::clone(&sizes));
+        for s in &fill {
+            cache.insert_fresh(s);
+        }
+        for &(kind, pick, len) in &ops {
+            let request = distinct_ids(len, 340, pick);
+            let mut ids: Vec<ImageId> = cache.images().map(|img| img.id).collect();
+            ids.sort_unstable();
+            match kind {
+                0 => {
+                    cache.insert_fresh(&request);
+                }
+                1 if ids.len() > 1 => {
+                    cache.remove_image(ids[pick as usize % ids.len()]);
+                }
+                _ if !ids.is_empty() => {
+                    let image = ids[pick as usize % ids.len()];
+                    let slot = cache.slot_of(image).expect("resident image has a slot");
+                    let before = cache.resident(slot).expect("slot is occupied").clone();
+                    let added = cache.postings.missing(slot, &request);
+                    prop_assert_eq!(&added, &request.difference(&before.spec));
+                    cache.settle();
+                    let plan = Plan {
+                        op: PlannedOp::Merge { image, distance: 0.5 },
+                        requested_bytes: sizes.spec_bytes(&request),
+                    };
+                    let out = cache.apply(&request, &plan);
+                    let after = cache.get(image).expect("merge target survives");
+                    prop_assert_eq!(&after.spec, &before.spec.union(&request));
+                    prop_assert_eq!(after.bytes, sizes.spec_bytes(&after.spec));
+                    prop_assert_eq!(after.bytes, before.bytes + sizes.spec_bytes(&added));
+                    prop_assert_eq!(out.image_bytes(), after.bytes);
+                }
+                _ => {}
+            }
+        }
+        cache.check_invariants();
+    }
+
     /// Differential evictor test: drive every evictor (LRU list,
     /// queue rotation, sampling) through random insert/touch/remove/
     /// evict sequences, each image in a slot handed out as the engine's

@@ -13,6 +13,13 @@ use crate::spec::{PackageId, Spec};
 /// Implementations must be cheap (called once per spec member on every
 /// insert/merge) and consistent: the same id always maps to the same
 /// size within one cache lifetime.
+///
+/// [`SizeModel::spec_bytes`] must equal the sum of
+/// [`SizeModel::package_size`] over the spec's members, so the bytes of
+/// disjoint specs add up. The cache relies on it: a merge grows an
+/// image's bytes by the `spec_bytes` of the packages it adds alone, and
+/// `ImageCache::check_invariants` re-sums every image's spec against
+/// the bytes so kept.
 pub trait SizeModel: Send + Sync {
     /// Bytes occupied by one copy of the package.
     fn package_size(&self, id: PackageId) -> u64;
@@ -20,7 +27,7 @@ pub trait SizeModel: Send + Sync {
     /// Total bytes of a specification (sum over its unique members).
     ///
     /// The default sums `package_size` over members; implementations may
-    /// override with something faster.
+    /// override with something faster that returns the same sum.
     fn spec_bytes(&self, spec: &Spec) -> u64 {
         spec.iter().map(|id| self.package_size(id)).sum()
     }
@@ -128,6 +135,24 @@ mod tests {
         let m = TableSizes::new(vec![100, 200]);
         let s = Spec::from_ids([0, 0, 1, 1].map(PackageId));
         assert_eq!(m.spec_bytes(&s), 300);
+    }
+
+    proptest::proptest! {
+        /// The `spec_bytes` contract, for both models here: the sum of
+        /// `package_size` over the members.
+        #[test]
+        fn spec_bytes_is_the_sum_of_package_sizes(
+            ids in proptest::collection::vec(0u32..64, 0..40),
+            bytes in 0u64..1_000_000,
+            table in proptest::collection::vec(0u64..1_000_000, 64),
+        ) {
+            let s = Spec::from_ids(ids.into_iter().map(PackageId));
+            let (uniform, table) = (UniformSizes::new(bytes), TableSizes::new(table));
+            for model in [&uniform as &dyn SizeModel, &table] {
+                let sum: u64 = s.iter().map(|p| model.package_size(p)).sum();
+                proptest::prop_assert_eq!(model.spec_bytes(&s), sum);
+            }
+        }
     }
 
     #[test]

@@ -231,6 +231,27 @@ mod tests {
             .expect("generated graph must be a DAG");
     }
 
+    /// The `SizeModel::spec_bytes` contract for the repository and its
+    /// size table: the sum of `package_size` over the members, with
+    /// both models giving every package the same size.
+    #[test]
+    fn size_models_sum_their_members() {
+        let repo = Repository::generate(&RepoConfig::small_for_tests(11));
+        let table = repo.size_table();
+        let top = repo.package_count() as u32;
+        for seeds in [vec![], vec![0], vec![top - 1], vec![3, top / 2, top - 2]] {
+            let spec = repo.closure_spec(&seeds.into_iter().map(PackageId).collect::<Vec<_>>());
+            for model in [&repo as &dyn SizeModel, &table] {
+                let sum: u64 = spec.iter().map(|p| model.package_size(p)).sum();
+                assert_eq!(model.spec_bytes(&spec), sum);
+            }
+            for p in spec.iter() {
+                assert_eq!(repo.package_size(p), table.package_size(p));
+            }
+        }
+        assert_eq!(table.total_bytes(), repo.total_bytes());
+    }
+
     #[test]
     fn closure_includes_seeds() {
         let repo = Repository::generate(&RepoConfig::small_for_tests(7));

@@ -131,6 +131,55 @@ fn eviction_golden_reports_are_byte_identical() {
     }
 }
 
+/// The eviction goldens again where a few hundred images stay
+/// resident: α = 0 over 800 small closures (each about 8 % of the
+/// repository) repeated three times, under a limit of 24 repositories.
+/// About 280 images are resident when the sampled policies evict, so
+/// their K seeded draws reach a fraction of them and the victims they
+/// pick are pinned here; in the three-to-five-image scenario above the
+/// draws reach every image and any K gives the same victims.
+#[test]
+fn crowded_eviction_golden_reports_are_byte_identical() {
+    use landlord_core::policy::EvictionPolicy;
+    let repo = Repository::generate(&RepoConfig::small_for_tests(1234));
+    let workload = WorkloadConfig {
+        unique_jobs: 800,
+        repeats: 3,
+        max_initial_selection: 3,
+        scheme: WorkloadScheme::DependencyClosure,
+        seed: 7,
+    };
+    let stream = generate_stream(&repo, &workload);
+    for eviction in EvictionPolicy::ALL {
+        let cfg = CacheConfig {
+            alpha: 0.0,
+            limit_bytes: 24 * repo.total_bytes(),
+            eviction,
+            eviction_seed: 42,
+            ..CacheConfig::default()
+        };
+        let sizes: Arc<dyn SizeModel> = Arc::new(repo.size_table());
+        let mut policy =
+            make_policy("landlord", cfg, sizes, repo.total_bytes()).expect("known token");
+        let run = simulate_policy(policy.as_mut(), &stream, 0, None, None);
+        let report = PolicyReport::from_run("landlord", &run);
+        let s = report.final_stats;
+        assert!(
+            s.image_count >= 200 && s.deletes >= 500,
+            "{}: {} images resident after {} evictions; the scenario no \
+             longer crowds the cache",
+            eviction.token(),
+            s.image_count,
+            s.deletes
+        );
+        let rendered = format!("{}\n", serde_json::to_string_pretty(&report).unwrap());
+        check_golden(
+            golden_path(&format!("eviction-crowded-{}", eviction.token())),
+            &rendered,
+        );
+    }
+}
+
 /// The eviction goldens must actually discriminate between policies —
 /// if a scenario tweak ever collapses them back to one shared outcome,
 /// the per-policy pins stop guarding anything interesting.
