@@ -16,6 +16,7 @@ use landlord_sim::minhash::{LshIndex, LshShape, MinHasher};
 use landlord_sim::workload::{self, WorkloadConfig, WorkloadScheme};
 use landlord_store::MemStore;
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::hint::black_box;
 use std::sync::Arc;
@@ -35,6 +36,29 @@ fn set_ops(c: &mut Criterion) {
             bench.iter(|| black_box(a.is_subset(black_box(&b))))
         });
     }
+    // `paper`'s mean merge: a 662-package image ∪ the 188 packages a
+    // request adds, disjoint from it and scattered through the
+    // 9,660-package universe, so the two interleave at random. The
+    // row cycles through 16 such pairs: on one pair repeated, a
+    // branch predictor learns the interleaving.
+    let mut rng = StdRng::seed_from_u64(0xbe9c);
+    let merges: Vec<(Spec, Spec)> = (0..16)
+        .map(|_| {
+            let mut ids: Vec<u32> = (0..9660).collect();
+            ids.shuffle(&mut rng);
+            let spec = |ids: &[u32]| Spec::from_ids(ids.iter().map(|&i| PackageId(i)));
+            (spec(&ids[..662]), spec(&ids[662..850]))
+        })
+        .collect();
+    let mut next = 0usize;
+    group.throughput(Throughput::Elements(850));
+    group.bench_function("union_delta", |bench| {
+        bench.iter(|| {
+            next = (next + 1) % merges.len();
+            let (image, delta) = &merges[next];
+            black_box(image.union(black_box(delta)))
+        })
+    });
     group.finish();
 }
 

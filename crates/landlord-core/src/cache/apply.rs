@@ -12,6 +12,8 @@
 //! posting table, not from the image's spec, and grows the image's
 //! bytes by theirs alone (`SizeModel::spec_bytes` sums its members);
 //! the merged spec is the sorted union of the image and those packages.
+//! Both the delta and the union are built without data-dependent
+//! branches (see `Postings::missing` and `Spec::union`).
 
 use super::plan::{Plan, PlannedOp};
 use super::ImageCache;

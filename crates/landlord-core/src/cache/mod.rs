@@ -591,13 +591,21 @@ impl ImageCache {
     /// plan attached for [`CachePolicy::apply_build`]: the
     /// [`CachePolicy::plan_build`] of a plan made elsewhere than
     /// [`ImageCache::plan`].
+    ///
+    /// A merge rewrites the image at its bytes plus those of the
+    /// packages it lacks, read from the posting table exactly as
+    /// [`ImageCache::apply`] grows it; no union is built.
     pub fn build_for(&self, spec: &Spec, plan: Plan) -> PlannedBuild {
         let build = match plan.op {
             PlannedOp::Hit { .. } => BuildPlan::Hit,
             PlannedOp::Merge { image, .. } => BuildPlan::Rewrite {
                 bytes: self
-                    .get(image)
-                    .map(|img| self.sizes.spec_bytes(&img.spec.union(spec)))
+                    .slot_of(image)
+                    .and_then(|slot| {
+                        let img = self.resident(slot)?;
+                        let added = self.postings.missing(slot, spec);
+                        Some(img.bytes.saturating_add(self.sizes.spec_bytes(&added)))
+                    })
                     .unwrap_or(plan.requested_bytes),
             },
             PlannedOp::Insert => BuildPlan::Insert {

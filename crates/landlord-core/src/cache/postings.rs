@@ -23,7 +23,9 @@
 //! in this slot lack?* They are the request's packages whose row has no
 //! bit for the slot, plus those past the last row, which no image holds
 //! ([`Postings::missing`]): one word per package, and the image's spec
-//! is not read.
+//! is not read. Whether the slot holds a package follows no pattern a
+//! branch predictor could learn, so the delta is compacted without a
+//! branch on it.
 
 use crate::bitset::ones_of_word;
 use crate::policy::DistanceMetric;
@@ -164,17 +166,23 @@ impl Postings {
     /// the last row, which no image holds. This is what a merge into
     /// the slot adds, `spec \ image`, read with one word per package
     /// and without the image's spec.
+    ///
+    /// Every package with a row is written, and the write index moves
+    /// on only past those the slot lacks. Which ones those are follows
+    /// no pattern a branch predictor could learn, so the keep is a
+    /// comparison added as an integer, not a branch.
     pub(super) fn missing(&self, slot: u32, spec: &Spec) -> Spec {
         let (word, mask) = slot_bit(slot);
         debug_assert!(self.occupied[word] & mask != 0, "slot {slot} is free");
         let ids = spec.ids();
         let with_rows = self.with_rows(spec);
-        let mut out = Vec::with_capacity(ids.len());
-        out.extend(
-            with_rows
-                .iter()
-                .filter(|p| self.rows[p.index() * self.stride + word] & mask == 0),
-        );
+        let mut out = vec![PackageId(0); ids.len()];
+        let mut n = 0;
+        for &p in with_rows {
+            out[n] = p;
+            n += usize::from(self.rows[p.index() * self.stride + word] & mask == 0);
+        }
+        out.truncate(n);
         out.extend_from_slice(&ids[with_rows.len()..]);
         Spec::from_sorted_vec(out)
     }

@@ -475,6 +475,32 @@ proptest! {
         }
     }
 
+    /// `build_for` sizes a planned merge from the posting table: the
+    /// bytes it says a rewrite writes are the bytes `apply` then gives
+    /// the merged image, for every merge a random stream plans, under
+    /// every config knob. Hits and inserts agree with `apply` too.
+    #[test]
+    fn build_for_sizes_merges_as_apply_grows_them(
+        cfg in arb_config(),
+        stream in arb_stream(),
+    ) {
+        let mut cache = ImageCache::new(cfg, Arc::new(TableSizes::new(size_table())));
+        for s in &stream {
+            cache.settle();
+            let plan = cache.plan(s);
+            let build = cache.build_for(s, plan).build;
+            match (build, cache.apply(s, &plan)) {
+                (BuildPlan::Hit, Outcome::Hit { .. }) => {}
+                (BuildPlan::Rewrite { bytes }, Outcome::Merged { image_bytes, .. })
+                | (BuildPlan::Insert { bytes }, Outcome::Inserted { image_bytes, .. }) => {
+                    prop_assert_eq!(bytes, image_bytes);
+                }
+                (build, out) => prop_assert!(false, "{build:?} planned, {out:?} applied"),
+            }
+        }
+        cache.check_invariants();
+    }
+
     #[test]
     fn hits_never_write(stream in arb_stream()) {
         let cfg = CacheConfig { alpha: 0.7, limit_bytes: u64::MAX, ..CacheConfig::default() };
