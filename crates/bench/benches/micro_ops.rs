@@ -7,6 +7,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criteri
 use landlord_core::cache::{CacheConfig, ImageCache, Plan, PlannedOp};
 use landlord_core::jaccard::jaccard_distance;
 use landlord_core::policy::DistanceMetric;
+use landlord_core::sizes::SizeModel;
 use landlord_core::spec::{PackageId, Spec};
 use landlord_repo::sampler::{Sampler, SelectionScheme};
 use landlord_repo::{ClosureComputer, RepoConfig, Repository};
@@ -30,7 +31,7 @@ fn set_ops(c: &mut Criterion) {
             bench.iter(|| black_box(jaccard_distance(black_box(&a), black_box(&b))))
         });
         group.bench_with_input(BenchmarkId::new("union", n), &n, |bench, _| {
-            bench.iter(|| black_box(a.union(black_box(&b))))
+            bench.iter(|| black_box(a.union(black_box(b.ids()))))
         });
         group.bench_with_input(BenchmarkId::new("is_subset", n), &n, |bench, _| {
             bench.iter(|| black_box(a.is_subset(black_box(&b))))
@@ -56,7 +57,7 @@ fn set_ops(c: &mut Criterion) {
         bench.iter(|| {
             next = (next + 1) % merges.len();
             let (image, delta) = &merges[next];
-            black_box(image.union(black_box(delta)))
+            black_box(image.union(black_box(delta.ids())))
         })
     });
     group.finish();
@@ -172,7 +173,8 @@ fn cache_requests(c: &mut Criterion) {
 /// Victim selection at 10k cached images, per eviction policy. LRU
 /// reads the head of its recency list, O(1); the sampled policies
 /// replay K draws on a copy of their stream state, O(K); S3-FIFO
-/// selects on a clone of its whole state, O(n).
+/// replays its selection over its queues read-only, O(entries passed
+/// before the victim).
 fn victim_selection(c: &mut Criterion) {
     use landlord_core::policy::EvictionPolicy;
     use landlord_core::sizes::UniformSizes;
@@ -265,7 +267,12 @@ fn touch_rows(c: &mut Criterion, label: &str, n: u32) {
 /// such merges of an α = 0.75 run over a paper-shaped stream on the
 /// full SFT-like repository. Each input is a fresh cache holding only
 /// the pair's image, built untimed, and the merge plan is made once,
-/// so the row times `apply` of one merge alone.
+/// so the `merge_apply` row times `apply` of one merge alone.
+///
+/// The `evict_apply` row applies the same merge to a cache that also
+/// holds the next pair's image, of 1,000 packages or more, under a
+/// byte limit one byte short of both images after the merge: the apply
+/// merges, then evicts that image, as 15 % of `paper`'s requests do.
 fn merge_apply(c: &mut Criterion) {
     let repo = Repository::generate(&RepoConfig::sft_like(0xbe9c));
     let stream = workload::generate_stream(
@@ -330,6 +337,44 @@ fn merge_apply(c: &mut Criterion) {
             BatchSize::LargeInput,
         )
     });
+    // The merge target is admitted first, so it keeps the id the plan
+    // names; the victim is the only other image, and the target is
+    // protected.
+    let with_victim = |at: usize| {
+        let (image, request, _) = &merges[at];
+        let (victim, ..) = &merges[(at + 1) % merges.len()];
+        let merged = sizes.spec_bytes(&image.union(request.ids()));
+        let limit_bytes = merged + sizes.spec_bytes(victim) - 1;
+        let mut cache = ImageCache::new(CacheConfig { limit_bytes, ..cfg }, sizes.clone());
+        cache.insert_fresh(image);
+        cache.insert_fresh(victim);
+        cache.settle();
+        cache
+    };
+    for (at, (_, request, plan)) in merges.iter().enumerate() {
+        let mut cache = with_victim(at);
+        assert_eq!(cache.len(), 2, "both images fit before the merge");
+        cache.apply(request, plan);
+        assert_eq!(
+            (cache.len(), cache.stats().deletes),
+            (1, 1),
+            "the merge evicts one image"
+        );
+    }
+    c.bench_function("evict_apply", |bench| {
+        bench.iter_batched(
+            || {
+                next = (next + 1) % merges.len();
+                let (_, request, plan) = &merges[next];
+                (with_victim(next), request, plan)
+            },
+            |(mut cache, request, plan)| {
+                let outcome = cache.apply(request, plan);
+                (cache, outcome)
+            },
+            BatchSize::LargeInput,
+        )
+    });
 }
 
 /// Resident images from `uniques` (admitted with `insert_fresh`, so
@@ -348,7 +393,7 @@ fn resident_cache(
     cache.settle();
     let misses: Vec<Spec> = uniques
         .windows(2)
-        .map(|w| w[0].union(&w[1]))
+        .map(|w| w[0].union(w[1].ids()))
         .filter(|s| cache.find_satisfying(s).is_none())
         .take(64)
         .collect();

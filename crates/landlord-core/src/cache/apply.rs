@@ -10,10 +10,13 @@
 //!
 //! A merge reads the packages the request adds to the image from the
 //! posting table, not from the image's spec, and grows the image's
-//! bytes by theirs alone (`SizeModel::spec_bytes` sums its members);
-//! the merged spec is the sorted union of the image and those packages.
-//! Both the delta and the union are built without data-dependent
-//! branches (see `Postings::missing` and `Spec::union`).
+//! bytes by theirs alone; the merged spec is the sorted union of the
+//! image and those packages. Setting their bits tells which of them no
+//! other image held, and so the growth of the unique bytes: one
+//! `SizeModel::ids_bytes` call sums the added bytes and one the newly
+//! unique ones (see `Postings::grow`). The delta, the unique packages
+//! and the union are built without data-dependent branches (see
+//! `Postings::missing` and `Spec::union`).
 
 use super::plan::{Plan, PlannedOp};
 use super::ImageCache;
@@ -197,11 +200,10 @@ impl ImageCache {
 
         // `added` is disjoint from the image, so the bytes add up.
         let added = self.postings.missing(slot, spec);
+        let grown = self.postings.grow(slot, &added, sizes.as_ref());
         let old_bytes = img.bytes;
-        let new_bytes = old_bytes.saturating_add(sizes.spec_bytes(&added));
-        let new_spec = img.spec.union(&added);
-        self.postings.grow(slot, &added, new_bytes);
-        img.spec = new_spec;
+        let new_bytes = old_bytes.saturating_add(grown.bytes);
+        img.spec = img.spec.union(&added);
         img.bytes = new_bytes;
         img.last_used = now;
         img.use_count = img.use_count.saturating_add(1);
@@ -213,9 +215,8 @@ impl ImageCache {
             self.pending_split = Some(id);
         }
         self.evictor.on_touch(slot, img);
-        self.refcounts
-            .add_spec(&added, self.sizes.as_ref(), &mut self.ledger);
 
+        self.ledger.add_unique(grown.unique);
         self.ledger.grow_total(new_bytes - old_bytes);
         // The merged image is written out in its entirety (§VI: "Each
         // time a merge occurs, the resulting image must be written out

@@ -5,6 +5,12 @@
 //! ([`CacheStats`]) and the same running container-efficiency mean.
 //! `Ledger` owns both so the bookkeeping is written once: policies call
 //! the small semantic mutators below instead of touching raw counters.
+//!
+//! Unique bytes move when a package gains its first holder or loses
+//! its last. [`super::ImageCache`] learns that from its posting rows (a
+//! package is held while its row is nonzero) and hands the ledger the
+//! summed bytes; the baselines, which keep no rows, count holders with
+//! [`PackageRefs`].
 
 use super::config::CacheStats;
 use crate::metrics::ContainerEfficiency;
@@ -130,12 +136,14 @@ impl Ledger {
         self.stats.total_bytes += delta;
     }
 
-    /// A package not previously cached was admitted.
+    /// Packages not previously cached, of `bytes` bytes in all, were
+    /// admitted.
     pub fn add_unique(&mut self, bytes: u64) {
         self.stats.unique_bytes += bytes;
     }
 
-    /// The last reference to a cached package was dropped.
+    /// The last references to cached packages, of `bytes` bytes in
+    /// all, were dropped.
     pub fn sub_unique(&mut self, bytes: u64) {
         self.stats.unique_bytes -= bytes;
     }
@@ -143,8 +151,9 @@ impl Ledger {
 
 /// Package refcounts driving a [`Ledger`]'s unique-bytes counter: a
 /// package contributes its size while at least one image references
-/// it. Shared by [`super::ImageCache`] and the baseline policies so
-/// the first-reference/last-reference bookkeeping exists once. Dense
+/// it. Shared by the baseline policies so the first-reference/
+/// last-reference bookkeeping exists once; [`super::ImageCache`] reads
+/// the same answer off its posting rows and keeps no refcounts. Dense
 /// over package ids, which `landlord-repo` interns from zero.
 #[derive(Debug, Clone, Default)]
 pub struct PackageRefs {

@@ -31,7 +31,7 @@
 //! | `plan` | pure decision side: [`ImageCache::plan`] → [`Plan`] |
 //! | `apply` | sole mutator: [`ImageCache::apply`] executes a [`Plan`] |
 //! | `evictor` | [`Evictor`] seam, keyed by slot: LRU list, ordered indexes, S3-FIFO queues, sampled LHD |
-//! | `postings` | slot allocator; package → resident-slot bitmaps: hit test and overlap counts |
+//! | `postings` | slot allocator; package → resident-slot bitmaps: hit test, overlap counts, merge deltas, unique bytes |
 //! | `ledger` | [`Ledger`]: accounting shared with every baseline |
 //!
 //! Inside the engine an image is known by its *slot*: the dense `u32`
@@ -105,9 +105,9 @@ pub struct ImageCache {
     clock: u64,
     next_id: u64,
     ledger: Ledger,
-    refcounts: PackageRefs,
-    /// Package → bitmap over the resident images' slots: the hit test
-    /// and every image's overlap with a request (see `postings`).
+    /// Package → bitmap over the resident images' slots: the hit test,
+    /// every image's overlap with a request, a merge's delta, and which
+    /// packages count toward unique bytes (see `postings`).
     postings: Postings,
     evictor: Box<dyn Evictor>,
     /// Evictor counter values already flushed to the metrics registry;
@@ -152,7 +152,6 @@ impl ImageCache {
             clock: 0,
             next_id: 0,
             ledger: Ledger::new(),
-            refcounts: PackageRefs::new(),
             postings: Postings::default(),
             evictor: evictor::make_evictor(&config),
             evictor_reported: evictor::EvictorCounters::default(),
@@ -164,7 +163,7 @@ impl ImageCache {
 
     /// Reassemble a cache from checkpointed state (see
     /// [`crate::snapshot`]). Monotonic counters come from the snapshot;
-    /// all current-state accounting (totals, refcounts, indexes) is
+    /// all current-state accounting (totals, unique bytes, indexes) is
     /// recomputed from the images so it can never be inconsistent.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts(
@@ -188,14 +187,16 @@ impl ImageCache {
         cache
     }
 
-    /// Make `image` resident: give it a posting slot, reference its
-    /// packages, count its bytes, register it with the evictor, and
-    /// store it in the slab at its slot. The one admission path of
-    /// insert, split pieces and checkpoint restore.
+    /// Make `image` resident: give it a posting slot and set its
+    /// packages' bits, count its bytes and the unique bytes it brings,
+    /// register it with the evictor, and store it in the slab at its
+    /// slot. The one admission path of insert, split pieces and
+    /// checkpoint restore.
     fn admit_image(&mut self, image: Image) {
-        let slot = self.postings.admit(image.id.0, image.bytes, &image.spec);
-        self.refcounts
-            .add_spec(&image.spec, self.sizes.as_ref(), &mut self.ledger);
+        let (slot, unique) =
+            self.postings
+                .admit(image.id.0, image.bytes, &image.spec, self.sizes.as_ref());
+        self.ledger.add_unique(unique);
         self.ledger.admit(image.bytes);
         self.evictor.on_insert(slot, &image);
         self.slots.insert(image.id.0, slot);
@@ -320,7 +321,8 @@ impl ImageCache {
     /// LRU this reads the head of the recency list, O(1) (a scan right
     /// after a restore, until the next selection sorts the list). The
     /// sampled policies replay their next K draws on a copy of the
-    /// stream state, O(K); S3-FIFO previews on a clone of its queues.
+    /// stream state, O(K); S3-FIFO replays its selection over its
+    /// queues read-only, O(entries passed before the victim).
     /// Either way the answer matches the next real selection. `None` on
     /// an empty cache.
     pub fn peek_victim(&self) -> Option<ImageId> {
@@ -370,9 +372,8 @@ impl ImageCache {
     fn detach(&mut self, slot: u32) -> Option<Image> {
         let img = self.residents.get_mut(slot as usize)?.take()?;
         self.slots.remove(&img.id.0);
-        self.postings.release(slot, &img.spec);
-        self.refcounts
-            .release_spec(&img.spec, self.sizes.as_ref(), &mut self.ledger);
+        let freed = self.postings.release(slot, &img.spec, self.sizes.as_ref());
+        self.ledger.sub_unique(freed);
         self.ledger.drop_image(img.bytes);
         self.evictor.on_remove(slot, &img);
         if self.pending_split == Some(img.id) {
@@ -381,7 +382,7 @@ impl ImageCache {
         Some(img)
     }
 
-    /// Remove one image and release its package references.
+    /// Remove one image and clear its packages' bits.
     pub(super) fn evict(&mut self, id: ImageId) {
         let Some(slot) = self.slot_of(id) else { return };
         if let Some(Some(img)) = self.residents.get(slot as usize) {
@@ -479,7 +480,7 @@ impl ImageCache {
             let union = img
                 .constituents
                 .iter()
-                .fold(Spec::empty(), |acc, c| acc.union(c));
+                .fold(Spec::empty(), |acc, c| acc.union(c.ids()));
             assert_eq!(
                 union, img.spec,
                 "image {} constituents do not union to its spec",
@@ -495,10 +496,8 @@ impl ImageCache {
         }
         assert_eq!(stats.total_bytes, total, "total_bytes out of sync");
         assert_eq!(stats.image_count, self.len() as u64, "image_count");
-        // The dense table keeps zero entries past the last live id.
-        let kept = self.refcounts.counts();
-        refcounts.resize(refcounts.len().max(kept.len()), 0);
-        assert_eq!(kept, &refcounts[..], "package refcounts out of sync");
+        // Unique bytes re-summed from the images' specs, each package
+        // held by some image counted once.
         let unique: u64 = (0..refcounts.len())
             .filter(|&p| refcounts[p] > 0)
             .map(|p| self.sizes.package_size(PackageId::from_index(p)))
@@ -559,14 +558,14 @@ impl ImageCache {
         // verifies itself against a brute-force recomputation where
         // possible.
         self.evictor.check(&by_slot);
-        // The posting table equals one recomputed from the images, each
-        // occupied slot's record (bytes, id, package count) is its
-        // image's, and each package's refcount is its row's popcount.
+        // The posting table equals one recomputed from the images, and
+        // each occupied slot's record (bytes, id, package count) is its
+        // image's; so a row is nonzero exactly when a package counts
+        // toward the unique bytes checked above.
         self.postings.check(
             by_slot
                 .iter()
                 .map(|&(slot, img)| (img.id.0, img.bytes, slot, &img.spec)),
-            kept,
         );
 
         // Superset-lookup agreement: every image's own spec must hit,
@@ -604,7 +603,7 @@ impl ImageCache {
                     .and_then(|slot| {
                         let img = self.resident(slot)?;
                         let added = self.postings.missing(slot, spec);
-                        Some(img.bytes.saturating_add(self.sizes.spec_bytes(&added)))
+                        Some(img.bytes.saturating_add(self.sizes.ids_bytes(&added)))
                     })
                     .unwrap_or(plan.requested_bytes),
             },

@@ -25,7 +25,23 @@
 //! ([`Postings::missing`]): one word per package, and the image's spec
 //! is not read. Whether the slot holds a package follows no pattern a
 //! branch predictor could learn, so the delta is compacted without a
-//! branch on it.
+//! branch on it. The delta comes back as sorted ids, which the merged
+//! spec's union reads as a slice.
+//!
+//! The rows also answer the cache's *unique bytes*, each package held
+//! by some image counted once: a package is held exactly when its row
+//! is nonzero, so the table is the engine's one per-package index and
+//! no per-package refcount sits beside it. Setting a bit in an all-zero
+//! row makes the package unique; clearing the last bit of a row ends
+//! that. [`Postings::admit`], [`Postings::grow`] and
+//! [`Postings::release`] gather those packages the way `missing`
+//! gathers the delta — every id written, the write index advanced by
+//! the emptiness test as an integer — and return the bytes they weigh,
+//! summed by one [`SizeModel::ids_bytes`] call per pass. The test reads
+//! one word under a one-word stride and ORs the row's words otherwise,
+//! eight at a time, stopping at the first eight with a bit set: a wide
+//! table (10k slots and more) then reads a shared package's row only up
+//! to its first holders.
 
 use crate::bitset::ones_of_word;
 use crate::policy::DistanceMetric;
@@ -61,12 +77,33 @@ pub(super) struct Postings {
     records: Vec<Record>,
     /// Freed slots, reused last-freed first.
     free: Vec<u32>,
+    /// Scratch for the packages whose row an admission, merge or
+    /// release finds empty; only its first entries, as many as that
+    /// call counts, are meaningful.
+    changed: Vec<PackageId>,
+}
+
+/// What a merge adds to the image in a slot and to the cache.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) struct Grown {
+    /// The bytes of the added packages: the image's growth.
+    pub(super) bytes: u64,
+    /// The bytes of the added packages no other image held: the growth
+    /// of the cache's unique bytes.
+    pub(super) unique: u64,
 }
 
 impl Postings {
     /// Give image `id` of `bytes` bytes a slot and set its bits for
-    /// `spec`.
-    pub(super) fn admit(&mut self, id: u64, bytes: u64, spec: &Spec) -> u32 {
+    /// `spec`. Returns the slot and the bytes of the packages no other
+    /// image held, by which the cache's unique bytes grow.
+    pub(super) fn admit(
+        &mut self,
+        id: u64,
+        bytes: u64,
+        spec: &Spec,
+        sizes: &dyn SizeModel,
+    ) -> (u32, u64) {
         let record = Record {
             bytes,
             id,
@@ -92,42 +129,66 @@ impl Postings {
         };
         let (word, mask) = slot_bit(slot);
         self.occupied[word] |= mask;
-        self.set_bits(slot, spec);
-        slot
+        let unique = self.set_bits(slot, spec.ids(), sizes);
+        (slot, unique)
     }
 
-    /// The image in `slot` gained the packages `added`, none of which
-    /// it held, and now holds `bytes` bytes (a merge).
-    pub(super) fn grow(&mut self, slot: u32, added: &Spec, bytes: u64) {
-        self.set_bits(slot, added);
+    /// The image in `slot` gained the packages `added`, sorted and none
+    /// of which it held (a merge). Returns the bytes `added` weigh, by
+    /// which the image grows, and the bytes of those no other image
+    /// held, by which the cache's unique bytes grow: one size sum each.
+    pub(super) fn grow(&mut self, slot: u32, added: &[PackageId], sizes: &dyn SizeModel) -> Grown {
+        let unique = self.set_bits(slot, added, sizes);
+        let bytes = sizes.ids_bytes(added);
         let record = &mut self.records[slot as usize];
-        record.bytes = bytes;
+        record.bytes = record.bytes.saturating_add(bytes);
         record.packages += added.len();
+        Grown { bytes, unique }
     }
 
-    /// Set `slot`'s bit in the row of every package of `spec`.
-    fn set_bits(&mut self, slot: u32, spec: &Spec) {
-        if let Some(last) = spec.ids().last() {
+    /// Set `slot`'s bit in the row of every package of `ids` (sorted).
+    /// Returns the bytes of the packages whose row was all zero: those
+    /// no image held until now.
+    fn set_bits(&mut self, slot: u32, ids: &[PackageId], sizes: &dyn SizeModel) -> u64 {
+        if let Some(last) = ids.last() {
             if last.index() >= self.packages {
                 self.packages = last.index() + 1;
                 self.rows.resize(self.packages * self.stride, 0);
             }
         }
         let (word, mask) = slot_bit(slot);
-        for p in spec {
-            self.rows[p.index() * self.stride + word] |= mask;
+        let stride = self.stride;
+        let changed = &mut self.changed;
+        changed.resize(ids.len(), PackageId(0));
+        let mut n = 0;
+        for &p in ids {
+            let row = &mut self.rows[p.index() * stride..(p.index() + 1) * stride];
+            changed[n] = p;
+            n += usize::from(is_zero(row));
+            row[word] |= mask;
         }
+        sizes.ids_bytes(&changed[..n])
     }
 
     /// Clear `slot`'s bits for `spec` (the image's whole set) and free
-    /// the slot.
-    pub(super) fn release(&mut self, slot: u32, spec: &Spec) {
+    /// the slot. Returns the bytes of the packages whose row is now all
+    /// zero: those no image holds any more, by which the cache's unique
+    /// bytes shrink.
+    pub(super) fn release(&mut self, slot: u32, spec: &Spec, sizes: &dyn SizeModel) -> u64 {
         let (word, mask) = slot_bit(slot);
+        let stride = self.stride;
+        let changed = &mut self.changed;
+        changed.resize(spec.len(), PackageId(0));
+        let mut n = 0;
         for p in spec {
-            self.rows[p.index() * self.stride + word] &= !mask;
+            let row = &mut self.rows[p.index() * stride..(p.index() + 1) * stride];
+            row[word] &= !mask;
+            changed[n] = p;
+            n += usize::from(is_zero(row));
         }
         self.occupied[word] &= !mask;
         self.free.push(slot);
+        sizes.ids_bytes(&changed[..n])
     }
 
     /// Open one more word per row: re-lay the rows in place at
@@ -145,12 +206,6 @@ impl Postings {
         }
         self.occupied.push(0);
         self.stride = stride;
-    }
-
-    /// Row `p`, or `None` when no image ever held an id that high.
-    fn row(&self, p: PackageId) -> Option<&[u64]> {
-        let start = p.index() * self.stride;
-        (p.index() < self.packages).then(|| &self.rows[start..start + self.stride])
     }
 
     /// The packages of `spec` that have a row. Ids ascend and rows
@@ -171,7 +226,7 @@ impl Postings {
     /// on only past those the slot lacks. Which ones those are follows
     /// no pattern a branch predictor could learn, so the keep is a
     /// comparison added as an integer, not a branch.
-    pub(super) fn missing(&self, slot: u32, spec: &Spec) -> Spec {
+    pub(super) fn missing(&self, slot: u32, spec: &Spec) -> Vec<PackageId> {
         let (word, mask) = slot_bit(slot);
         debug_assert!(self.occupied[word] & mask != 0, "slot {slot} is free");
         let ids = spec.ids();
@@ -184,7 +239,7 @@ impl Postings {
         }
         out.truncate(n);
         out.extend_from_slice(&ids[with_rows.len()..]);
-        Spec::from_sorted_vec(out)
+        out
     }
 
     /// The slot of the image holding every package of `spec` with the
@@ -216,6 +271,16 @@ impl Postings {
             }
         }
         best.and_then(|(.., slot)| u32::try_from(slot).ok())
+    }
+
+    /// Whether some resident image holds package `p`: any bit of its
+    /// row set, read word by word (for tests).
+    #[cfg(test)]
+    pub(super) fn held(&self, p: PackageId) -> bool {
+        p.index() < self.packages
+            && self.rows[p.index() * self.stride..][..self.stride]
+                .iter()
+                .any(|&word| word != 0)
     }
 
     /// The id of the image in the occupied `slot`.
@@ -322,11 +387,11 @@ impl Postings {
                 let (fours_b, t) = csa(t, twos_a, twos_b);
                 let (eights, f) = csa(fours, fours_a, fours_b);
                 (ones, twos, fours) = (o, t, f);
+                // The carry ripples through every plane above weight 4:
+                // where it dies out depends on the counts, so a branch
+                // on it would mispredict.
                 let mut carry = eights;
                 for plane in &mut planes[3..width] {
-                    if carry == 0 {
-                        break;
-                    }
                     (*plane, carry) = (*plane ^ carry, *plane & carry);
                 }
             }
@@ -354,13 +419,10 @@ impl Postings {
     }
 
     /// Verify the table against the resident images, given as
-    /// `(id, bytes, slot, spec)` each exactly once, and their package
-    /// refcounts; panics on inconsistency.
-    pub(super) fn check<'a>(
-        &self,
-        residents: impl IntoIterator<Item = (u64, u64, u32, &'a Spec)>,
-        refcounts: &[u32],
-    ) {
+    /// `(id, bytes, slot, spec)` each exactly once; panics on
+    /// inconsistency. The rows equal the ones the images set, so a row
+    /// is nonzero exactly when some image holds its package.
+    pub(super) fn check<'a>(&self, residents: impl IntoIterator<Item = (u64, u64, u32, &'a Spec)>) {
         assert_eq!(
             self.stride,
             self.records.len().div_ceil(64),
@@ -403,16 +465,6 @@ impl Postings {
             })
             .collect();
         assert_eq!(free, vacant, "free list is not exactly the vacant slots");
-        for p in 0..self.packages.max(refcounts.len()) {
-            let popcount: u32 = self
-                .row(PackageId::from_index(p))
-                .map_or(0, |row| row.iter().map(|w| w.count_ones()).sum());
-            assert_eq!(
-                refcounts.get(p).copied().unwrap_or(0),
-                popcount,
-                "package {p} refcount differs from its posting row"
-            );
-        }
     }
 }
 
@@ -442,6 +494,21 @@ fn at_least(planes: &[u64], least: u64) -> u64 {
     above | equal
 }
 
+/// Whether `row` is all zero: its one word under a one-word stride,
+/// else the OR of its words, eight at a time, stopping at the first
+/// eight with a bit set. The stride is the same for every row, so the
+/// match on it predicts; up to 512 slots the row is one block of
+/// eight, and the stop is no branch on the data.
+#[inline(always)]
+fn is_zero(row: &[u64]) -> bool {
+    match row {
+        [word] => *word == 0,
+        _ => row
+            .chunks(8)
+            .all(|block| block.iter().fold(0, |any, &word| any | word) == 0),
+    }
+}
+
 /// Slot `s`'s word and bit within a row.
 fn slot_bit(slot: u32) -> (usize, u64) {
     (slot as usize / 64, 1u64 << (slot % 64))
@@ -450,10 +517,20 @@ fn slot_bit(slot: u32) -> (usize, u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sizes::UniformSizes;
+    use crate::sizes::{TableSizes, UniformSizes};
 
     fn spec(ids: &[u32]) -> Spec {
         Spec::from_ids(ids.iter().map(|&i| PackageId(i)))
+    }
+
+    /// Admit image `id` of `bytes` bytes holding `s`; its slot.
+    fn admit(p: &mut Postings, id: u64, bytes: u64, s: &Spec) -> u32 {
+        p.admit(id, bytes, s, &UniformSizes::new(1)).0
+    }
+
+    /// Free `slot`, whose image holds `s`.
+    fn release(p: &mut Postings, slot: u32, s: &Spec) {
+        p.release(slot, s, &UniformSizes::new(1));
     }
 
     /// The id of the least `(bytes, id)` image holding all of `s`.
@@ -478,8 +555,8 @@ mod tests {
         let mut p = Postings::default();
         let a = spec(&[1, 63, 64]);
         let b = spec(&[63, 64, 200]);
-        let sa = p.admit(10, 3, &a);
-        let sb = p.admit(11, 3, &b);
+        let sa = admit(&mut p, 10, 3, &a);
+        let sb = admit(&mut p, 11, 3, &b);
         assert_eq!(superset(&p, &spec(&[63, 64])), Some(10));
         assert_eq!(superset(&p, &spec(&[1, 64])), Some(10));
         assert_eq!(superset(&p, &spec(&[64, 200])), Some(11));
@@ -489,14 +566,14 @@ mod tests {
         assert_eq!(superset(&p, &Spec::empty()), Some(10));
         assert_eq!(holders(&p, &spec(&[1, 200])), vec![10, 11]);
         assert_eq!(holders(&p, &spec(&[1, 500])), vec![10]);
-        p.check([(10, 3, sa, &a), (11, 3, sb, &b)], &refcounts(&[&a, &b]));
+        p.check([(10, 3, sa, &a), (11, 3, sb, &b)]);
         // A merge that grows image 10 past image 11 hands 11 the tie.
         let added = spec(&[7]);
-        p.grow(sa, &added, 4);
-        let a = a.union(&added);
+        p.grow(sa, added.ids(), &UniformSizes::new(1));
+        let a = a.union(added.ids());
         assert_eq!(superset(&p, &spec(&[63, 64])), Some(11));
         assert_eq!(superset(&p, &spec(&[7, 64])), Some(10));
-        p.check([(10, 4, sa, &a), (11, 3, sb, &b)], &refcounts(&[&a, &b]));
+        p.check([(10, 4, sa, &a), (11, 3, sb, &b)]);
     }
 
     /// The least `(bytes, id)` wins whatever the slots: a reused low
@@ -506,24 +583,28 @@ mod tests {
     fn byte_ties_break_on_id_across_reused_slots() {
         let mut p = Postings::default();
         let s = spec(&[5]);
-        let first = p.admit(1, 4, &s);
-        let two = p.admit(2, 6, &s);
-        let three = p.admit(3, 6, &s);
+        let first = admit(&mut p, 1, 4, &s);
+        let two = admit(&mut p, 2, 6, &s);
+        let three = admit(&mut p, 3, 6, &s);
         assert_eq!(superset(&p, &s), Some(1));
-        p.release(first, &s);
-        let nine = p.admit(9, 6, &s);
+        release(&mut p, first, &s);
+        let nine = admit(&mut p, 9, 6, &s);
         assert_eq!(nine, first, "the freed slot is reused");
         assert_eq!(superset(&p, &s), Some(2), "byte tie: least id");
-        p.grow(two, &Spec::empty(), 8);
+        // Each merge adds package 6, of 2 bytes.
+        let (added, sizes) = (spec(&[6]), UniformSizes::new(2));
+        p.grow(two, added.ids(), &sizes);
         assert_eq!(superset(&p, &s), Some(3));
-        p.grow(three, &Spec::empty(), 8);
+        p.grow(three, added.ids(), &sizes);
         assert_eq!(superset(&p, &s), Some(9));
-        p.grow(nine, &Spec::empty(), 8);
+        p.grow(nine, added.ids(), &sizes);
         assert_eq!(superset(&p, &s), Some(2), "all tied again");
-        p.check(
-            [(9, 8, nine, &s), (2, 8, two, &s), (3, 8, three, &s)],
-            &refcounts(&[&s, &s, &s]),
-        );
+        let merged = s.union(added.ids());
+        p.check([
+            (9, 8, nine, &merged),
+            (2, 8, two, &merged),
+            (3, 8, three, &merged),
+        ]);
     }
 
     #[test]
@@ -533,13 +614,17 @@ mod tests {
         let taken: Vec<u32> = specs
             .iter()
             .zip(0u64..)
-            .map(|(s, id)| p.admit(id, 2, s))
+            .map(|(s, id)| admit(&mut p, id, 2, s))
             .collect();
         assert_eq!(p.stride, 3, "130 slots need three words per row");
-        p.release(taken[5], &specs[5]);
-        p.release(taken[70], &specs[70]);
+        release(&mut p, taken[5], &specs[5]);
+        release(&mut p, taken[70], &specs[70]);
         let extra = spec(&[3]);
-        assert_eq!(p.admit(500, 1, &extra), taken[70], "last freed slot first");
+        assert_eq!(
+            admit(&mut p, 500, 1, &extra),
+            taken[70],
+            "last freed slot first"
+        );
         assert_eq!(p.stride, 3);
         let residents: Vec<(u64, u64, u32, &Spec)> = specs
             .iter()
@@ -549,8 +634,7 @@ mod tests {
             .map(|((s, id), &slot)| (id, 2, slot, s))
             .chain([(500, 1, taken[70], &extra)])
             .collect();
-        let all: Vec<&Spec> = residents.iter().map(|&(.., s)| s).collect();
-        p.check(residents.iter().copied(), &refcounts(&all));
+        p.check(residents.iter().copied());
         let want: Vec<u64> = (0..130u64)
             .filter(|&i| i % 7 == 3 && i != 5 && i != 70)
             .chain([500])
@@ -570,15 +654,16 @@ mod tests {
         let mut p = Postings::default();
         let a = spec(&[1, 63, 64, 127]);
         let b = spec(&[63, 128]);
-        let sa = p.admit(1, 4, &a);
-        let sb = p.admit(2, 2, &b);
+        let sa = admit(&mut p, 1, 4, &a);
+        let sb = admit(&mut p, 2, 2, &b);
         let request = spec(&[0, 1, 63, 64, 127, 128]);
         assert_eq!(missing(&p, sa, &request), vec![0, 128]);
         assert_eq!(missing(&p, sb, &request), vec![0, 1, 64, 127]);
         assert_eq!(missing(&p, sa, &a), Vec::<u32>::new());
         assert_eq!(missing(&p, sa, &Spec::empty()), Vec::<u32>::new());
         // After a merge the slot holds what it lacked.
-        p.grow(sa, &p.missing(sa, &request), 6);
+        let added = p.missing(sa, &request);
+        p.grow(sa, &added, &UniformSizes::new(1));
         assert_eq!(missing(&p, sa, &request), Vec::<u32>::new());
         assert_eq!(missing(&p, sb, &request), vec![0, 1, 64, 127]);
     }
@@ -589,7 +674,7 @@ mod tests {
     fn packages_without_a_row_are_missing_from_every_slot() {
         let mut p = Postings::default();
         let a = spec(&[2, 9]);
-        let slot = p.admit(1, 2, &a);
+        let slot = admit(&mut p, 1, 2, &a);
         assert_eq!(p.packages, 10);
         assert_eq!(missing(&p, slot, &spec(&[9, 10, 500])), vec![10, 500]);
         assert_eq!(missing(&p, slot, &spec(&[64, 65])), vec![64, 65]);
@@ -606,7 +691,7 @@ mod tests {
         let taken: Vec<u32> = specs
             .iter()
             .zip(0u64..)
-            .map(|(s, id)| p.admit(id, 2, s))
+            .map(|(s, id)| admit(&mut p, id, 2, s))
             .collect();
         assert_eq!(p.stride, 3);
         let request = spec(&[0, 1, 2, 3, 4, 263, 340]);
@@ -616,23 +701,57 @@ mod tests {
         }
         // Slot 130 (word 2) is freed and reused by an image holding
         // other packages: its old bits are gone, its new ones read.
-        p.release(taken[130], &specs[130]);
+        release(&mut p, taken[130], &specs[130]);
         let reused = spec(&[1, 3, 340]);
-        assert_eq!(p.admit(900, 3, &reused), taken[130]);
+        assert_eq!(admit(&mut p, 900, 3, &reused), taken[130]);
         assert_eq!(missing(&p, taken[130], &request), vec![0, 2, 4, 263]);
         assert_eq!(missing(&p, taken[63], &request), vec![0, 1, 2, 4, 340]);
     }
 
-    fn refcounts(specs: &[&Spec]) -> Vec<u32> {
-        let mut counts = Vec::new();
-        for s in specs {
-            for p in s.iter() {
-                if counts.len() <= p.index() {
-                    counts.resize(p.index() + 1, 0);
-                }
-                counts[p.index()] += 1;
+    /// Admission, merge and release return the bytes of the packages
+    /// that gain their first holder or lose their last, whether the
+    /// holders share a row's word or not: a package held only in word 2
+    /// of a three-word row is still held when word 0 empties.
+    #[test]
+    fn unique_bytes_follow_the_first_and_last_holder_of_each_row() {
+        let sizes = TableSizes::new((0..400u64).map(|i| 1 + i).collect());
+        let mut p = Postings::default();
+        let bytes = |ids: &[u32]| ids.iter().map(|&i| 1 + u64::from(i)).sum::<u64>();
+        let a = spec(&[1, 2, 300]);
+        let (sa, unique) = p.admit(1, bytes(&[1, 2, 300]), &a, &sizes);
+        assert_eq!(unique, bytes(&[1, 2, 300]), "all new, one past the rows");
+        let b = spec(&[2, 3]);
+        let (sb, unique) = p.admit(2, bytes(&[2, 3]), &b, &sizes);
+        assert_eq!(unique, bytes(&[3]), "2 already held");
+        let grown = p.grow(sb, &[PackageId(1), PackageId(4)], &sizes);
+        assert_eq!(
+            grown,
+            Grown {
+                bytes: bytes(&[1, 4]),
+                unique: bytes(&[4])
             }
-        }
-        counts
+        );
+        let b = b.union(&[PackageId(1), PackageId(4)]);
+        // Open 140 more slots, so rows are three words wide and the
+        // last image sits in word 2.
+        let fill: Vec<Spec> = (0..140u32).map(|i| spec(&[10 + i])).collect();
+        let taken: Vec<u32> = fill
+            .iter()
+            .zip(100u64..)
+            .map(|(s, id)| p.admit(id, bytes(&[10 + id as u32 - 100]), s, &sizes).0)
+            .collect();
+        let c = spec(&[2, 300]);
+        let (sc, unique) = p.admit(900, bytes(&[2, 300]), &c, &sizes);
+        assert_eq!((p.stride, sc / 64, unique), (3, 2, 0));
+        assert_eq!(p.release(sa, &a, &sizes), 0, "1 with b, 2 and 300 with c");
+        assert_eq!(p.release(sb, &b, &sizes), bytes(&[1, 3, 4]));
+        assert_eq!(p.release(sc, &c, &sizes), bytes(&[2, 300]));
+        let residents: Vec<(u64, u64, u32, &Spec)> = fill
+            .iter()
+            .zip(100u64..)
+            .zip(&taken)
+            .map(|((s, id), &slot)| (id, bytes(&[10 + id as u32 - 100]), slot, s))
+            .collect();
+        p.check(residents);
     }
 }

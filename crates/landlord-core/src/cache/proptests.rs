@@ -567,7 +567,8 @@ proptest! {
                     let slot = cache.slot_of(image).expect("resident image has a slot");
                     let before = cache.resident(slot).expect("slot is occupied").clone();
                     let added = cache.postings.missing(slot, &request);
-                    prop_assert_eq!(&added, &request.difference(&before.spec));
+                    let want = request.difference(&before.spec);
+                    prop_assert_eq!(&added[..], want.ids());
                     cache.settle();
                     let plan = Plan {
                         op: PlannedOp::Merge { image, distance: 0.5 },
@@ -575,12 +576,88 @@ proptest! {
                     };
                     let out = cache.apply(&request, &plan);
                     let after = cache.get(image).expect("merge target survives");
-                    prop_assert_eq!(&after.spec, &before.spec.union(&request));
+                    prop_assert_eq!(&after.spec, &before.spec.union(request.ids()));
                     prop_assert_eq!(after.bytes, sizes.spec_bytes(&after.spec));
-                    prop_assert_eq!(after.bytes, before.bytes + sizes.spec_bytes(&added));
+                    prop_assert_eq!(after.bytes, before.bytes + sizes.ids_bytes(&added));
                     prop_assert_eq!(out.image_bytes(), after.bytes);
                 }
                 _ => {}
+            }
+        }
+        cache.check_invariants();
+    }
+
+    /// Differential unique-bytes test: the unique bytes the posting
+    /// rows keep — a package counts while its row is nonzero — equal
+    /// those of a [`PackageRefs`] replay of the same images, and each
+    /// row is nonzero exactly when the replay's refcount is positive,
+    /// after every step. 130–170 images fill the cache first, exactly
+    /// to its byte limit, so rows are three words wide and a package's
+    /// holders sit in different words; then random inserts, removals
+    /// and forced merges free and reuse slots, and the byte limit
+    /// evicts. Requests reach ids past every row. The replay diffs the resident images before and after
+    /// each step: a departed image releases its spec, a new one adds
+    /// its spec, and a merged one adds what its spec gained.
+    #[test]
+    fn posting_rows_count_unique_bytes_like_package_refs(
+        eviction in (0..EvictionPolicy::ALL.len()).prop_map(|i| EvictionPolicy::ALL[i]),
+        fill in proptest::collection::vec(
+            proptest::collection::vec(0u32..300, 1..30)
+                .prop_map(|v| Spec::from_ids(v.into_iter().map(PackageId))),
+            130..170,
+        ),
+        ops in proptest::collection::vec((0u8..5, any::<u64>(), 0usize..60), 1..40),
+    ) {
+        const IDS: u32 = 400;
+        let sizes: Arc<dyn SizeModel> =
+            Arc::new(TableSizes::new((0..u64::from(IDS)).map(|i| 1 + i % 5).collect()));
+        let limit: u64 = fill.iter().map(|s| sizes.spec_bytes(s)).sum();
+        let cfg = CacheConfig { limit_bytes: limit, eviction, ..CacheConfig::default() };
+        let mut cache = ImageCache::new(cfg, Arc::clone(&sizes));
+        let (mut refs, mut ledger) = (PackageRefs::new(), Ledger::new());
+        let mut held: FxHashMap<u64, Spec> = FxHashMap::default();
+        let steps = fill.iter().map(|s| (0, 0, s.clone())).chain(
+            ops.iter().map(|&(kind, pick, len)| (kind, pick, distinct_ids(len, IDS, pick))),
+        );
+        for (kind, pick, request) in steps {
+            let mut ids: Vec<ImageId> = cache.images().map(|img| img.id).collect();
+            ids.sort_unstable();
+            match kind {
+                0 => {
+                    cache.insert_fresh(&request);
+                }
+                1 if ids.len() > 1 => {
+                    cache.remove_image(ids[pick as usize % ids.len()]);
+                }
+                _ if !ids.is_empty() => {
+                    cache.settle();
+                    let plan = Plan {
+                        op: PlannedOp::Merge {
+                            image: ids[pick as usize % ids.len()],
+                            distance: 0.5,
+                        },
+                        requested_bytes: sizes.spec_bytes(&request),
+                    };
+                    cache.apply(&request, &plan);
+                }
+                _ => {}
+            }
+            let now: FxHashMap<u64, Spec> =
+                cache.images().map(|img| (img.id.0, img.spec.clone())).collect();
+            for (id, spec) in &held {
+                if !now.contains_key(id) {
+                    refs.release_spec(spec, sizes.as_ref(), &mut ledger);
+                }
+            }
+            for (id, spec) in &now {
+                let gained = held.get(id).map_or(spec.clone(), |old| spec.difference(old));
+                refs.add_spec(&gained, sizes.as_ref(), &mut ledger);
+            }
+            held = now;
+            prop_assert_eq!(cache.stats().unique_bytes, ledger.stats().unique_bytes);
+            for p in (0..IDS).map(PackageId) {
+                let counted = refs.counts().get(p.index()).is_some_and(|&n| n > 0);
+                prop_assert_eq!(cache.postings.held(p), counted, "row of {}", p);
             }
         }
         cache.check_invariants();

@@ -14,22 +14,32 @@ use crate::spec::{PackageId, Spec};
 /// insert/merge) and consistent: the same id always maps to the same
 /// size within one cache lifetime.
 ///
-/// [`SizeModel::spec_bytes`] must equal the sum of
-/// [`SizeModel::package_size`] over the spec's members, so the bytes of
-/// disjoint specs add up. The cache relies on it: a merge grows an
-/// image's bytes by the `spec_bytes` of the packages it adds alone, and
-/// `ImageCache::check_invariants` re-sums every image's spec against
-/// the bytes so kept.
+/// [`SizeModel::ids_bytes`] must equal the sum of
+/// [`SizeModel::package_size`] over the slice, and
+/// [`SizeModel::spec_bytes`] forwards to it, so the bytes of disjoint
+/// sets add up. The cache relies on it: a merge grows an image's bytes
+/// by the `ids_bytes` of the packages it adds alone, unique bytes move
+/// by the `ids_bytes` of the packages that gain their first or lose
+/// their last holder, and `ImageCache::check_invariants` re-sums every
+/// image's spec against the bytes so kept.
 pub trait SizeModel: Send + Sync {
     /// Bytes occupied by one copy of the package.
     fn package_size(&self, id: PackageId) -> u64;
 
-    /// Total bytes of a specification (sum over its unique members).
+    /// Total bytes of a slice of distinct package ids: one call, and
+    /// one dynamic dispatch, per slice rather than per package.
     ///
-    /// The default sums `package_size` over members; implementations may
+    /// The default sums `package_size` over the slice, statically
+    /// dispatched inside each implementation; implementations may
     /// override with something faster that returns the same sum.
+    fn ids_bytes(&self, ids: &[PackageId]) -> u64 {
+        ids.iter().map(|&id| self.package_size(id)).sum()
+    }
+
+    /// Total bytes of a specification (sum over its unique members):
+    /// the [`SizeModel::ids_bytes`] of its ids.
     fn spec_bytes(&self, spec: &Spec) -> u64 {
-        spec.iter().map(|id| self.package_size(id)).sum()
+        self.ids_bytes(spec.ids())
     }
 }
 
@@ -52,8 +62,8 @@ impl SizeModel for UniformSizes {
         self.bytes
     }
 
-    fn spec_bytes(&self, spec: &Spec) -> u64 {
-        self.bytes * spec.len() as u64
+    fn ids_bytes(&self, ids: &[PackageId]) -> u64 {
+        self.bytes * ids.len() as u64
     }
 }
 
@@ -138,8 +148,9 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// The `spec_bytes` contract, for both models here: the sum of
-        /// `package_size` over the members.
+        /// The `SizeModel` contract, for both models here: `ids_bytes`
+        /// is the sum of `package_size` over the slice, and
+        /// `spec_bytes` agrees with it.
         #[test]
         fn spec_bytes_is_the_sum_of_package_sizes(
             ids in proptest::collection::vec(0u32..64, 0..40),
@@ -150,7 +161,10 @@ mod tests {
             let (uniform, table) = (UniformSizes::new(bytes), TableSizes::new(table));
             for model in [&uniform as &dyn SizeModel, &table] {
                 let sum: u64 = s.iter().map(|p| model.package_size(p)).sum();
+                proptest::prop_assert_eq!(model.ids_bytes(s.ids()), sum);
                 proptest::prop_assert_eq!(model.spec_bytes(&s), sum);
+                let (low, high) = s.ids().split_at(s.len() / 2);
+                proptest::prop_assert_eq!(model.ids_bytes(low) + model.ids_bytes(high), sum);
             }
         }
     }

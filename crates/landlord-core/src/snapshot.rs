@@ -3,7 +3,7 @@
 //! A [`Snapshot`] captures everything an [`ImageCache`] needs to resume
 //! exactly where it left off: configuration, images (with constituents
 //! and usage clocks), counters, and the logical clock. Derived state —
-//! package refcounts, unique-byte accounting, the posting table and
+//! the posting table, the unique-byte accounting read off its rows, and
 //! the evictor's index — is rebuilt on restore, which keeps the serialized
 //! form small and guarantees the derived structures can never be
 //! restored inconsistent with the images.

@@ -231,9 +231,10 @@ mod tests {
             .expect("generated graph must be a DAG");
     }
 
-    /// The `SizeModel::spec_bytes` contract for the repository and its
-    /// size table: the sum of `package_size` over the members, with
-    /// both models giving every package the same size.
+    /// The `SizeModel` contract for the repository and its size table:
+    /// `ids_bytes` is the sum of `package_size` over the slice, whole or
+    /// split, `spec_bytes` agrees with it, and both models give every
+    /// package the same size.
     #[test]
     fn size_models_sum_their_members() {
         let repo = Repository::generate(&RepoConfig::small_for_tests(11));
@@ -243,7 +244,10 @@ mod tests {
             let spec = repo.closure_spec(&seeds.into_iter().map(PackageId).collect::<Vec<_>>());
             for model in [&repo as &dyn SizeModel, &table] {
                 let sum: u64 = spec.iter().map(|p| model.package_size(p)).sum();
+                assert_eq!(model.ids_bytes(spec.ids()), sum);
                 assert_eq!(model.spec_bytes(&spec), sum);
+                let (low, high) = spec.ids().split_at(spec.len() / 3);
+                assert_eq!(model.ids_bytes(low) + model.ids_bytes(high), sum);
             }
             for p in spec.iter() {
                 assert_eq!(repo.package_size(p), table.package_size(p));
