@@ -31,7 +31,7 @@ fn set_ops(c: &mut Criterion) {
             bench.iter(|| black_box(jaccard_distance(black_box(&a), black_box(&b))))
         });
         group.bench_with_input(BenchmarkId::new("union", n), &n, |bench, _| {
-            bench.iter(|| black_box(a.union(black_box(b.ids()))))
+            bench.iter(|| black_box(a.union(black_box(&b))))
         });
         group.bench_with_input(BenchmarkId::new("is_subset", n), &n, |bench, _| {
             bench.iter(|| black_box(a.is_subset(black_box(&b))))
@@ -57,7 +57,7 @@ fn set_ops(c: &mut Criterion) {
         bench.iter(|| {
             next = (next + 1) % merges.len();
             let (image, delta) = &merges[next];
-            black_box(image.union(black_box(delta.ids())))
+            black_box(image.union(black_box(delta)))
         })
     });
     group.finish();
@@ -173,8 +173,7 @@ fn cache_requests(c: &mut Criterion) {
 /// Victim selection at 10k cached images, per eviction policy. LRU
 /// reads the head of its recency list, O(1); the sampled policies
 /// replay K draws on a copy of their stream state, O(K); S3-FIFO
-/// replays its selection over its queues read-only, O(entries passed
-/// before the victim).
+/// selects on a clone of its whole state, O(n).
 fn victim_selection(c: &mut Criterion) {
     use landlord_core::policy::EvictionPolicy;
     use landlord_core::sizes::UniformSizes;
@@ -343,7 +342,7 @@ fn merge_apply(c: &mut Criterion) {
     let with_victim = |at: usize| {
         let (image, request, _) = &merges[at];
         let (victim, ..) = &merges[(at + 1) % merges.len()];
-        let merged = sizes.spec_bytes(&image.union(request.ids()));
+        let merged = sizes.spec_bytes(&image.union(request));
         let limit_bytes = merged + sizes.spec_bytes(victim) - 1;
         let mut cache = ImageCache::new(CacheConfig { limit_bytes, ..cfg }, sizes.clone());
         cache.insert_fresh(image);
@@ -393,7 +392,7 @@ fn resident_cache(
     cache.settle();
     let misses: Vec<Spec> = uniques
         .windows(2)
-        .map(|w| w[0].union(w[1].ids()))
+        .map(|w| w[0].union(&w[1]))
         .filter(|s| cache.find_satisfying(s).is_none())
         .take(64)
         .collect();

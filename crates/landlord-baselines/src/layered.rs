@@ -67,7 +67,7 @@ impl LayerChain {
     pub fn effective(&self) -> Spec {
         let mut visible = Spec::empty();
         for layer in &self.layers {
-            visible = visible.difference(&layer.masked).union(layer.added.ids());
+            visible = visible.difference(&layer.masked).union(&layer.added);
         }
         visible
     }

@@ -175,7 +175,7 @@ impl CachePolicy for PerJobCache {
                 self.sizes.spec_bytes(spec),
                 "image size matches the size model"
             );
-            all = all.union(spec.ids());
+            all = all.union(spec);
         }
         assert_eq!(
             s.unique_bytes,

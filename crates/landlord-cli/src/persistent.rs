@@ -1058,7 +1058,7 @@ impl PersistentCache {
                     .find(|img| img.id == image.0)
                     .expect("planned merge image is indexed")
                     .clone();
-                let merged_spec = old.spec.union(spec.ids());
+                let merged_spec = old.spec.union(spec);
                 // The union is built under a *fresh* id: the pre-merge
                 // image stays intact on disk until the merge record is
                 // acknowledged, so an unacknowledged merge loses

@@ -16,7 +16,7 @@
 //! `SizeModel::ids_bytes` call sums the added bytes and one the newly
 //! unique ones (see `Postings::grow`). The delta, the unique packages
 //! and the union are built without data-dependent branches (see
-//! `Postings::missing` and `Spec::union`).
+//! `Postings::missing` and `Spec::union_ids`).
 
 use super::plan::{Plan, PlannedOp};
 use super::ImageCache;
@@ -203,7 +203,7 @@ impl ImageCache {
         let grown = self.postings.grow(slot, &added, sizes.as_ref());
         let old_bytes = img.bytes;
         let new_bytes = old_bytes.saturating_add(grown.bytes);
-        img.spec = img.spec.union(&added);
+        img.spec = img.spec.union_ids(&added);
         img.bytes = new_bytes;
         img.last_used = now;
         img.use_count = img.use_count.saturating_add(1);

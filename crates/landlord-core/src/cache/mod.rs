@@ -321,8 +321,7 @@ impl ImageCache {
     /// LRU this reads the head of the recency list, O(1) (a scan right
     /// after a restore, until the next selection sorts the list). The
     /// sampled policies replay their next K draws on a copy of the
-    /// stream state, O(K); S3-FIFO replays its selection over its
-    /// queues read-only, O(entries passed before the victim).
+    /// stream state, O(K); S3-FIFO previews on a clone of its queues.
     /// Either way the answer matches the next real selection. `None` on
     /// an empty cache.
     pub fn peek_victim(&self) -> Option<ImageId> {
@@ -480,7 +479,7 @@ impl ImageCache {
             let union = img
                 .constituents
                 .iter()
-                .fold(Spec::empty(), |acc, c| acc.union(c.ids()));
+                .fold(Spec::empty(), |acc, c| acc.union(c));
             assert_eq!(
                 union, img.spec,
                 "image {} constituents do not union to its spec",

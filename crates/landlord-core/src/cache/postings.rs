@@ -26,7 +26,7 @@
 //! is not read. Whether the slot holds a package follows no pattern a
 //! branch predictor could learn, so the delta is compacted without a
 //! branch on it. The delta comes back as sorted ids, which the merged
-//! spec's union reads as a slice.
+//! spec's union reads as a slice (`Spec::union_ids`).
 //!
 //! The rows also answer the cache's *unique bytes*, each package held
 //! by some image counted once: a package is held exactly when its row
@@ -570,7 +570,7 @@ mod tests {
         // A merge that grows image 10 past image 11 hands 11 the tie.
         let added = spec(&[7]);
         p.grow(sa, added.ids(), &UniformSizes::new(1));
-        let a = a.union(added.ids());
+        let a = a.union(&added);
         assert_eq!(superset(&p, &spec(&[63, 64])), Some(11));
         assert_eq!(superset(&p, &spec(&[7, 64])), Some(10));
         p.check([(10, 4, sa, &a), (11, 3, sb, &b)]);
@@ -599,7 +599,7 @@ mod tests {
         assert_eq!(superset(&p, &s), Some(9));
         p.grow(nine, added.ids(), &sizes);
         assert_eq!(superset(&p, &s), Some(2), "all tied again");
-        let merged = s.union(added.ids());
+        let merged = s.union(&added);
         p.check([
             (9, 8, nine, &merged),
             (2, 8, two, &merged),
@@ -731,7 +731,7 @@ mod tests {
                 unique: bytes(&[4])
             }
         );
-        let b = b.union(&[PackageId(1), PackageId(4)]);
+        let b = b.union_ids(&[PackageId(1), PackageId(4)]);
         // Open 140 more slots, so rows are three words wide and the
         // last image sits in word 2.
         let fill: Vec<Spec> = (0..140u32).map(|i| spec(&[10 + i])).collect();

@@ -576,7 +576,7 @@ proptest! {
                     };
                     let out = cache.apply(&request, &plan);
                     let after = cache.get(image).expect("merge target survives");
-                    prop_assert_eq!(&after.spec, &before.spec.union(request.ids()));
+                    prop_assert_eq!(&after.spec, &before.spec.union(&request));
                     prop_assert_eq!(after.bytes, sizes.spec_bytes(&after.spec));
                     prop_assert_eq!(after.bytes, before.bytes + sizes.ids_bytes(&added));
                     prop_assert_eq!(out.image_bytes(), after.bytes);

@@ -215,7 +215,7 @@ mod proptests {
             // After merging, the merged image satisfies (distance-wise is
             // at least as close to) each constituent as the union size
             // allows: d(a, a∪b) ≤ d(a, b).
-            let u = a.union(b.ids());
+            let u = a.union(&b);
             prop_assert!(jaccard_distance(&a, &u) <= jaccard_distance(&a, &b) + 1e-12);
         }
     }

@@ -191,11 +191,14 @@ impl Spec {
     /// The composite specification `self ∪ other` — the paper's merge
     /// operation: "a composite specification can be formed as the union
     /// of requirements from two or more specifications".
-    ///
-    /// `other` is a sorted slice of distinct ids: another spec's
-    /// [`Spec::ids`], or a merge's delta as the posting table returns
-    /// it, which thus never needs a spec of its own.
-    pub fn union(&self, other: &[PackageId]) -> Spec {
+    pub fn union(&self, other: &Spec) -> Spec {
+        self.union_ids(&other.members)
+    }
+
+    /// [`Spec::union`] with a sorted slice of distinct ids: a merge's
+    /// delta as the posting table returns it, which thus never needs a
+    /// spec of its own.
+    pub(crate) fn union_ids(&self, other: &[PackageId]) -> Spec {
         debug_assert!(
             other.windows(2).all(|w| w[0] < w[1]),
             "union operand must be sorted+unique"
@@ -443,7 +446,7 @@ mod tests {
     fn union_merges_without_duplicates() {
         let a = spec(&[1, 3, 5]);
         let b = spec(&[2, 3, 6]);
-        let u = a.union(b.ids());
+        let u = a.union(&b);
         assert_eq!(
             u.ids().iter().map(|p| p.0).collect::<Vec<_>>(),
             vec![1, 2, 3, 5, 6]
@@ -459,25 +462,25 @@ mod tests {
         let ids = |s: &Spec| s.ids().iter().map(|p| p.0).collect::<Vec<_>>();
         for n in [3, 17, 100, 1_000] {
             let (a, b) = (range(0..n), range(n / 2..n + n / 2));
-            assert_eq!(ids(&a.union(b.ids())), (0..n + n / 2).collect::<Vec<_>>());
-            assert_eq!(b.union(a.ids()), a.union(b.ids()));
-            assert_eq!(a.union(a.ids()), a);
+            assert_eq!(ids(&a.union(&b)), (0..n + n / 2).collect::<Vec<_>>());
+            assert_eq!(b.union(&a), a.union(&b));
+            assert_eq!(a.union(&a), a);
             let (evens, odds) = (
                 Spec::from_ids((0..n).map(|i| PackageId(2 * i))),
                 Spec::from_ids((0..n).map(|i| PackageId(2 * i + 1))),
             );
-            assert_eq!(evens.union(odds.ids()), range(0..2 * n));
+            assert_eq!(evens.union(&odds), range(0..2 * n));
             let inside = range(n / 3..(n / 3 + 9).min(n));
-            assert_eq!(a.union(inside.ids()), a);
-            assert_eq!(inside.union(a.ids()), a);
+            assert_eq!(a.union(&inside), a);
+            assert_eq!(inside.union(&a), a);
         }
     }
 
     #[test]
     fn union_with_empty_is_identity() {
         let a = spec(&[1, 2]);
-        assert_eq!(a.union(&[]), a);
-        assert_eq!(Spec::empty().union(a.ids()), a);
+        assert_eq!(a.union(&Spec::empty()), a);
+        assert_eq!(Spec::empty().union(&a), a);
     }
 
     #[test]
@@ -602,13 +605,13 @@ mod proptests {
         fn union_matches_a_btreeset_union((a, b) in union_operands()) {
             let set = |s: &Spec| s.iter().collect::<std::collections::BTreeSet<_>>();
             let want = Spec::from_sorted_vec(set(&a).union(&set(&b)).copied().collect());
-            prop_assert_eq!(a.union(b.ids()), want.clone());
-            prop_assert_eq!(b.union(a.ids()), want);
+            prop_assert_eq!(a.union(&b), want.clone());
+            prop_assert_eq!(b.union(&a), want);
         }
 
         #[test]
         fn union_is_commutative(a in arb_spec(200, 64), b in arb_spec(200, 64)) {
-            prop_assert_eq!(a.union(b.ids()), b.union(a.ids()));
+            prop_assert_eq!(a.union(&b), b.union(&a));
         }
 
         #[test]
@@ -617,12 +620,12 @@ mod proptests {
             b in arb_spec(100, 32),
             c in arb_spec(100, 32),
         ) {
-            prop_assert_eq!(a.union(b.ids()).union(c.ids()), a.union(b.union(c.ids()).ids()));
+            prop_assert_eq!(a.union(&b).union(&c), a.union(&b.union(&c)));
         }
 
         #[test]
         fn union_is_superset_of_operands(a in arb_spec(200, 64), b in arb_spec(200, 64)) {
-            let u = a.union(b.ids());
+            let u = a.union(&b);
             prop_assert!(a.is_subset(&u));
             prop_assert!(b.is_subset(&u));
         }
@@ -648,7 +651,7 @@ mod proptests {
             let i = a.intersection(&b);
             // d and i partition a.
             prop_assert_eq!(d.len() + i.len(), a.len());
-            prop_assert_eq!(d.union(i.ids()), a.clone());
+            prop_assert_eq!(d.union(&i), a.clone());
             prop_assert_eq!(d.intersection_len(&b), 0);
         }
 

@@ -206,7 +206,7 @@ pub fn derive_spec(app: &BenchApp, repo: &Repository, seed: u64) -> Spec {
     while bytes * 10 < target * 8 && guard < 64 {
         guard += 1;
         let &extra = candidates.choose(&mut rng).expect("non-empty");
-        let grown = spec.union(repo.closure_spec(&[extra]).ids());
+        let grown = spec.union(&repo.closure_spec(&[extra]));
         let grown_bytes = bytes_of(&grown);
         if grown_bytes.abs_diff(target) < bytes.abs_diff(target) {
             spec = grown;

@@ -306,7 +306,7 @@ mod tests {
         let mh = MinHasher::new(64, 5);
         let a = spec(0..50);
         let b = spec(25..80);
-        let u = a.union(b.ids());
+        let u = a.union(&b);
         assert_eq!(mh.signature(&a).union(&mh.signature(&b)), mh.signature(&u));
     }
 
@@ -418,7 +418,7 @@ mod proptests {
         #[test]
         fn union_signature_equals_rehash(a in arb_spec(), b in arb_spec()) {
             let mh = MinHasher::new(96, 8);
-            let direct = mh.signature(&a.union(b.ids()));
+            let direct = mh.signature(&a.union(&b));
             let merged = mh.signature(&a).union(&mh.signature(&b));
             prop_assert_eq!(direct, merged);
         }
